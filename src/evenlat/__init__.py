@@ -49,10 +49,7 @@ from .ogroup import (
     ExtendedForm,
     GroupElement,
     Membership,
-    classify,
-    complete_isotropic,
     has_single_cusp,
-    is_primitive_isotropic,
 )
 from .cosets import (
     HatEmbedding,
@@ -95,10 +92,7 @@ __all__ = [
     "ExtendedForm",
     "GroupElement",
     "Membership",
-    "classify",
-    "complete_isotropic",
     "has_single_cusp",
-    "is_primitive_isotropic",
     "HatEmbedding",
     "HypothesisViolation",
     "ScaledOrthogonal",

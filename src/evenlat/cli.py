@@ -65,15 +65,49 @@ def _read_json_source(path: str):
         return json.load(fh)
 
 
+def _read_object(path: str, what: str) -> dict:
+    data = _read_json_source(path)
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object, got {json.dumps(data)}")
+    return data
+
+
+def _json_int(x, what: str) -> int:
+    # JSON true/false load as bool, a subclass of int, and int() would
+    # coerce floats and strings: all three are refused
+    if type(x) is not int:
+        raise ValueError(f"{what} must hold JSON integers, got {json.dumps(x)}")
+    return x
+
+
+def _json_ints(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be a JSON list, got {json.dumps(v)}")
+    return [_json_int(x, what) for x in v]
+
+
+def _json_matrix(rows, what: str) -> Matrix:
+    if not isinstance(rows, list):
+        raise ValueError(f"{what} must be a JSON list of rows, got {json.dumps(rows)}")
+    return Matrix([_json_ints(r, what) for r in rows])
+
+
+def _json_name(x) -> str:
+    if not isinstance(x, str):
+        raise ValueError(f"lattice 'name' must be a string, got {json.dumps(x)}")
+    return x
+
+
 def _load_lattice(args) -> EvenLattice:
     if getattr(args, "name", None):
         return root_lattice(args.name)
     if getattr(args, "lattice", None):
-        data = _read_json_source(args.lattice)
+        data = _read_object(args.lattice, "lattice")
         if "gram" in data:
-            return EvenLattice(Matrix(data["gram"]), name=data.get("name", ""))
+            return EvenLattice(_json_matrix(data["gram"], "'gram'"),
+                               name=_json_name(data.get("name", "")))
         if "name" in data:
-            return root_lattice(data["name"])
+            return root_lattice(_json_name(data["name"]))
         raise ValueError("lattice JSON needs a 'gram' or 'name' field")
     raise ValueError("provide a lattice via --name or --lattice")
 
@@ -237,10 +271,10 @@ def _cmd_overlattices(args) -> int:
 def _cmd_classify(args) -> int:
     lat = _load_lattice(args)
     form = ExtendedForm(lat)
-    data = _read_json_source(args.input)
+    data = _read_object(args.input, "classify input")
     if "R" not in data:
         raise ValueError("classify input needs an 'R' matrix field")
-    level, witness = form.classify_witness(Matrix(data["R"]))
+    level, witness = form.classify_witness(_json_matrix(data["R"], "'R'"))
     payload = {
         "membership": level.name.lower(),
         "level": int(level),
@@ -263,10 +297,10 @@ def _fmt_value(v) -> str:
 def _cmd_complete(args) -> int:
     lat = _load_lattice(args)
     form = ExtendedForm(lat)
-    data = _read_json_source(args.input)
+    data = _read_object(args.input, "complete input")
     if "h" not in data:
         raise ValueError("complete input needs an 'h' vector field")
-    h = [int(x) for x in data["h"]]
+    h = _json_ints(data["h"], "'h'")
     elem = form.complete_isotropic(h)
     payload = {
         "h": h,
@@ -288,13 +322,14 @@ def _cmd_complete(args) -> int:
 def _cmd_reduce(args) -> int:
     lat = _load_lattice(args)
     form = ExtendedForm(lat)
-    data = _read_json_source(args.input)
+    data = _read_object(args.input, "reduce input")
     if "R" not in data:
         raise ValueError("reduce input needs an 'R' matrix field")
+    ratio = data.get("r")
     scaled = make_scaled(
         form,
-        Matrix(data["R"]),
-        ratio=data.get("r"),
+        _json_matrix(data["R"], "'R'"),
+        ratio=None if ratio is None else _json_int(ratio, "'r'"),
         canonicalize=not args.no_canonicalize,
     )
     d = form.dim

@@ -58,10 +58,10 @@ class ScaledOrthogonal:
             raise ValueError("matrix does not scale the form by the given ratio")
         if det(matrix) <= 0:
             raise ValueError("matrix must have positive determinant")
-        if not form._plus_oriented(matrix):
+        if form._orientation_value(matrix) <= 0:
             raise ValueError("matrix must preserve the oriented positive 2-plane")
         self.form = form
-        self.matrix = matrix.to_int()
+        self.matrix = matrix
         self.ratio = ratio
 
     @property
@@ -70,12 +70,15 @@ class ScaledOrthogonal:
         return vec_gcd(x for row in self.matrix.rows for x in row)
 
     def is_canonical(self) -> bool:
-        g = self.content
-        return _largest_square_scaling(g, self.ratio) == 1
+        return self.content == 1
 
     def canonical(self) -> "ScaledOrthogonal":
-        """Divide out the largest s with s dividing the matrix and s^2 the ratio."""
-        s = _largest_square_scaling(self.content, self.ratio)
+        """Divide the matrix by its content s and the ratio by s^2.
+
+        s^2 divides the ratio: it is the (0, last) entry of R^t S1 R, and
+        S1 has a 1 there, so with R = s R' it is s^2 (R'^t S1 R')[0, last].
+        """
+        s = self.content
         if s == 1:
             return self
         mat = Matrix([[x // s for x in row] for row in self.matrix.rows])
@@ -98,26 +101,13 @@ class ScaledOrthogonal:
         return f"ScaledOrthogonal(ratio={self.ratio}, dim={self.matrix.nrows})"
 
 
-def _largest_square_scaling(g: int, r: int) -> int:
-    # largest divisor s of g with s^2 dividing r
-    best = 1
-    d = 1
-    while d * d <= g:
-        if g % d == 0:
-            for s in (g // d, d):
-                if s > best and r % (s * s) == 0:
-                    best = s
-        d += 1
-    return best
-
-
 def make_scaled(form: ExtendedForm, matrix, ratio: int | None = None,
                 canonicalize: bool = True) -> ScaledOrthogonal:
     """Wrap a matrix as a scaled orthogonal element, inferring the ratio.
 
-    With canonicalize (default) the content/square-part of the ratio is
-    divided out first, giving the canonical representative of the rational
-    ray of the matrix.
+    With canonicalize (default) the content of the matrix, and its square
+    from the ratio, is divided out first, giving the canonical
+    representative of the rational ray of the matrix.
     """
     if not isinstance(matrix, Matrix):
         matrix = Matrix(matrix)
@@ -168,6 +158,8 @@ def reduce_right_coset(x: ScaledOrthogonal) -> RightCosetForm:
     d = form.dim
     alpha, h = _primitive_part(form, x.matrix.col(0), "first column")
     w = form.complete_isotropic(h).inverse()
+    if w.classify() < Membership.DISCRIMINANT_KERNEL:
+        raise AssertionError("transformer is not a kernel element")
     t = w.matrix @ x.matrix
     if t.col(0) != tuple(alpha if i == 0 else 0 for i in range(d)):
         raise AssertionError("left reduction failed to clean the first column")
@@ -240,13 +232,14 @@ def reduce_double_coset(x: ScaledOrthogonal) -> DoubleCosetForm:
     for _ in range(_REDUCTION_CAP):
         alpha = left_clean()
         z = t.row(0)
-        k = form.s1_inv @ z
-        if any(not isinstance(v, int) for v in k):
+        k = form.s1_adj @ z
+        if any(v % form.s1_det for v in k):
             raise HypothesisViolation(
                 "the first row does not lie in the rescaled dual; guaranteed "
                 "only over a maximal even base or for a ratio coprime to the "
                 "base determinant"
             )
+        k = tuple(v // form.s1_det for v in k)
         beta = vec_gcd(z)
         if beta == alpha and all(v % alpha == 0 for v in k):
             mu = tuple(k[1 + j] // alpha for j in range(n + 2))
@@ -298,6 +291,8 @@ def reduce_double_coset(x: ScaledOrthogonal) -> DoubleCosetForm:
         raise AssertionError("corner gcd must equal the gcd of the input entries")
     if left.matrix @ x.matrix @ right.matrix != t:
         raise AssertionError("transformers do not reproduce the reduction")
+    if min(left.classify(), right.classify()) < Membership.DISCRIMINANT_KERNEL:
+        raise AssertionError("transformers are not kernel elements")
     return DoubleCosetForm(x, left, right, t, core, alpha, delta)
 
 
@@ -337,8 +332,7 @@ class HatEmbedding:
             m = m.matrix
         if not isinstance(m, Matrix):
             m = Matrix(m)
-        out = self.matrix @ m @ self._inv
-        return out.to_int() if out.is_integral else out
+        return self.matrix @ m @ self._inv
 
     def pull(self, m) -> Matrix:
         """Conjugate a big-form matrix back to small-form coordinates."""
@@ -346,8 +340,7 @@ class HatEmbedding:
             m = m.matrix
         if not isinstance(m, Matrix):
             m = Matrix(m)
-        out = self._inv @ m @ self.matrix
-        return out.to_int() if out.is_integral else out
+        return self._inv @ m @ self.matrix
 
 
 def hat_embed(base_embedding: LatticeEmbedding) -> HatEmbedding:
@@ -413,9 +406,7 @@ def normalizer_certificate(x: ScaledOrthogonal, exponents=(1, 2, 3),
     """
     canon = x.canonical()
     if canon.ratio == 1:
-        elem = GroupElement(canon.form, canon.matrix)
-        if elem.classify() < Membership.INTEGRAL_SPECIAL_PLUS:
-            raise AssertionError("ratio-1 canonical matrix must be integral")
+        GroupElement(canon.form, canon.matrix)  # classifies; raises if not a member
         return NormalizerCertificate(
             x, canon.matrix, 1, True, "integral-member"
         )

@@ -18,13 +18,15 @@ The module provides:
   generators, a group element whose first column is a prescribed primitive
   isotropic vector.
 
-Everything is exact integer/rational arithmetic.
+Everything is exact integer/rational arithmetic. A matrix from outside is
+classified once, when it becomes a ``GroupElement``; generators, products,
+inverses and powers of members are members by construction.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
-from math import gcd
+from fractions import Fraction
 
 from .lattices import EvenLattice
 from .matrices import Matrix, det, vec_gcd
@@ -49,16 +51,19 @@ class GroupElement:
 
     Optionally carries a word in the standard generators: a tuple of tokens
     ("J",), ("T", lam), ("T*", lam) whose left-to-right product equals the
-    matrix.
+    matrix. The matrix is classified on construction, unless ``_trusted``
+    marks one the library built from members (generators, products, inverses).
     """
 
-    def __init__(self, form: "ExtendedForm", matrix: Matrix, word=None):
-        if not isinstance(matrix, Matrix):
-            matrix = Matrix(matrix)
-        if not matrix.is_integral:
-            raise ValueError("group elements must be integral")
-        if form.classify(matrix) < Membership.INTEGRAL_SPECIAL_PLUS:
-            raise ValueError("matrix is not in the integral special-plus group")
+    def __init__(self, form: "ExtendedForm", matrix: Matrix, word=None, *,
+                 _trusted: bool = False):
+        if not _trusted:
+            if not isinstance(matrix, Matrix):
+                matrix = Matrix(matrix)
+            if not matrix.is_integral:
+                raise ValueError("group elements must be integral")
+            if form.classify(matrix) < Membership.INTEGRAL_SPECIAL_PLUS:
+                raise ValueError("matrix is not in the integral special-plus group")
         self.form = form
         self.matrix = matrix
         self.word = tuple(word) if word is not None else None
@@ -74,7 +79,8 @@ class GroupElement:
         if self.word is not None:
             word = tuple(_token_inverse(t) for t in reversed(self.word))
         return GroupElement(
-            self.form, self.form.orthogonal_inverse(self.matrix), word
+            self.form, self.form.orthogonal_inverse(self.matrix), word,
+            _trusted=True,
         )
 
     def __matmul__(self, other):
@@ -84,7 +90,8 @@ class GroupElement:
             word = None
             if self.word is not None and other.word is not None:
                 word = self.word + other.word
-            return GroupElement(self.form, self.matrix @ other.matrix, word)
+            return GroupElement(self.form, self.matrix @ other.matrix, word,
+                                _trusted=True)
         return self.matrix @ other
 
     def __pow__(self, k: int) -> "GroupElement":
@@ -161,6 +168,10 @@ class ExtendedForm:
         self.s0_inv = self._corner_form(n + 2, s, invert=True)
         self.s1 = self._nest(self.s0)
         self.s1_inv = self._nest(self.s0_inv)
+        # |det S1| = |det S| = |D|; with the integral adjugate
+        # s1_adj = s1_det * S1^{-1} the kernel gate and inverse stay integral
+        self.s1_det = abs(base.determinant)
+        self.s1_adj = self.s1_inv * self.s1_det
         self._tokens = {}
 
     @staticmethod
@@ -243,29 +254,29 @@ class ExtendedForm:
         return m
 
     def identity(self) -> GroupElement:
-        return GroupElement(self, Matrix.identity(self.dim), ())
+        return GroupElement(self, Matrix.identity(self.dim), (), _trusted=True)
 
     def involution(self) -> GroupElement:
         """Swaps the two hyperbolic pairs (with signs); squares to the identity."""
         tok = ("J",)
-        return GroupElement(self, self._token_matrix(tok), (tok,))
+        return GroupElement(self, self._token_matrix(tok), (tok,), _trusted=True)
 
     def transvection(self, lam) -> GroupElement:
         """Unipotent element translating the second isotropic line by lam."""
         tok = ("T", _int_vec(lam))
-        return GroupElement(self, self._token_matrix(tok), (tok,))
+        return GroupElement(self, self._token_matrix(tok), (tok,), _trusted=True)
 
     def dual_transvection(self, lam) -> GroupElement:
         """Mirror unipotent element translating the first isotropic line by lam."""
         tok = ("T*", _int_vec(lam))
-        return GroupElement(self, self._token_matrix(tok), (tok,))
+        return GroupElement(self, self._token_matrix(tok), (tok,), _trusted=True)
 
     def element_from_word(self, word) -> GroupElement:
-        """Left-to-right product of generator tokens."""
+        """Left-to-right product of generator tokens, each validated."""
         m = Matrix.identity(self.dim)
         for tok in word:
             m = m @ self._token_matrix(tok)
-        return GroupElement(self, m, tuple(word))
+        return GroupElement(self, m, tuple(word), _trusted=True)
 
     def embed_rotation(self, q) -> GroupElement:
         """Extend a special isometry of the base lattice by identity corners."""
@@ -297,7 +308,8 @@ class ExtendedForm:
         form congruence fails, a determinant different from one, a
         non-positive orientation value, a non-integral entry, or the entry
         of (M - I)·S1^{-1} showing nontrivial discriminant action. Kernel
-        members get an empty witness.
+        members get an empty witness. The kernel gate works in integers:
+        (M - I)·s1_adj must vanish modulo s1_det.
         """
         if not isinstance(m, Matrix):
             m = Matrix(m)
@@ -326,18 +338,18 @@ class ExtendedForm:
                 "entry": (i, j),
                 "value": m[i, j],
             }
-        delta = (m - Matrix.identity(d)) @ self.s1_inv
-        if not delta.is_integral:
-            i, j = _first_non_integral(delta)
-            return Membership.INTEGRAL_SPECIAL_PLUS, {
-                "check": "kernel-congruence",
-                "entry": (i, j),
-                "value": delta[i, j],
-            }
+        if self.s1_det != 1:
+            den = self.s1_det
+            delta = (m - Matrix.identity(d)) @ self.s1_adj
+            for i, row in enumerate(delta.rows):
+                for j, x in enumerate(row):
+                    if x % den:
+                        return Membership.INTEGRAL_SPECIAL_PLUS, {
+                            "check": "kernel-congruence",
+                            "entry": (i, j),
+                            "value": Fraction(x, den),
+                        }
         return Membership.DISCRIMINANT_KERNEL, {}
-
-    def _plus_oriented(self, m) -> bool:
-        return self._orientation_value(m) > 0
 
     def _orientation_value(self, m):
         # orientation of the positive 2-plane, read off the corner blocks
@@ -351,14 +363,19 @@ class ExtendedForm:
         return a * e - b * c
 
     def orthogonal_inverse(self, m) -> Matrix:
-        """Inverse of an orthogonal matrix via the form: S1^{-1} m^t S1."""
+        """Inverse of an orthogonal matrix via the form: S1^{-1} m^t S1.
+
+        Computed as s1_adj m^t S1 followed by one exact division by s1_det,
+        so integral input stays in integers throughout.
+        """
         if not isinstance(m, Matrix):
             m = Matrix(m)
-        out = self.s1_inv @ m.T @ self.s1
-        return out.to_int() if out.is_integral else out
-
-    def in_discriminant_kernel(self, m) -> bool:
-        return self.classify(m) >= Membership.DISCRIMINANT_KERNEL
+        den = self.s1_det
+        return Matrix([
+            [x // den if isinstance(x, int) and x % den == 0 else Fraction(x, den)
+             for x in row]
+            for row in (self.s1_adj @ m.T @ self.s1).rows
+        ])
 
     # -- isotropic vectors -----------------------------------------------------------
 
@@ -488,6 +505,8 @@ class ExtendedForm:
         out = self.element_from_word(word)
         if out.matrix.col(0) != h:
             raise AssertionError("completed element does not start with h")
+        if out.classify() < Membership.DISCRIMINANT_KERNEL:
+            raise AssertionError("completed element is not a kernel element")
         return out
 
     def orbit_transporter(self, h_from, h_to) -> GroupElement:
@@ -529,15 +548,3 @@ def base_reflection(lat: EvenLattice, v) -> Matrix:
     if m.T @ s @ m != s:
         raise AssertionError("reflection must preserve the form")
     return m
-
-
-def classify(form: ExtendedForm, m) -> Membership:
-    return form.classify(m)
-
-
-def complete_isotropic(form: ExtendedForm, h) -> GroupElement:
-    return form.complete_isotropic(h)
-
-
-def is_primitive_isotropic(form: ExtendedForm, h) -> bool:
-    return form.is_primitive_isotropic(h)

@@ -370,6 +370,64 @@ def test_overlattices_cap_exceeded_exits_2(capsys):
     assert code == 2 and "exceeds" in err
 
 
+IDENTITY6 = [[int(i == j) for j in range(6)] for i in range(6)]
+CORNER6 = [list(r) for r in helpers.corner_scaling(6, 2).rows]
+TRUE_CORNER = [[True if (i, j) == (0, 0) else x for j, x in enumerate(row)]
+               for i, row in enumerate(IDENTITY6)]
+
+# (case, exit code, stderr fragment, argv, --lattice JSON, --input JSON)
+EXIT_CODE_CASES = [
+    ("analyze-name", 0, "", ["analyze", "--name", "A2"], None, None),
+    ("analyze-gram", 0, "", ["analyze"], {"gram": [[2, -1], [-1, 2]]}, None),
+    ("classify", 0, "", ["classify", "--name", "A2"], None, {"R": IDENTITY6}),
+    ("complete", 0, "", ["complete", "--name", "A2"], None, {"h": [1, 1, 1, 1, 1, 0]}),
+    ("reduce", 0, "", ["reduce", "--name", "A2"], None, {"R": CORNER6, "r": 4}),
+    ("gram-string", 2, "'gram' must be a JSON list", ["analyze"], {"gram": "ab"}, None),
+    ("gram-float", 2, "got 2.0", ["analyze"], {"gram": [[2.0]]}, None),
+    ("gram-bool", 2, "got true", ["analyze"], {"gram": [[True]]}, None),
+    ("gram-flat", 2, "'gram' must be a JSON list", ["analyze"], {"gram": [2]}, None),
+    ("lattice-not-object", 2, "must be an object", ["analyze"], 5, None),
+    ("lattice-name-int", 2, "'name' must be a string", ["analyze"], {"name": 7}, None),
+    ("gram-name-int", 2, "'name' must be a string", ["analyze"],
+     {"gram": [[2]], "name": 7}, None),
+    ("classify-bool", 2, "got true", ["classify", "--name", "A2"], None,
+     {"R": TRUE_CORNER}),
+    ("classify-not-object", 2, "must be an object", ["classify", "--name", "A2"],
+     None, [IDENTITY6]),
+    ("complete-float", 2, "got 1.7", ["complete", "--name", "A1"], None,
+     {"h": [1.7, 0, 0, 0, 0]}),
+    ("complete-string", 2, "'h' must be a JSON list", ["complete", "--name", "A1"],
+     None, {"h": "10000"}),
+    ("reduce-ratio-bool", 2, "'r' must hold JSON integers", ["reduce", "--name", "A2"],
+     None, {"R": CORNER6, "r": True}),
+    ("reduce-ratio-float", 2, "got 4.0", ["reduce", "--name", "A2"], None,
+     {"R": CORNER6, "r": 4.0}),
+    ("reduce-violation-right", 3, "not divisible by its pairing content",
+     ["reduce", "--name", "4A1", "--mode", "right", "--no-canonicalize"], None,
+     {"R": helpers.HYPOTHESIS_VIOLATOR_4A1}),
+    ("reduce-violation-double", 3, "not divisible by its pairing content",
+     ["reduce", "--name", "4A1", "--mode", "double", "--no-canonicalize"], None,
+     {"R": helpers.HYPOTHESIS_VIOLATOR_4A1}),
+]
+
+
+@pytest.mark.parametrize("case", EXIT_CODE_CASES, ids=[c[0] for c in EXIT_CODE_CASES])
+def test_exit_code_contract(case, capsys, tmp_path):
+    _, expected, fragment, argv, lattice, payload = case
+    argv = list(argv)
+    if lattice is not None:
+        argv += ["--lattice", write_json(tmp_path, "lat.json", lattice)]
+    if payload is not None:
+        argv += ["--input", write_json(tmp_path, "in.json", payload)]
+    code, out, err = run(capsys, *argv)
+    assert code == expected, err
+    if expected == 0:
+        assert err == "" and out
+    else:
+        assert err.startswith("error: ") and fragment in err
+        assert out == ""
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

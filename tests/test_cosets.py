@@ -29,7 +29,6 @@ from evenlat import (
     reduce_right_coset,
     root_lattice,
 )
-from evenlat.cosets import _largest_square_scaling
 from evenlat.matrices import vec_gcd
 
 A2 = ExtendedForm(root_lattice("A2"))
@@ -80,12 +79,33 @@ def test_scaled_power():
         x.power(0)
 
 
-def test_largest_square_scaling():
-    assert _largest_square_scaling(2, 4) == 2
-    assert _largest_square_scaling(6, 36) == 6
-    assert _largest_square_scaling(6, 12) == 2
-    assert _largest_square_scaling(1, 100) == 1
-    assert _largest_square_scaling(4, 8) == 2
+def test_content_squared_divides_ratio():
+    # R = c W diag(s^2, s, .., s, 1) V scales the form by c^2 s^2; its content
+    # is c, so canonicalization divides by exactly c and c^2
+    rng = random.Random(83)
+    for _ in range(12):
+        s, c = rng.randint(1, 4), rng.randint(1, 30)
+        w = helpers.random_element(A2, rng, max_len=3)
+        v = helpers.random_element(A2, rng, max_len=3)
+        r = helpers.scale_matrix(w.matrix @ helpers.corner_scaling(6, s) @ v.matrix, c)
+        raw = make_scaled(A2, r, canonicalize=False)
+        assert raw.ratio % raw.content**2 == 0
+        canon = raw.canonical()
+        assert canon.is_canonical() and canon.content == 1
+        assert canon.ratio == raw.ratio // raw.content**2
+        assert helpers.scale_matrix(canon.matrix, raw.content) == raw.matrix
+
+
+def test_make_scaled_huge_content_is_fast():
+    # canonicalization must not need to factor the content
+    import time
+
+    w = A2.element_from_word(W_WORD)
+    big = helpers.scale_matrix(w.matrix @ X, 10**40)
+    start = time.perf_counter()
+    x = make_scaled(A2, big)
+    assert time.perf_counter() - start < 1.0
+    assert (x.ratio, x.matrix) == (4, w.matrix @ X)
 
 
 def test_canonicalization_divides_out_content():

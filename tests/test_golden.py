@@ -20,7 +20,8 @@ INPUTS = GOLDEN / "inputs"
 
 # case -> argv; "@name" stands for the path of golden/inputs/name.json
 CASES = {
-    "classify-a2-identity": ["classify", "--name", "A2", "--input", "@classify-a2-identity"],
+    "classify-a2-identity":
+        ["classify", "--name", "A2", "--input", "@classify-a2-identity"],
     "classify-a2-form-congruence":
         ["classify", "--name", "A2", "--input", "@classify-a2-form-congruence"],
     "classify-2a1-determinant":
@@ -50,6 +51,8 @@ CASES = {
         ["reduce", "--name", "A2", "--input", "@reduce-a2-content", "--mode", "double"],
     "reduce-double-e8-word":
         ["reduce", "--name", "E8", "--input", "@reduce-e8-word", "--mode", "double"],
+    "atlas-a": ["atlas", "--family", "A", "--max", "10"],
+    "atlas-d": ["atlas", "--family", "D", "--min", "2", "--max", "9"],
     "analyze-a3": ["analyze", "--name", "A3"],
     "analyze-4a1": ["analyze", "--name", "4A1"],
     "analyze-gram-file": ["analyze", "--lattice", "@lattice-a2-gram"],

@@ -1,0 +1,160 @@
+"""The integer group core against the Fraction formulas it replaced.
+
+The oracle below classifies with (M - I)·S1^{-1} over Fraction, with S1^{-1}
+from Gauss-Jordan elimination (``matrices.inverse``), as the library did
+before its kernel gate moved to the integral adjugate. The earlier gates are
+unchanged and are re-stated here only to reach the kernel gate in the same
+order. Inputs are random generator words, each also perturbed so that it
+fails one chosen gate.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import helpers
+from evenlat import (
+    ExtendedForm, GroupElement, Matrix, Membership, det, inverse, root_lattice,
+)
+from evenlat.cosets import make_scaled, normalizer_certificate
+
+FORMS = {name: ExtendedForm(root_lattice(name))
+         for name in ("A1", "A2", "D4", "E8", "A15")}
+S1_INV = {name: inverse(form.s1) for name, form in FORMS.items()}
+GATES = ("form-congruence", "determinant", "orientation", "integrality",
+         "kernel-congruence")
+
+
+def first_entry(a, bad):
+    return next((i, j) for i, row in enumerate(a.rows)
+                for j, x in enumerate(row) if bad(i, j, x))
+
+
+def oracle_witness(name, m):
+    form, s1 = FORMS[name], FORMS[name].s1
+    w = m.T @ s1 @ m
+    if w != s1:
+        i, j = first_entry(w, lambda i, j, x: x != s1[i, j])
+        return Membership.NOT_ORTHOGONAL, {"check": "form-congruence", "entry": (i, j),
+                                           "got": w[i, j], "expected": s1[i, j]}
+    dt = det(m)
+    if dt != 1:
+        return Membership.ORTHOGONAL, {"check": "determinant", "value": dt}
+    orient = form._orientation_value(m)
+    if orient <= 0:
+        return Membership.SPECIAL, {"check": "orientation", "value": orient}
+    if not m.is_integral:
+        i, j = first_entry(m, lambda i, j, x: isinstance(x, Fraction))
+        return Membership.SPECIAL_PLUS, {"check": "integrality", "entry": (i, j),
+                                         "value": m[i, j]}
+    delta = (m - Matrix.identity(form.dim)) @ S1_INV[name]
+    if not delta.is_integral:
+        i, j = first_entry(delta, lambda i, j, x: isinstance(x, Fraction))
+        return Membership.INTEGRAL_SPECIAL_PLUS, {"check": "kernel-congruence",
+                                                  "entry": (i, j), "value": delta[i, j]}
+    return Membership.DISCRIMINANT_KERNEL, {}
+
+
+def perturb(form, m, gate, rng):
+    """Right-multiply (or shift) a member so that it fails exactly one gate."""
+    d, n = form.dim, form.n
+    rows = [list(r) for r in m.rows]
+    if gate == "form-congruence":
+        rows[rng.randrange(d)][rng.randrange(d)] += 1
+    for row in rows:
+        if gate == "determinant":  # swap the inner hyperbolic pair
+            row[1], row[d - 2] = row[d - 2], row[1]
+        elif gate == "orientation":  # -1 on the outer hyperbolic plane
+            row[0], row[d - 1] = -row[0], -row[d - 1]
+        elif gate == "integrality":  # e0 -> 2 e0, e_last -> e_last / 2
+            row[0], row[d - 1] = 2 * row[0], Fraction(row[d - 1], 2)
+        elif gate == "kernel-congruence" and n == 4:  # D4: swap two outer nodes
+            row[3], row[5], row[1], row[d - 2] = row[5], row[3], row[d - 2], row[1]
+        elif gate == "kernel-congruence":  # -1 on the base, det fixed by a swap
+            row[2:n + 2] = [-x for x in row[2:n + 2]]
+            if n % 2:
+                row[1], row[d - 2] = row[d - 2], row[1]
+    return Matrix(rows)
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_classify_witness_matches_fraction_oracle(name):
+    form = FORMS[name]
+    rng = random.Random(sum(map(ord, name)))
+    seen = set()
+    for _ in range(4):
+        m = helpers.random_element(form, rng, max_len=4, spread=1).matrix
+        for gate in ("",) + GATES:
+            x = perturb(form, m, gate, rng) if gate else m
+            got = form.classify_witness(x)
+            assert got == oracle_witness(name, x), (name, gate)
+            seen.add(got[1].get("check", ""))
+    # every gate fails somewhere, except the kernel gate where O(D) is
+    # trivial: D = 0 for E8 and D = Z/2 for A1
+    trivial = {"kernel-congruence"} if name in ("A1", "E8") else set()
+    assert seen == {""} | set(GATES) - trivial
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_trusted_results_pass_the_oracle(name):
+    form = FORMS[name]
+    rng = random.Random(7 + len(name))
+    members = [helpers.random_element(form, rng, max_len=3, spread=1) for _ in range(3)]
+    if form.n % 2 == 0:  # -1 on an even-rank base: integral, outside the kernel off E8
+        members.append(form.embed_rotation(-Matrix.identity(form.n)))
+    ident = Matrix.identity(form.dim)
+    for g, h in zip(members, members[1:] + members[:1]):
+        prod = g @ h
+        assert prod.matrix == g.matrix @ h.matrix
+        for elem in (prod, g.inverse(), g**3, g**-2):
+            level = oracle_witness(name, elem.matrix)[0]
+            assert level >= Membership.INTEGRAL_SPECIAL_PLUS
+            assert level == elem.classify()
+        assert form.orthogonal_inverse(g.matrix) @ g.matrix == ident
+
+
+def test_orthogonal_inverse_rational_input_unchanged():
+    # a special-plus matrix off the lattice keeps the old S1^{-1} m^t S1 value
+    for name in ("A1", "A2", "A15"):
+        form = FORMS[name]
+        m = perturb(form, helpers.random_element(form, random.Random(3)).matrix,
+                    "integrality", None)
+        inv = form.orthogonal_inverse(m)
+        assert inv == S1_INV[name] @ m.T @ form.s1
+        assert inv @ m == Matrix.identity(form.dim)
+
+
+def test_integral_adjugate():
+    for name, form in FORMS.items():
+        assert form.s1_det == abs(det(form.s1))
+        assert form.s1_adj.is_integral
+        assert form.s1_adj == S1_INV[name] * form.s1_det
+
+
+def count_classify(monkeypatch, form):
+    calls = []
+    inner = form.classify_witness
+
+    def counting(m):
+        calls.append(1)
+        return inner(m)
+
+    monkeypatch.setattr(form, "classify_witness", counting)
+    return calls
+
+
+def test_members_by_construction_are_not_reclassified(monkeypatch):
+    form = FORMS["A2"]
+    calls = count_classify(monkeypatch, form)
+    g = form.element_from_word(helpers.random_word(random.Random(5), form.n, 4))
+    t = (form.transvection((1, 0, 0, 1)) @ form.involution()
+         @ form.dual_transvection((0, 1, 1, 0)))
+    _ = (g @ t, g.inverse(), g**5, g**-3, form.identity())
+    assert calls == []
+    GroupElement(form, g.matrix)  # outside matrices are verified on entry
+    assert len(calls) == 1
+    done = form.complete_isotropic(g.matrix.col(0))  # its result is verified once
+    assert len(calls) == 2 and done.matrix.col(0) == g.matrix.col(0)
+    cert = normalizer_certificate(make_scaled(form, helpers.scale_matrix(g.matrix, 3)))
+    assert len(calls) == 3 and cert.in_normalizer
