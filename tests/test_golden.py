@@ -5,7 +5,11 @@ Each case runs one command with ``--format json`` on a frozen input from
 ``golden/<case>.json``. The expected outputs were written by the CLI before
 the integer-only group core replaced the ``Fraction`` kernel gate and
 inverse, so they pin that refactors keep every reported value, witness and
-generator word. The integrality gate of ``classify`` has no case: the CLI
+generator word. The ``overlattices`` cases on 3D4, 8A1, 4A2, 2D4 and D24+
+and the ``analyze`` cases on ``[[510510]]`` (seven primes), 12A2, 16A1 and a
+Gram with 2-, 3- and 5-parts were written by the ``Fraction`` discriminant-form
+layer, before the integer lift Gram, per-prime anisotropy scan and
+orthogonality-pruned glue search replaced it. The integrality gate of ``classify`` has no case: the CLI
 reads integer matrices only.
 """
 
@@ -59,6 +63,16 @@ CASES = {
     "analyze-6a1-capped": ["analyze", "--name", "6A1", "--max-order", "10"],
     "overlattices-5a1": ["overlattices", "--name", "5A1"],
     "overlattices-d8": ["overlattices", "--name", "D8"],
+    "overlattices-3d4": ["overlattices", "--name", "3D4"],
+    "overlattices-8a1": ["overlattices", "--name", "8A1"],
+    "overlattices-4a2": ["overlattices", "--name", "4A2"],
+    "overlattices-2d4": ["overlattices", "--name", "2D4"],
+    "overlattices-d24plus": ["overlattices", "--name", "D24+"],
+    "analyze-510510": ["analyze", "--lattice", "@lattice-510510"],
+    "analyze-12a2": ["analyze", "--name", "12A2"],
+    "analyze-16a1": ["analyze", "--name", "16A1"],
+    "analyze-mixed-2-3-5":
+        ["analyze", "--lattice", "@lattice-mixed-2-3-5", "--qtable-max", "200"],
 }
 
 
