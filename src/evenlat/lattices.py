@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 from .matrices import (
     Matrix,
     denominator_lcm,
     det,
-    inverse,
     is_positive_definite,
     smith_normal_form,
 )
@@ -75,22 +75,20 @@ class EvenLattice:
         kept = [i for i, di in enumerate(full) if di > 1]
         if prod(full) != abs(self.determinant):
             raise AssertionError("Smith form inconsistent with determinant")
-        # generator lifts: column i of S^{-1} U^{-1} = V D^{-1} is V[:,i]/d_i
-        lifts = []
-        for i in kept:
-            col = [Fraction(v[r, i], full[i]) for r in range(s.nrows)]
-            lifts.append(tuple(c - (c // 1) for c in col))
-        k = len(kept)
+        # generator lifts: column i of S^{-1} U^{-1} = V D^{-1} is V[:,i]/d_i,
+        # reduced into [0, 1) as w_i/d_i with the integer w_i = V[:,i] mod d_i
+        divs = [full[i] for i in kept]
+        w = [[x % d for x in v.col(i)] for i, d in zip(kept, divs)]
+        lifts = [tuple(Fraction(x, d) for x in wi) for wi, d in zip(w, divs)]
+        # lift_gram[a][b] = (w_a^t S w_b) / (d_a d_b), from one integer product
+        sw = [[sum(map(mul, row, wi)) for row in s.rows] for wi in w]
         lg = Matrix([
-            [
-                sum(lifts[a][r] * s[r, c] * lifts[b][c]
-                    for r in range(s.nrows) for c in range(s.ncols))
-                for b in range(k)
-            ]
-            for a in range(k)
-        ]) if k else Matrix.zeros(0, 0)
+            [Fraction(sum(map(mul, wa, swb)), da * db)
+             for swb, db in zip(sw, divs)]
+            for wa, da in zip(w, divs)
+        ]) if w else Matrix.zeros(0, 0)
         return FiniteQuadraticModule(
-            tuple(full[i] for i in kept), lifts, lg,
+            tuple(divs), lifts, lg,
             source_gram=s, snf_row_transform=u, full_divisors=full,
         )
 
@@ -170,24 +168,34 @@ def direct_sum(*lattices: EvenLattice) -> EvenLattice:
     return EvenLattice(Matrix(rows), name=name)
 
 
+def _saturate(rows):
+    """Integer data of the lattice the given rational rows generate.
+
+    With den the common denominator and U (den rows) V = D the Smith form,
+    the row lattice of den rows is that of D V^{-1}, so its first n rows
+    B = diag(d) V^{-1} over den are a basis. Returns (den, d, V, B), all
+    integral; V^{-1} comes from the Smith form itself, not from an inverse.
+    """
+    m = len(rows)
+    n = len(rows[0])
+    den = denominator_lcm(x for row in rows for x in row)
+    a = Matrix([[int(Fraction(x) * den) for x in row] for row in rows])
+    _, d, v, vinv = smith_normal_form(a, with_v_inverse=True)
+    if any(d[i, i] == 0 for i in range(min(m, n))) or m < n:
+        raise ValueError("rows do not span full rank")
+    divs = [d[i, i] for i in range(n)]
+    b = Matrix([[di * x for x in vinv.row(i)] for i, di in enumerate(divs)])
+    return den, divs, v, b
+
+
 def _saturated_row_basis(rows) -> Matrix:
     """Basis (as rows) of the lattice the given rational rows generate.
 
     Clears denominators, reads off a triangular generating set from the Smith
     decomposition, and rescales back.
     """
-    m = len(rows)
-    n = len(rows[0])
-    den = denominator_lcm(x for row in rows for x in row)
-    a = Matrix([[int(Fraction(x) * den) for x in row] for row in rows])
-    _, d, v = smith_normal_form(a)
-    if any(d[i, i] == 0 for i in range(min(m, n))) or m < n:
-        raise ValueError("rows do not span full rank")
-    vinv = inverse(v)
-    out = []
-    for i in range(n):
-        out.append([Fraction(d[i, i] * vinv[i, j], den) for j in range(n)])
-    return Matrix(out)
+    den, _, _, b = _saturate(rows)
+    return Matrix([[Fraction(x, den) for x in row] for row in b.rows])
 
 
 def overlattice_from_glue(lat: EvenLattice, glue: GlueGroup):
@@ -201,16 +209,22 @@ def overlattice_from_glue(lat: EvenLattice, glue: GlueGroup):
     if glue.parent._source_gram != lat.gram:
         raise ValueError("glue group does not belong to this lattice")
     n = lat.rank
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for g in glue.generators:
-        rows.append([Fraction(x) for x in disc.lift(g)])
-    basis = _saturated_row_basis(rows)
-    new_gram = basis @ lat.gram @ basis.T
-    if not new_gram.is_integral:
+        rows.append(disc.lift(g))
+    den, divs, v, b = _saturate(rows)
+    # new basis B/den: Gram (B S B^t)/den^2 and embedding (den V diag(d)^-1)^t,
+    # the inverse of the basis, transposed; both must divide exactly
+    sq = den * den
+    num = b @ lat.gram @ b.T
+    if any(x % sq for row in num.rows for x in row):
         raise ValueError("glue group is not isotropic for the bilinear form")
-    over = EvenLattice(new_gram.to_int())
-    hmat = inverse(basis).T
-    emb = LatticeEmbedding(lat, over, hmat.to_int())
+    over = EvenLattice(Matrix([[x // sq for x in row] for row in num.rows]))
+    h = [[den * x for x in v.col(j)] for j in range(n)]
+    if any(x % dj for row, dj in zip(h, divs) for x in row):
+        raise ValueError("embedding matrix must be integral")
+    emb = LatticeEmbedding(
+        lat, over, Matrix([[x // dj for x in row] for row, dj in zip(h, divs)]))
     if emb.index != glue.order:
         raise AssertionError("embedding index does not match glue order")
     if over.determinant * glue.order**2 != lat.determinant:

@@ -2,9 +2,12 @@
 
 Everything here is pure Python on int and fractions.Fraction, so results are
 exact by construction. Matrices are immutable; all mutating algorithms work on
-private list-of-list copies. Sizes stay small (a few dozen rows), so clarity
-wins over asymptotics, with one exception: determinants use fraction-free
-Bareiss elimination to keep intermediate entries polynomial in size.
+private list-of-list copies. Integer input stays on integer paths: the
+determinant and the definiteness test use fraction-free Bareiss elimination,
+which keeps intermediate entries polynomial in size, and the Smith normal form
+can return the inverse of its column transform, so callers that need V^{-1}
+get it as an integer matrix with no rational Gauss-Jordan pass. ``inverse`` is
+for answers that are rational by nature.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ class SingularMatrixError(ValueError):
 
 
 def _norm(x) -> Entry:
-    # canonical entry: plain int whenever the value is integral
+    # canonical entry: plain int whenever the value is integral; bool is an
+    # int subclass, but a truth value is no matrix entry
     if isinstance(x, bool):
-        return int(x)
+        raise TypeError("matrix entries must be int or Fraction, got bool")
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
@@ -334,18 +338,25 @@ def inverse(a: Matrix) -> Matrix:
     return Matrix([row[n:] for row in m])
 
 
-def smith_normal_form(a: Matrix):
+def smith_normal_form(a: Matrix, *, with_v_inverse: bool = False):
     """Smith normal form with transforms.
 
     Returns (U, D, V) with U @ a @ V == D, U and V unimodular, and D diagonal
     with non-negative entries d_1 | d_2 | ... (zeros last). Works for any
     rectangular integral matrix.
+
+    With ``with_v_inverse=True`` it returns (U, D, V, W) with W @ V == I.
+    W is tracked alongside V, not inverted afterwards: V starts as I and only
+    changes by column operations, V <- V E, so W <- E^{-1} W is the matching
+    row operation on W (col i += q col j on V is row j -= q row i on W, and a
+    column swap on V is the same row swap on W).
     """
     a.to_int()
     m, n = a.nrows, a.ncols
     A = [list(r) for r in a.rows]
     U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
+    W = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def add_row(i, j, q):  # row i += q * row j
         A[i] = [x + q * y for x, y in zip(A[i], A[j])]
@@ -356,6 +367,7 @@ def smith_normal_form(a: Matrix):
             r[i] += q * r[j]
         for r in V:
             r[i] += q * r[j]
+        W[j] = [y - q * x for x, y in zip(W[i], W[j])]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -366,6 +378,7 @@ def smith_normal_form(a: Matrix):
             r[i], r[j] = r[j], r[i]
         for r in V:
             r[i], r[j] = r[j], r[i]
+        W[i], W[j] = W[j], W[i]
 
     for t in range(min(m, n)):
         while True:
@@ -417,4 +430,6 @@ def smith_normal_form(a: Matrix):
         if A[i][i] < 0:
             A[i] = [-x for x in A[i]]
             U[i] = [-x for x in U[i]]
+    if with_v_inverse:
+        return Matrix(U), Matrix(A), Matrix(V), Matrix(W)
     return Matrix(U), Matrix(A), Matrix(V)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
+from operator import mul
 
 from .matrices import Matrix, denominator_lcm
 
@@ -147,12 +148,33 @@ class FiniteQuadraticModule:
                 f"module order {self.order} exceeds the scan cap {max_order}"
             )
 
+    def _primary_part(self, p: int):
+        # elements of D_p, zero first: the p-part of Z/d_i is generated by
+        # d_i / p^a, with p^a the exact power of p dividing d_i
+        gens = []
+        for d in self.divisors:
+            pa = 1
+            while d % (pa * p) == 0:
+                pa *= p
+            gens.append((d // pa, pa))
+        return (
+            tuple(c * g for c, (g, _) in zip(cs, gens))
+            for cs in product(*(range(pa) for _, pa in gens))
+        )
+
     def is_anisotropic(self, max_order: int = MAX_ORDER) -> bool:
-        """True iff q(x) = 0 only for x = 0."""
+        """True iff q(x) = 0 only for x = 0.
+
+        D = sum of its p-parts D_p, which are mutually orthogonal, and q(x_p)
+        has a p-power denominator, so q(x) = sum q(x_p) vanishes iff every
+        q(x_p) does: D is anisotropic iff each D_p is (Nikulin 1979). The
+        scan visits sum |D_p| elements, not |D|; the cap still bounds |D|.
+        """
         self._guard(max_order)
-        zero = self.zero
-        for x in self.elements():
-            if x != zero and self._qnum(x) == 0:
+        for p in _prime_divisors(self.divisors[-1] if self.divisors else 1):
+            parts = self._primary_part(p)
+            next(parts)  # zero
+            if any(self._qnum(x) == 0 for x in parts):
                 return False
         return True
 
@@ -173,48 +195,53 @@ class FiniteQuadraticModule:
             out |= step
         return frozenset(out)
 
-    def _isotropic_extension(self, span: frozenset, x: tuple):
-        # closure of span and x if totally isotropic, else None
-        new = self._closure_with(span, x)
-        for y in new:
-            if y not in span and self._qnum(y) != 0:
-                return None
-        return new
-
     def maximal_isotropic_subgroups(self, max_order: int = MAX_GLUE_ORDER) -> list:
         """All maximal totally isotropic subgroups as GlueGroups.
 
         Each subgroup is produced once, via its canonical generator chain
         (repeatedly adjoin the least element outside the current span). For an
         anisotropic module the answer is the trivial subgroup alone.
+
+        For isotropic x, span + <x> is totally isotropic iff b(x, c) = 0 for
+        every chain generator c, since q(s + jx) = q(s) + j b(s, x) for s in
+        the span. So each search node carries the bitmask of isotropic
+        elements outside its span and orthogonal to its chain; a closure is
+        built only for an accepted candidate, and a span is maximal exactly
+        when that mask is empty.
         """
         self._guard(max_order)
         iso = self.isotropic_elements(max_order)
+        index = {x: i for i, x in enumerate(iso)}
+        n = self._den // 2
+        gram = self._igram
+        orth = {}
         found = []
 
-        def is_maximal(span):
-            return all(
-                x in span or self._isotropic_extension(span, x) is None
-                for x in iso
-            )
+        def orth_mask(i):
+            # isotropic elements y with b(iso[i], y) = x^t N*G y / N = 0 mod 1
+            if i not in orth:
+                gx = [sum(map(mul, row, iso[i])) % n for row in gram]
+                orth[i] = sum(1 << j for j, y in enumerate(iso)
+                              if sum(map(mul, gx, y)) % n == 0)
+            return orth[i]
 
-        def dfs(chain, span):
-            floor = chain[-1] if chain else None
-            for x in iso:
-                if floor is not None and x <= floor:
-                    continue
-                if x in span:
-                    continue
-                new = self._isotropic_extension(span, x)
-                if new is None:
-                    continue
-                if min(new - span) != x:
+        def dfs(chain, span, cand, floor):
+            rest = cand >> (floor + 1) << (floor + 1)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                i = low.bit_length() - 1
+                x = iso[i]
+                new = self._closure_with(span, x)
+                added = new - span
+                if min(added) != x:
                     continue  # not the canonical chain for that subgroup
-                dfs(chain + [x], new)
-            if is_maximal(span):
+                gone = sum(1 << index[y] for y in added)
+                dfs(chain + [x], new, cand & orth_mask(i) & ~gone, i)
+            if not cand:
                 found.append((tuple(chain), span))
 
-        dfs([], frozenset([self.zero]))
+        dfs([], frozenset([self.zero]), (1 << len(iso)) - 1, -1)
         found.sort(key=lambda t: (len(t[1]), t[0]))
         return [GlueGroup(self, gens, span) for gens, span in found]
 
@@ -272,6 +299,22 @@ def _canonical_chain(mod: FiniteQuadraticModule, span: frozenset) -> tuple:
         cur = mod._closure_with(cur, g)
         rest = sorted(span - cur)
     return tuple(chain)
+
+
+def _prime_divisors(n: int) -> list:
+    # trial division; n is the exponent of a module whose order the scan cap
+    # already bounds, so this costs at most sqrt(cap) steps
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def is_maximal_even(lattice, max_order: int = MAX_ORDER) -> bool:

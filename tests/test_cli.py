@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -362,6 +363,22 @@ def test_analyze_cap_gives_partial_report(capsys):
     assert data["maximal_even"] is None
     assert data["determinant"] == 64
     assert "q_table" not in data
+
+
+def test_analyze_64a1_is_bounded():
+    # the form build is integer work of polynomial size; with the Fraction
+    # lift Gram this ran past 60 s before the scan cap could answer
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "evenlat.cli", "analyze", "--name", "64A1",
+         "--format", "json"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["cap_exceeded"] is True and data["anisotropic"] is None
+    assert data["discriminant_divisors"] == [2] * 64
 
 
 def test_overlattices_cap_exceeded_exits_2(capsys):

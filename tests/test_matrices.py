@@ -121,6 +121,15 @@ def test_ragged_rows_rejected():
         Matrix([[1, 2], [3]])
 
 
+def test_bool_entries_rejected():
+    # bool is an int subclass; True must not pass silently as 1
+    for rows in ([[True]], [[1, 0], [0, False]], [[Fraction(1, 2), True]]):
+        with pytest.raises(TypeError, match="got bool"):
+            Matrix(rows)
+    with pytest.raises(TypeError):
+        Matrix.diagonal([True, 1])
+
+
 def test_vector_products_normalize_to_int():
     # rational matrix times integer vector: integral results must come
     # back as python ints (downstream integrality tests depend on it)
