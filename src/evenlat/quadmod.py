@@ -218,7 +218,7 @@ class FiniteQuadraticModule:
         found = []
 
         def orth_mask(i):
-            # isotropic elements y with b(iso[i], y) = x^t N*G y / N = 0 mod 1
+            # isotropic y with b(x, y) = x^t (N lift_gram) y / N = 0 mod 1
             if i not in orth:
                 gx = [sum(map(mul, row, iso[i])) % n for row in gram]
                 orth[i] = sum(1 << j for j, y in enumerate(iso)
