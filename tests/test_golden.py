@@ -1,16 +1,19 @@
-"""Golden CLI corpus: JSON output must stay byte-identical.
+"""Golden CLI corpus: JSON and table output must stay byte-identical.
 
-Each case runs one command with ``--format json`` on a frozen input from
-``golden/inputs`` and compares standard output, byte for byte, with
-``golden/<case>.json``. The expected outputs were written by the CLI before
-the integer-only group core replaced the ``Fraction`` kernel gate and
-inverse, so they pin that refactors keep every reported value, witness and
-generator word. The ``overlattices`` cases on 3D4, 8A1, 4A2, 2D4 and D24+
-and the ``analyze`` cases on ``[[510510]]`` (seven primes), 12A2, 16A1 and a
-Gram with 2-, 3- and 5-parts were written by the ``Fraction`` discriminant-form
-layer, before the integer lift Gram, per-prime anisotropy scan and
-orthogonality-pruned glue search replaced it. The integrality gate of ``classify`` has no case: the CLI
-reads integer matrices only.
+Each case runs one command on a frozen input from ``golden/inputs`` twice,
+with ``--format json`` and with the default table format, and compares
+standard output, byte for byte, with ``golden/<case>.json`` and
+``golden/<case>.txt``. The table outputs were written by the CLI before
+``reduce`` and ``complete`` stopped re-verifying library results. The JSON
+outputs were written by the CLI before the integer-only group core replaced
+the ``Fraction`` kernel gate and inverse, so they pin that refactors keep
+every reported value, witness and generator word. The ``overlattices``
+cases on 3D4, 8A1, 4A2, 2D4 and D24+ and the ``analyze`` cases on
+``[[510510]]`` (seven primes), 12A2, 16A1 and a Gram with 2-, 3- and
+5-parts were written by the ``Fraction`` discriminant-form layer, before
+the integer lift Gram, per-prime anisotropy scan and orthogonality-pruned
+glue search replaced it. The integrality gate of ``classify`` has no case:
+the CLI reads integer matrices only.
 """
 
 from pathlib import Path
@@ -78,16 +81,25 @@ CASES = {
 
 def argv_for(case):
     return [str(INPUTS / f"{a[1:]}.json") if a.startswith("@") else a
-            for a in CASES[case]] + ["--format", "json"]
+            for a in CASES[case]]
 
 
 def test_corpus_is_complete():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_output_byte_identical(case, capsys):
-    code = main(argv_for(case))
+    code = main(argv_for(case) + ["--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_table_output_byte_identical(case, capsys):
+    code = main(argv_for(case))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
