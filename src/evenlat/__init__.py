@@ -35,7 +35,6 @@ from .lattices import (
     EvenLattice,
     LatticeEmbedding,
     direct_sum,
-    embed,
     overlattice_from_glue,
 )
 from .roots import (
@@ -55,7 +54,6 @@ from .cosets import (
     HatEmbedding,
     HypothesisViolation,
     ScaledOrthogonal,
-    hat_embed,
     make_scaled,
     max_extension_member,
     normalizer_certificate,
@@ -82,7 +80,6 @@ __all__ = [
     "EvenLattice",
     "LatticeEmbedding",
     "direct_sum",
-    "embed",
     "overlattice_from_glue",
     "a_generator_class",
     "maximality_formula",
@@ -96,7 +93,6 @@ __all__ = [
     "HatEmbedding",
     "HypothesisViolation",
     "ScaledOrthogonal",
-    "hat_embed",
     "make_scaled",
     "max_extension_member",
     "normalizer_certificate",

@@ -32,7 +32,7 @@ from .cosets import (
     reduce_right_coset,
 )
 from .lattices import EvenLattice, overlattice_from_glue
-from .matrices import Matrix, vec_gcd
+from .matrices import Matrix
 from .ogroup import ExtendedForm, Membership
 from .quadmod import MAX_GLUE_ORDER, MAX_ORDER, CapExceeded
 from .roots import maximality_formula, root_lattice
@@ -143,11 +143,12 @@ def _cmd_analyze(args) -> int:
         capped = True
     verdict = "unknown (cap exceeded)" if capped else (
         "yes" if maximal else "no")
+    positive = lat.is_positive_definite  # a full Bareiss pass; read once
     payload = {
         "name": lat.name or None,
         "rank": lat.rank,
         "determinant": lat.determinant,
-        "positive_definite": lat.is_positive_definite,
+        "positive_definite": positive,
         "discriminant_divisors": list(disc.divisors),
         "discriminant_order": disc.order,
         "anisotropic": maximal,
@@ -159,7 +160,7 @@ def _cmd_analyze(args) -> int:
         f"lattice: {lat.name or '(unnamed)'}",
         f"rank: {lat.rank}",
         f"determinant: {lat.determinant}",
-        f"positive definite: {'yes' if lat.is_positive_definite else 'no'}",
+        f"positive definite: {'yes' if positive else 'no'}",
         f"discriminant group: {_group_name(disc.divisors)} (order {disc.order})",
         f"anisotropic: {verdict}",
         f"maximal even: {verdict}",
@@ -301,13 +302,13 @@ def _cmd_complete(args) -> int:
     if "h" not in data:
         raise ValueError("complete input needs an 'h' vector field")
     h = _json_ints(data["h"], "'h'")
-    elem = form.complete_isotropic(h)
+    elem = form.complete_isotropic(h)  # raises unless a kernel element
     payload = {
         "h": h,
         "word": _word_json(elem.word),
         "word_length": len(elem.word),
         "matrix": elem.matrix,
-        "membership": elem.classify().name.lower(),
+        "membership": Membership.DISCRIMINANT_KERNEL.name.lower(),
     }
     lines = [
         f"word length: {len(elem.word)}",
@@ -332,22 +333,8 @@ def _cmd_reduce(args) -> int:
         ratio=None if ratio is None else _json_int(ratio, "'r'"),
         canonicalize=not args.no_canonicalize,
     )
-    d = form.dim
     if args.mode == "right":
         red = reduce_right_coset(scaled)
-        checks = [
-            ("transformer is a kernel word",
-             form.classify(red.transformer.matrix)
-             == Membership.DISCRIMINANT_KERNEL),
-            ("reduced = transformer @ input",
-             red.reduced == red.transformer.matrix @ scaled.matrix),
-            ("first column is alpha * e0",
-             red.reduced.col(0)
-             == tuple(red.alpha if i == 0 else 0 for i in range(d))),
-            ("alpha * delta = ratio", red.alpha * red.delta == scaled.ratio),
-            ("alpha = gcd of first-column pairings",
-             red.alpha == vec_gcd(form.s1 @ scaled.matrix.col(0))),
-        ]
         payload = {
             "mode": "right",
             "ratio": scaled.ratio,
@@ -366,25 +353,6 @@ def _cmd_reduce(args) -> int:
         _matrix_rows(lines, red.reduced)
     else:
         red = reduce_double_coset(scaled)
-        checks = [
-            ("left and right are kernel words",
-             form.classify(red.left.matrix) == Membership.DISCRIMINANT_KERNEL
-             and form.classify(red.right.matrix)
-             == Membership.DISCRIMINANT_KERNEL),
-            ("reduced = left @ input @ right",
-             red.reduced == red.left.matrix @ scaled.matrix @ red.right.matrix),
-            ("reduced is diag(alpha, core, delta)",
-             red.reduced.col(0)
-             == tuple(red.alpha if i == 0 else 0 for i in range(d))
-             and red.reduced.row(d - 1)
-             == tuple(red.delta if i == d - 1 else 0 for i in range(d))),
-            ("core scales the middle form by the ratio",
-             red.core.T @ form.s0 @ red.core == scaled.ratio * form.s0),
-            ("alpha = gcd of all input entries",
-             red.alpha
-             == vec_gcd(e for row in scaled.matrix.rows for e in row)),
-            ("alpha * delta = ratio", red.alpha * red.delta == scaled.ratio),
-        ]
         payload = {
             "mode": "double",
             "ratio": scaled.ratio,
@@ -404,11 +372,10 @@ def _cmd_reduce(args) -> int:
             "reduced matrix diag(alpha, core, delta):",
         ]
         _matrix_rows(lines, red.reduced)
-    if not all(ok for _, ok in checks):
-        raise AssertionError("reduction verification failed")
-    payload["verification"] = [{"check": name, "ok": ok} for name, ok in checks]
+    # each identity the reduction guarantees held, or it raised
+    payload["verification"] = [{"check": name, "ok": True} for name in red.checks]
     lines.append("verification:")
-    lines.extend(f"  {name}: ok" for name, ok in checks)
+    lines.extend(f"  {name}: ok" for name in red.checks)
     _emit(args, payload, lines)
     return 0
 

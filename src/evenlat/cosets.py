@@ -125,6 +125,15 @@ def make_scaled(form: ExtendedForm, matrix, ratio: int | None = None,
 class RightCosetForm:
     """Normal form W R of a scaled matrix under the left group action."""
 
+    # identities reduce_right_coset guarantees: each held, or it raised
+    checks = (
+        "transformer is a kernel word",
+        "reduced = transformer @ input",
+        "first column is alpha * e0",
+        "alpha * delta = ratio",
+        "alpha = gcd of first-column pairings",
+    )
+
     source: ScaledOrthogonal
     transformer: GroupElement  # W, with an explicit generator word
     reduced: Matrix  # W @ R
@@ -152,14 +161,13 @@ def _primitive_part(form: ExtendedForm, g, what: str):
 def reduce_right_coset(x: ScaledOrthogonal) -> RightCosetForm:
     """Left-multiply by a group element so the first column becomes alpha*e0.
 
-    The last row automatically becomes (ratio/alpha) * e_last.
+    The last row automatically becomes (ratio/alpha) * e_last. The
+    transformer inverts a classified completion and is not classified again.
     """
     form = x.form
     d = form.dim
     alpha, h = _primitive_part(form, x.matrix.col(0), "first column")
     w = form.complete_isotropic(h).inverse()
-    if w.classify() < Membership.DISCRIMINANT_KERNEL:
-        raise AssertionError("transformer is not a kernel element")
     t = w.matrix @ x.matrix
     if t.col(0) != tuple(alpha if i == 0 else 0 for i in range(d)):
         raise AssertionError("left reduction failed to clean the first column")
@@ -177,6 +185,16 @@ def reduce_right_coset(x: ScaledOrthogonal) -> RightCosetForm:
 @dataclass(frozen=True)
 class DoubleCosetForm:
     """Block-diagonal normal form W R V under the two-sided group action."""
+
+    # identities reduce_double_coset guarantees: each held, or it raised
+    checks = (
+        "left and right are kernel words",
+        "reduced = left @ input @ right",
+        "reduced is diag(alpha, core, delta)",
+        "core scales the middle form by the ratio",
+        "alpha = gcd of all input entries",
+        "alpha * delta = ratio",
+    )
 
     source: ScaledOrthogonal
     left: GroupElement  # W
@@ -196,7 +214,8 @@ def reduce_double_coset(x: ScaledOrthogonal) -> DoubleCosetForm:
 
     At exit alpha divides every entry of the reduced matrix and equals the
     gcd of the entries of the input; the core scales the middle form of one
-    hyperbolic plane less by the same ratio.
+    hyperbolic plane less by the same ratio. Both transformers are products
+    of classified completions and generators, not classified again.
     """
     form = x.form
     d = form.dim
@@ -291,8 +310,6 @@ def reduce_double_coset(x: ScaledOrthogonal) -> DoubleCosetForm:
         raise AssertionError("corner gcd must equal the gcd of the input entries")
     if left.matrix @ x.matrix @ right.matrix != t:
         raise AssertionError("transformers do not reproduce the reduction")
-    if min(left.classify(), right.classify()) < Membership.DISCRIMINANT_KERNEL:
-        raise AssertionError("transformers are not kernel elements")
     return DoubleCosetForm(x, left, right, t, core, alpha, delta)
 
 
@@ -341,10 +358,6 @@ class HatEmbedding:
         if not isinstance(m, Matrix):
             m = Matrix(m)
         return self._inv @ m @ self.matrix
-
-
-def hat_embed(base_embedding: LatticeEmbedding) -> HatEmbedding:
-    return HatEmbedding(base_embedding)
 
 
 def max_extension_member(hat: HatEmbedding, m) -> Membership:
@@ -419,28 +432,32 @@ def normalizer_certificate(x: ScaledOrthogonal, exponents=(1, 2, 3),
     if not exponents or exponents[0] < 1:
         raise ValueError("exponents must be positive integers")
 
-    def measure(elem: ScaledOrthogonal):
+    def measure(mat: Matrix):
+        # one running product over the sorted exponents: the m-th power of
+        # a matrix that scales the form by r scales it by r^m
         alphas = []
         invariants = []
+        p, k = mat, 1
         for m in exponents:
-            p = elem.power(m)
-            alpha = vec_gcd(x.form.s1 @ p.matrix.col(0))
+            for _ in range(m - k):
+                p = p @ mat
+            k = m
+            alpha = vec_gcd(x.form.s1 @ p.col(0))
             alphas.append(alpha)
-            invariants.append(Fraction(alpha * alpha, p.ratio))
+            invariants.append(Fraction(alpha * alpha, canon.ratio**m))
         conclusive = len(set(invariants)) == len(invariants) and all(
             v != 1 for v in invariants
         )
         return tuple(alphas), tuple(invariants), conclusive
 
     # powers of the element itself often witness the growth directly
-    witness = canon
+    witness = canon.matrix
     alphas, invariants, conclusive = measure(witness)
     if not conclusive:
         # fall back to the two-sided reduction diag(alpha, core, delta);
         # its powers stay diagonal, so the first-column gcd is exactly
         # alpha^m, and alpha < delta holds for every canonical ratio > 1
-        reduced = reduce_double_coset(canon)
-        witness = ScaledOrthogonal(canon.form, reduced.reduced, canon.ratio)
+        witness = reduce_double_coset(canon).reduced
         alphas, invariants, conclusive = measure(witness)
         if not conclusive:
             raise AssertionError(
@@ -449,5 +466,5 @@ def normalizer_certificate(x: ScaledOrthogonal, exponents=(1, 2, 3),
             )
     return NormalizerCertificate(
         x, canon.matrix, canon.ratio, False, "scale-invariant-growth",
-        exponents, alphas, invariants, witness.matrix,
+        exponents, alphas, invariants, witness,
     )

@@ -146,10 +146,6 @@ class LatticeEmbedding:
         return f"LatticeEmbedding(index={self.index})"
 
 
-def embed(sub: EvenLattice, sup: EvenLattice, matrix) -> LatticeEmbedding:
-    return LatticeEmbedding(sub, sup, matrix)
-
-
 def direct_sum(*lattices: EvenLattice) -> EvenLattice:
     """Orthogonal direct sum, block-diagonal Gram matrix."""
     if not lattices:

@@ -103,11 +103,6 @@ class Matrix:
             for j in range(i)
         )
 
-    def to_int(self) -> "Matrix":
-        if not self.is_integral:
-            raise ValueError("matrix has non-integer entries")
-        return self
-
     # -- arithmetic ---------------------------------------------------------
 
     def __eq__(self, other):
@@ -175,13 +170,6 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def dot(u: Sequence[Entry], v: Sequence[Entry]) -> Entry:
-    """Exact inner product of two equal-length vectors."""
-    if len(u) != len(v):
-        raise ValueError("length mismatch")
-    return _norm(sum(a * b for a, b in zip(u, v)))
-
-
 def vec_gcd(v: Iterable[int]) -> int:
     """gcd of the absolute values; 0 for an all-zero (or empty) vector."""
     g = 0
@@ -215,7 +203,6 @@ def det(a: Matrix):
         scaled = Matrix([[int(Fraction(x) * den) for x in row] for row in a.rows])
         out = Fraction(det(scaled), den**a.nrows)
         return int(out) if out.denominator == 1 else out
-    a.to_int()
     n = a.nrows
     if n == 0:
         return 1
@@ -247,7 +234,8 @@ def is_positive_definite(a: Matrix) -> bool:
     """
     if not a.is_symmetric:
         raise ValueError("definiteness test needs a symmetric matrix")
-    a.to_int()
+    if not a.is_integral:
+        raise ValueError("matrix has non-integer entries")
     n = a.nrows
     m = [list(r) for r in a.rows]
     prev = 1
@@ -351,7 +339,8 @@ def smith_normal_form(a: Matrix, *, with_v_inverse: bool = False):
     row operation on W (col i += q col j on V is row j -= q row i on W, and a
     column swap on V is the same row swap on W).
     """
-    a.to_int()
+    if not a.is_integral:
+        raise ValueError("matrix has non-integer entries")
     m, n = a.nrows, a.ncols
     A = [list(r) for r in a.rows]
     U = [[int(i == j) for j in range(m)] for i in range(m)]

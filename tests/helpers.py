@@ -49,3 +49,20 @@ HYPOTHESIS_VIOLATOR_4A1 = [
     [-20, 0, -4, 4, -8, -12, -4, -3],
     [52, 2, 12, -4, 24, 36, 20, 9],
 ]
+
+
+def count_calls(monkeypatch, name):
+    """List that grows by one per call of ExtendedForm.<name>, on any form.
+
+    Patched on the class, so forms built inside the code under test (the
+    CLI builds its own) are counted too.
+    """
+    calls = []
+    inner = getattr(ExtendedForm, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(name)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExtendedForm, name, counting)
+    return calls

@@ -292,6 +292,33 @@ def test_reduce_table_has_transcript(capsys, tmp_path):
     assert "  alpha = gcd of first-column pairings: ok" in out
 
 
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+@pytest.mark.parametrize("argv", [
+    ["complete", "--name", "A2", "--input", "complete-a2"],
+    ["complete", "--name", "E8", "--input", "complete-e8"],
+    ["reduce", "--name", "A2", "--input", "reduce-a2-word", "--mode", "right"],
+    ["reduce", "--name", "A2", "--input", "reduce-a2-word", "--mode", "double"],
+    ["reduce", "--name", "E8", "--input", "reduce-e8-word", "--mode", "double"],
+    ["reduce", "--name", "A2", "--input", "reduce-a2-content", "--mode", "right",
+     "--no-canonicalize"],
+])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_cli_classifies_only_inside_the_library(argv, fmt, capsys, monkeypatch):
+    # the one classify behind these commands is complete_isotropic's own;
+    # the CLI prints the library's checks instead of recomputing them
+    classified = helpers.count_calls(monkeypatch, "classify_witness")
+    completed = helpers.count_calls(monkeypatch, "complete_isotropic")
+    argv = [str(GOLDEN_INPUTS / f"{a}.json") if prev == "--input" else a
+            for prev, a in zip([None] + argv, argv)]
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0 and out
+    assert len(classified) == len(completed)
+    if argv[0] == "complete" or "right" in argv:
+        assert len(completed) == 1
+
+
 def test_reduce_explicit_ratio_checked(capsys, tmp_path):
     payload = corner_payload(6, 2)
     payload["r"] = 8

@@ -16,11 +16,12 @@ import helpers
 from evenlat import (
     ExtendedForm,
     GroupElement,
+    HatEmbedding,
     HypothesisViolation,
+    LatticeEmbedding,
     Matrix,
     Membership,
     ScaledOrthogonal,
-    hat_embed,
     make_scaled,
     max_extension_member,
     normalizer_certificate,
@@ -29,6 +30,7 @@ from evenlat import (
     reduce_right_coset,
     root_lattice,
 )
+from evenlat.cosets import DoubleCosetForm, RightCosetForm
 from evenlat.matrices import vec_gcd
 
 A2 = ExtendedForm(root_lattice("A2"))
@@ -226,6 +228,113 @@ def test_double_coset_ratio_one():
     assert dc.core.T @ A2.s0 @ dc.core == A2.s0
 
 
+# ------------------------------------------------ verification oracles
+
+
+D4 = ExtendedForm(root_lattice("D4"))
+
+
+def random_scaled(form, rng):
+    """c W diag(s^2, s, .., s, 1) V, kept as given (not canonicalized)."""
+    s, c = rng.randint(1, 3), rng.randint(1, 2)
+    w = helpers.random_element(form, rng, max_len=4)
+    v = helpers.random_element(form, rng, max_len=4)
+    r = w.matrix @ helpers.corner_scaling(form.dim, s) @ v.matrix
+    return make_scaled(form, helpers.scale_matrix(r, c), canonicalize=False)
+
+
+def is_kernel_word(form, g):
+    # recomputed from scratch: the word rebuilds the matrix, which is
+    # classified as a whole
+    return (form.element_from_word(g.word).matrix == g.matrix
+            and form.classify(g.matrix) == Membership.DISCRIMINANT_KERNEL)
+
+
+def right_oracle(form, x, red):
+    d = form.dim
+    return {
+        "transformer is a kernel word": is_kernel_word(form, red.transformer),
+        "reduced = transformer @ input":
+            red.reduced == red.transformer.matrix @ x.matrix,
+        "first column is alpha * e0":
+            red.reduced.col(0) == tuple(red.alpha * (i == 0) for i in range(d)),
+        "alpha * delta = ratio": red.alpha * red.delta == x.ratio,
+        "alpha = gcd of first-column pairings":
+            red.alpha == vec_gcd(form.s1 @ x.matrix.col(0)),
+    }
+
+
+def double_oracle(form, x, red):
+    d = form.dim
+    return {
+        "left and right are kernel words":
+            is_kernel_word(form, red.left) and is_kernel_word(form, red.right),
+        "reduced = left @ input @ right":
+            red.reduced == red.left.matrix @ x.matrix @ red.right.matrix,
+        "reduced is diag(alpha, core, delta)":
+            red.reduced.col(0) == tuple(red.alpha * (i == 0) for i in range(d))
+            and red.reduced.row(d - 1)
+            == tuple(red.delta * (i == d - 1) for i in range(d))
+            and red.reduced.submatrix(range(1, d - 1), range(1, d - 1)) == red.core
+            and all(red.reduced[0, j] == red.reduced[j, 0] == 0
+                    for j in range(1, d))
+            and all(red.reduced[d - 1, j] == red.reduced[j, d - 1] == 0
+                    for j in range(d - 1)),
+        "core scales the middle form by the ratio":
+            red.core.T @ form.s0 @ red.core == x.ratio * form.s0,
+        "alpha = gcd of all input entries":
+            red.alpha == vec_gcd(e for row in x.matrix.rows for e in row),
+        "alpha * delta = ratio": red.alpha * red.delta == x.ratio,
+    }
+
+
+@pytest.mark.parametrize("form,seed", [(A2, 101), (D4, 103)])
+def test_reduction_checks_hold_by_oracle(form, seed):
+    # every identity a reduction reports as checked is recomputed here,
+    # including classify of the transformers the library does not classify
+    rng = random.Random(seed)
+    for _ in range(8):
+        x = random_scaled(form, rng)
+        right = right_oracle(form, x, reduce_right_coset(x))
+        assert tuple(right) == RightCosetForm.checks
+        assert all(right.values()), right
+        double = double_oracle(form, x, reduce_double_coset(x))
+        assert tuple(double) == DoubleCosetForm.checks
+        assert all(double.values()), double
+
+
+@pytest.mark.parametrize("form,seed", [(A2, 107), (D4, 109)])
+def test_certificate_invariants_match_verified_powers(form, seed):
+    # the running product in the certificate against powers verified from
+    # scratch as scaled matrices
+    rng = random.Random(seed)
+    for _ in range(4):
+        cert = normalizer_certificate(random_scaled(form, rng), exponents=(1, 2, 4))
+        if cert.in_normalizer:
+            continue
+        witness = ScaledOrthogonal(form, cert.witness_matrix, cert.canonical_ratio)
+        for m, alpha, inv in zip(cert.exponents, cert.corner_gcds, cert.invariants):
+            p = witness.power(m)
+            assert alpha == vec_gcd(form.s1 @ p.matrix.col(0))
+            assert inv == Fraction(alpha * alpha, p.ratio)
+
+
+@pytest.mark.parametrize("form,seed", [(A2, 113), (D4, 127)])
+def test_reductions_classify_once_per_completion(form, seed, monkeypatch):
+    classified = helpers.count_calls(monkeypatch, "classify_witness")
+    completed = helpers.count_calls(monkeypatch, "complete_isotropic")
+    rng = random.Random(seed)
+    for _ in range(6):
+        x = random_scaled(form, rng)
+        assert classified == completed == []  # building inputs classifies nothing
+        reduce_right_coset(x)
+        assert len(classified) == len(completed) == 1
+        del classified[:], completed[:]
+        reduce_double_coset(x)
+        assert len(classified) == len(completed)
+        del classified[:], completed[:]
+
+
 # --------------------------------------------------- hypothesis violations
 
 
@@ -265,7 +374,7 @@ def glued():
     lat = root_lattice("4A1")
     (glue,) = lat.discriminant_group().maximal_isotropic_subgroups()
     over, emb = overlattice_from_glue(lat, glue)
-    return hat_embed(emb)
+    return HatEmbedding(emb)
 
 
 def test_hat_embedding_frozen_matrix(glued):
@@ -330,22 +439,18 @@ def test_max_extension_member_levels(glued):
 
 
 def test_hat_identity_embedding():
-    from evenlat import embed
-
     lat = root_lattice("A2")
-    hat = hat_embed(embed(lat, lat, Matrix.identity(2)))
+    hat = HatEmbedding(LatticeEmbedding(lat, lat, Matrix.identity(2)))
     g = hat.sub_form.involution()
     assert hat.push(g) == g.matrix
     assert max_extension_member(hat, g) == Membership.DISCRIMINANT_KERNEL
 
 
 def test_hat_rejects_rank_change():
-    from evenlat import embed
-
     a1, d4 = root_lattice("A1"), root_lattice("D4")
-    emb = embed(a1, d4, Matrix([[1], [0], [0], [0]]))
+    emb = LatticeEmbedding(a1, d4, Matrix([[1], [0], [0], [0]]))
     with pytest.raises(ValueError):
-        hat_embed(emb)
+        HatEmbedding(emb)
 
 
 # ------------------------------------------------------ normalizer certificates

@@ -12,10 +12,10 @@ import pytest
 
 from evenlat import (
     EvenLattice,
+    LatticeEmbedding,
     Matrix,
     det,
     direct_sum,
-    embed,
     inverse,
     is_maximal_even,
     overlattice_from_glue,
@@ -148,18 +148,18 @@ def test_direct_sum_q_additive_via_duals():
 def test_embedding_validation():
     a1, d4 = root_lattice("A1"), root_lattice("D4")
     with pytest.raises(ValueError):
-        embed(a1, d4, Matrix([[1], [0], [0]]))  # wrong shape
+        LatticeEmbedding(a1, d4, Matrix([[1], [0], [0]]))  # wrong shape
     with pytest.raises(ValueError):
-        embed(a1, d4, Matrix([[Fraction(1, 2)], [0], [0], [0]]))
+        LatticeEmbedding(a1, d4, Matrix([[Fraction(1, 2)], [0], [0], [0]]))
     with pytest.raises(ValueError):
-        embed(a1, d4, Matrix([[1], [1], [0], [0]]))  # norm 2+2-... wrong
+        LatticeEmbedding(a1, d4, Matrix([[1], [1], [0], [0]]))  # norm 2+2-... wrong
 
 
 def test_frozen_4a1_in_d4_embedding():
     # in unit coordinates the four orthogonal roots e1+e2, e1-e2, e3+e4,
     # e3-e4 expand over the D4 simple roots with e3+e4 = v1 - v2 - 2v3 - v4
     e = Matrix([[1, 0, 1, 0], [0, 1, -1, 0], [0, 0, -2, 0], [0, 0, -1, 1]])
-    emb = embed(root_lattice("4A1"), root_lattice("D4"), e)
+    emb = LatticeEmbedding(root_lattice("4A1"), root_lattice("D4"), e)
     assert emb.index == 2
 
 

@@ -19,7 +19,7 @@ from evenlat import (
     signature,
     smith_normal_form,
 )
-from evenlat.matrices import denominator_lcm, dot, vec_gcd
+from evenlat.matrices import denominator_lcm, vec_gcd
 
 A2 = Matrix([[2, -1], [-1, 2]])
 
@@ -142,13 +142,19 @@ def test_vector_products_normalize_to_int():
     assert all(isinstance(v, int) for v in out2)
 
 
-def test_is_integral_and_to_int():
+def test_is_integral_and_integer_only_inputs():
     m = Matrix([[Fraction(2, 1), 1], [0, 1]])
     assert m.is_integral
-    assert all(isinstance(v, int) for row in m.to_int().rows for v in row)
-    assert not Matrix([[Fraction(1, 2)]]).is_integral
-    with pytest.raises(ValueError):
-        Matrix([[Fraction(1, 2)]]).to_int()
+    assert all(isinstance(v, int) for row in m.rows for v in row)
+    half = Matrix([[Fraction(1, 2)]])
+    assert not half.is_integral
+    # the integer-only algorithms refuse rational input
+    with pytest.raises(ValueError, match="non-integer"):
+        is_positive_definite(half)
+    with pytest.raises(ValueError, match="non-integer"):
+        smith_normal_form(half)
+    # the determinant scales rational input to integers instead
+    assert det(half) == Fraction(1, 2)
 
 
 def test_scalar_and_addition():
@@ -262,11 +268,15 @@ def test_snf_property_sweep():
 
 
 def test_dot():
-    assert dot((1, 2, 3), (4, 5, 6)) == 32
-    assert dot((Fraction(1, 2),), (2,)) == 1
-    assert isinstance(dot((Fraction(1, 2),), (2,)), int)
+    # inner products are row-times-vector products
+    assert Matrix([[1, 2, 3]]) @ (4, 5, 6) == (32,)
+    assert (4, 5, 6) @ Matrix([[1], [2], [3]]) == (32,)
+    assert Matrix([[Fraction(1, 2)]]) @ (2,) == (1,)
+    assert isinstance((Matrix([[Fraction(1, 2)]]) @ (2,))[0], int)
     with pytest.raises(ValueError):
-        dot((1,), (1, 2))
+        Matrix([[1]]) @ (1, 2)
+    with pytest.raises(ValueError):
+        (1, 2) @ Matrix([[1]])
 
 
 def test_vec_gcd():

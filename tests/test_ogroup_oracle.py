@@ -132,21 +132,9 @@ def test_integral_adjugate():
         assert form.s1_adj == S1_INV[name] * form.s1_det
 
 
-def count_classify(monkeypatch, form):
-    calls = []
-    inner = form.classify_witness
-
-    def counting(m):
-        calls.append(1)
-        return inner(m)
-
-    monkeypatch.setattr(form, "classify_witness", counting)
-    return calls
-
-
 def test_members_by_construction_are_not_reclassified(monkeypatch):
     form = FORMS["A2"]
-    calls = count_classify(monkeypatch, form)
+    calls = helpers.count_calls(monkeypatch, "classify_witness")
     g = form.element_from_word(helpers.random_word(random.Random(5), form.n, 4))
     t = (form.transvection((1, 0, 0, 1)) @ form.involution()
          @ form.dual_transvection((0, 1, 1, 0)))
