@@ -44,22 +44,28 @@ class HypothesisViolation(RuntimeError):
 class ScaledOrthogonal:
     """Integral matrix scaling the extended form by a positive ratio."""
 
-    def __init__(self, form: ExtendedForm, matrix: Matrix, ratio: int):
-        if not isinstance(matrix, Matrix):
-            matrix = Matrix(matrix)
-        if matrix.shape != (form.dim, form.dim):
-            raise ValueError("matrix has the wrong size for this form")
-        if not matrix.is_integral:
-            raise ValueError("scaled orthogonal matrices must be integral")
-        ratio = int(ratio)
-        if ratio <= 0:
-            raise ValueError("the scaling ratio must be a positive integer")
-        if matrix.T @ form.s1 @ matrix != ratio * form.s1:
-            raise ValueError("matrix does not scale the form by the given ratio")
-        if det(matrix) <= 0:
-            raise ValueError("matrix must have positive determinant")
-        if form._orientation_value(matrix) <= 0:
-            raise ValueError("matrix must preserve the oriented positive 2-plane")
+    def __init__(self, form: ExtendedForm, matrix: Matrix, ratio: int, *,
+                 _congruence: Matrix | None = None, _trusted: bool = False):
+        # _congruence: R^t S1 R when the caller has computed it already;
+        # _trusted: R is built from a verified scaled matrix (no checks)
+        if not _trusted:
+            if not isinstance(matrix, Matrix):
+                matrix = Matrix(matrix)
+            if matrix.shape != (form.dim, form.dim):
+                raise ValueError("matrix has the wrong size for this form")
+            if not matrix.is_integral:
+                raise ValueError("scaled orthogonal matrices must be integral")
+            ratio = int(ratio)
+            if ratio <= 0:
+                raise ValueError("the scaling ratio must be a positive integer")
+            if _congruence is None:
+                _congruence = matrix.T @ form.s1 @ matrix
+            if _congruence != ratio * form.s1:
+                raise ValueError("matrix does not scale the form by the given ratio")
+            if det(matrix) <= 0:
+                raise ValueError("matrix must have positive determinant")
+            if form._orientation_value(matrix) <= 0:
+                raise ValueError("matrix must preserve the oriented positive 2-plane")
         self.form = form
         self.matrix = matrix
         self.ratio = ratio
@@ -82,7 +88,7 @@ class ScaledOrthogonal:
         if s == 1:
             return self
         mat = Matrix([[x // s for x in row] for row in self.matrix.rows])
-        return ScaledOrthogonal(self.form, mat, self.ratio // (s * s))
+        return ScaledOrthogonal(self.form, mat, self.ratio // (s * s), _trusted=True)
 
     def power(self, m: int) -> "ScaledOrthogonal":
         if m < 1:
@@ -111,10 +117,11 @@ def make_scaled(form: ExtendedForm, matrix, ratio: int | None = None,
     """
     if not isinstance(matrix, Matrix):
         matrix = Matrix(matrix)
+    w = None
     if ratio is None:
         w = matrix.T @ form.s1 @ matrix
         ratio = w[0, form.dim - 1]
-    out = ScaledOrthogonal(form, matrix, ratio)
+    out = ScaledOrthogonal(form, matrix, ratio, _congruence=w)
     return out.canonical() if canonicalize else out
 
 
@@ -235,17 +242,14 @@ def reduce_double_coset(x: ScaledOrthogonal) -> DoubleCosetForm:
             t = m.matrix @ t
         return alpha
 
-    def probe_vectors():
-        # transvection directions probing divisibility of core and corner
-        lams = []
-        for i in range(n + 2):
-            v = [0] * (n + 2)
-            v[i] = 1
-            lams.append(tuple(v))
-        v = [0] * (n + 2)
-        v[0] = v[n + 1] = 1
-        lams.append(tuple(v))
-        return lams
+    # transvections probing divisibility of core and corner
+    probes = [("T*", tuple(int(i == j) for j in range(n + 2))) for i in range(n + 2)]
+    probes.append(("T*", (1,) + (0,) * n + (1,)))
+
+    def apply_right(tok):
+        nonlocal t, right
+        right = right._times_word((tok,))
+        t = form._times_tokens(t, (tok,))
 
     finished = False
     for _ in range(_REDUCTION_CAP):
@@ -261,29 +265,24 @@ def reduce_double_coset(x: ScaledOrthogonal) -> DoubleCosetForm:
         k = tuple(v // form.s1_det for v in k)
         beta = vec_gcd(z)
         if beta == alpha and all(v % alpha == 0 for v in k):
-            mu = tuple(k[1 + j] // alpha for j in range(n + 2))
-            tr = form.transvection(mu)
-            right = right @ tr
-            t = t @ tr.matrix
-            # t is now block diagonal; probe whether alpha divides everything
+            apply_right(("T", tuple(k[1 + j] // alpha for j in range(n + 2))))
+            # t is now block diagonal; probe whether alpha divides everything,
+            # reading only the first column of each probe: T*(lam) @ e0
             failing = None
-            for lam in probe_vectors():
-                st = form.dual_transvection(lam)
-                col = t @ st.matrix.col(0)
-                a2 = vec_gcd(form.s1 @ col)
-                if a2 != alpha:
-                    failing = st
+            for tok in probes:
+                col = t @ form._apply_token(tok, e0)
+                if vec_gcd(form.s1 @ col) != alpha:
+                    failing = tok
                     break
             if failing is None:
                 finished = True
                 break
-            right = right @ failing
-            t = t @ failing.matrix
+            apply_right(failing)
         else:
             beta2, hp = _primitive_part(form, tuple(-v for v in k), "first row")
             if beta2 != beta:
                 raise AssertionError("row content mismatch in reduction")
-            m = form.complete_isotropic(hp) @ form.involution()
+            m = form.complete_isotropic(hp)._times_word((("J",),))
             right = right @ m
             t = t @ m.matrix
             if t.row(0) != tuple(beta if i == 0 else 0 for i in range(d)):

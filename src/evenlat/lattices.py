@@ -29,7 +29,8 @@ from .quadmod import FiniteQuadraticModule, GlueGroup
 class EvenLattice:
     """Z^n with an exact, nondegenerate, even Gram matrix."""
 
-    def __init__(self, gram: Matrix, name: str = ""):
+    def __init__(self, gram: Matrix, name: str = "", *, _determinant=None):
+        # _determinant: det(gram) when the caller knows it, as direct_sum does
         if not isinstance(gram, Matrix):
             gram = Matrix(gram)
         if not gram.is_square:
@@ -40,7 +41,7 @@ class EvenLattice:
             raise ValueError("Gram matrix must be symmetric")
         if any(gram[i, i] % 2 for i in range(gram.nrows)):
             raise ValueError("Gram diagonal must be even")
-        d = det(gram)
+        d = det(gram) if _determinant is None else _determinant
         if d == 0:
             raise ValueError("Gram matrix must be nondegenerate")
         self.gram = gram
@@ -161,7 +162,8 @@ def direct_sum(*lattices: EvenLattice) -> EvenLattice:
         off += r
     name = " + ".join(lat.name for lat in lattices) if all(
         lat.name for lat in lattices) else ""
-    return EvenLattice(Matrix(rows), name=name)
+    return EvenLattice(Matrix(rows), name=name,
+                       _determinant=prod(lat.determinant for lat in lattices))
 
 
 def _saturate(rows):

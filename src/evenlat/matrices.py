@@ -2,7 +2,9 @@
 
 Everything here is pure Python on int and fractions.Fraction, so results are
 exact by construction. Matrices are immutable; all mutating algorithms work on
-private list-of-list copies. Integer input stays on integer paths: the
+private list-of-list copies. Integer input stays on integer paths: products,
+sums, negation, transposes and integer scalings of integral matrices are
+computed on plain ints and skip the per-entry normalisation, and the
 determinant and the definiteness test use fraction-free Bareiss elimination,
 which keeps intermediate entries polynomial in size, and the Smith normal form
 can return the inverse of its column transform, so callers that need V^{-1}
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add, mul, neg
 from typing import Iterable, Sequence, Union
 
 Entry = Union[int, Fraction]
@@ -36,24 +39,33 @@ def _norm(x) -> Entry:
 
 
 class Matrix:
-    """Immutable rectangular matrix with int or Fraction entries."""
+    """Immutable rectangular matrix with int or Fraction entries.
 
-    __slots__ = ("rows", "nrows", "ncols")
+    Integral values are stored as int; ``is_integral`` is set at construction.
+    """
+
+    __slots__ = ("rows", "nrows", "ncols", "is_integral")
 
     def __init__(self, rows: Iterable[Iterable[Entry]]):
         rws = tuple(tuple(_norm(x) for x in row) for row in rows)
         if rws and any(len(r) != len(rws[0]) for r in rws):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rws)
-        object.__setattr__(self, "nrows", len(rws))
-        object.__setattr__(self, "ncols", len(rws[0]) if rws else 0)
+        _fill(self, rws, all(isinstance(x, int) for r in rws for x in r))
+
+    @classmethod
+    def _from_ints(cls, rows: tuple) -> "Matrix":
+        # rows are equal-length tuples of ints, as the integer paths make them
+        out = object.__new__(cls)
+        _fill(out, rows, True)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._from_ints(tuple(tuple(int(i == j) for j in range(n))
+                                    for i in range(n)))
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "Matrix":
@@ -85,15 +97,13 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
-        return Matrix(zip(*self.rows)) if self.nrows else Matrix([])
+        if self.is_integral:
+            return Matrix._from_ints(tuple(zip(*self.rows)))
+        return Matrix(zip(*self.rows))
 
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(x, int) for r in self.rows for x in r)
 
     @property
     def is_symmetric(self) -> bool:
@@ -112,19 +122,25 @@ class Matrix:
         return hash(self.rows)
 
     def __neg__(self) -> "Matrix":
+        if self.is_integral:
+            return Matrix._from_ints(tuple(tuple(map(neg, r)) for r in self.rows))
         return Matrix([[-x for x in r] for r in self.rows])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Matrix(
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)]
-        )
+        pairs = zip(self.rows, other.rows)
+        if self.is_integral and other.is_integral:
+            return Matrix._from_ints(tuple(tuple(map(add, r, s)) for r, s in pairs))
+        return Matrix([[x + y for x, y in zip(r, s)] for r, s in pairs])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __mul__(self, scalar: Entry) -> "Matrix":
+        if self.is_integral and type(scalar) is int:
+            return Matrix._from_ints(tuple(tuple(x * scalar for x in r)
+                                           for r in self.rows))
         return Matrix([[x * scalar for x in r] for r in self.rows])
 
     __rmul__ = __mul__
@@ -134,6 +150,10 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
             cols = tuple(zip(*other.rows))
+            if self.is_integral and other.is_integral:
+                return Matrix._from_ints(tuple(
+                    tuple(sum(map(mul, r, c)) for c in cols) for r in self.rows
+                ))
             return Matrix(
                 [[_dot(r, c) for c in cols] for r in self.rows]
             )
@@ -141,6 +161,9 @@ class Matrix:
         v = tuple(other)
         if self.ncols != len(v):
             raise ValueError("shape mismatch")
+        # plain ints only: bool and Fraction entries take the normalising path
+        if self.is_integral and all(type(x) is int for x in v):
+            return tuple(sum(map(mul, r, v)) for r in self.rows)
         return tuple(_norm(_dot(r, v)) for r in self.rows)
 
     def __rmatmul__(self, other):
@@ -164,6 +187,13 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%s)" % (list(map(list, self.rows)),)
+
+
+def _fill(m: Matrix, rows: tuple, integral: bool) -> None:
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "nrows", len(rows))
+    object.__setattr__(m, "ncols", len(rows[0]) if rows else 0)
+    object.__setattr__(m, "is_integral", integral)
 
 
 def _dot(u, v):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
+from operator import mul
 
 from .lattices import EvenLattice
 from .matrices import Matrix, det, vec_gcd
@@ -94,6 +95,13 @@ class GroupElement:
                                 _trusted=True)
         return self.matrix @ other
 
+    def _times_word(self, word) -> "GroupElement":
+        """self @ element_from_word(word), with the tokens applied in closed form."""
+        word = tuple(word)
+        full = self.word + word if self.word is not None else None
+        return GroupElement(self.form, self.form._times_tokens(self.matrix, word),
+                            full, _trusted=True)
+
     def __pow__(self, k: int) -> "GroupElement":
         if k < 0:
             return self.inverse() ** (-k)
@@ -126,6 +134,28 @@ def _token_inverse(tok):
         return tok
     kind, lam = tok
     return (kind, tuple(-x for x in lam))
+
+
+def _act(parts, v: list, row: bool) -> None:
+    """Apply a token in place: v <- v @ token if row, else token @ v.
+
+    J (symmetric) swaps and negates outer entries. T and T* add a pairing
+    with the base block to one outer entry and a multiple of the other outer
+    entry to the base block; which is which depends on the kind and side.
+    """
+    kind, lam, slam, q = parts
+    last = len(v) - 1
+    if kind == "J":
+        v[0], v[1], v[last - 1], v[last] = -v[last], -v[last - 1], -v[1], -v[0]
+        return
+    # row @ T and T* @ col read entry 0 and write the last; the others mirror it
+    src, dst = (0, last) if (kind == "T") == row else (last, 0)
+    pair, shift, sign = (lam, slam, 1) if row else (slam, lam, -1)
+    c = v[src]
+    v[dst] += sign * sum(map(mul, v[1:last], pair)) - q * c
+    if c:
+        sc = sign * c
+        v[1:last] = [x - sc * y for x, y in zip(v[1:last], shift)]
 
 
 def _int_vec(v) -> tuple:
@@ -172,7 +202,6 @@ class ExtendedForm:
         # s1_adj = s1_det * S1^{-1} the kernel gate and inverse stay integral
         self.s1_det = abs(base.determinant)
         self.s1_adj = self.s1_inv * self.s1_det
-        self._tokens = {}
 
     @staticmethod
     def _corner_form(size: int, s: Matrix, invert: bool) -> Matrix:
@@ -215,68 +244,59 @@ class ExtendedForm:
         return t // 2
 
     # -- generators ---------------------------------------------------------------
+    # Tokens ("J",), ("T", lam), ("T*", lam), lam integral of length n+2, with
+    # q = lam^t S0 lam / 2 and b = (0, lam, 0):
+    #   J        -1 at (0, last), (1, last-1), (last-1, 1), (last, 0), I on the base;
+    #   T(lam)   I + e0 (0, -S0 lam, -q)^t + b e_last^t;
+    #   T*(lam)  I + b e0^t + e_last (-q, -S0 lam, 0)^t  (Eichler transvections).
+    # _act applies one to a vector in O(d); no dense token matrix is built.
 
-    def _token_matrix(self, tok) -> Matrix:
-        if tok in self._tokens:
-            return self._tokens[tok]
-        d = self.dim
-        n = self.n
+    def _token_parts(self, tok) -> tuple:
+        """(kind, lam, S0 lam, q) of a token, validated."""
         if tok[0] == "J":
-            rows = [[0] * d for _ in range(d)]
-            rows[0][d - 1] = -1
-            rows[1][d - 2] = -1
-            rows[d - 2][1] = -1
-            rows[d - 1][0] = -1
-            for i in range(n):
-                rows[2 + i][2 + i] = 1
-            m = Matrix(rows)
-        else:
-            kind, lam = tok
-            if len(lam) != n + 2 or any(not isinstance(x, int) for x in lam):
-                raise ValueError("transvection vector must be integral of length n+2")
-            slam = self.s0 @ lam
-            q = self.mid_quad_half(lam)
-            rows = [[int(i == j) for j in range(d)] for i in range(d)]
-            if kind == "T":
-                for j in range(n + 2):
-                    rows[0][1 + j] = -slam[j]
-                    rows[1 + j][d - 1] = lam[j]
-                rows[0][d - 1] = -q
-            elif kind == "T*":
-                for j in range(n + 2):
-                    rows[1 + j][0] = lam[j]
-                    rows[d - 1][1 + j] = -slam[j]
-                rows[d - 1][0] = -q
-            else:
-                raise ValueError(f"unknown token {tok!r}")
-            m = Matrix(rows)
-        self._tokens[tok] = m
-        return m
+            return ("J", None, None, 0)
+        kind, lam = tok
+        if len(lam) != self.n + 2 or any(
+                isinstance(x, bool) or not isinstance(x, int) for x in lam):
+            raise ValueError("transvection vector must be integral of length n+2")
+        if kind not in ("T", "T*"):
+            raise ValueError(f"unknown token {tok!r}")
+        slam = [sum(map(mul, r, lam)) for r in self.s0.rows]
+        return (kind, lam, slam, sum(map(mul, lam, slam)) // 2)
+
+    def _apply_token(self, tok, v) -> list:
+        """tok @ v for an integral column vector, in O(d)."""
+        out = list(v)
+        _act(self._token_parts(tok), out, row=False)
+        return out
+
+    def _times_tokens(self, m: Matrix, word) -> Matrix:
+        """m @ t_1 @ ... @ t_k for an integral m, in O(k d^2)."""
+        rows = [list(r) for r in m.rows]
+        for tok in word:
+            parts = self._token_parts(tok)
+            for r in rows:
+                _act(parts, r, row=True)
+        return Matrix._from_ints(tuple(map(tuple, rows)))
 
     def identity(self) -> GroupElement:
         return GroupElement(self, Matrix.identity(self.dim), (), _trusted=True)
 
     def involution(self) -> GroupElement:
         """Swaps the two hyperbolic pairs (with signs); squares to the identity."""
-        tok = ("J",)
-        return GroupElement(self, self._token_matrix(tok), (tok,), _trusted=True)
+        return self.identity()._times_word((("J",),))
 
     def transvection(self, lam) -> GroupElement:
         """Unipotent element translating the second isotropic line by lam."""
-        tok = ("T", _int_vec(lam))
-        return GroupElement(self, self._token_matrix(tok), (tok,), _trusted=True)
+        return self.identity()._times_word((("T", _int_vec(lam)),))
 
     def dual_transvection(self, lam) -> GroupElement:
         """Mirror unipotent element translating the first isotropic line by lam."""
-        tok = ("T*", _int_vec(lam))
-        return GroupElement(self, self._token_matrix(tok), (tok,), _trusted=True)
+        return self.identity()._times_word((("T*", _int_vec(lam)),))
 
     def element_from_word(self, word) -> GroupElement:
         """Left-to-right product of generator tokens, each validated."""
-        m = Matrix.identity(self.dim)
-        for tok in word:
-            m = m @ self._token_matrix(tok)
-        return GroupElement(self, m, tuple(word), _trusted=True)
+        return self.identity()._times_word(word)
 
     def embed_rotation(self, q) -> GroupElement:
         """Extend a special isometry of the base lattice by identity corners."""
@@ -414,8 +434,7 @@ class ExtendedForm:
 
         def do(tok):
             applied.append(tok)
-            new = self._token_matrix(tok) @ tuple(hv)
-            hv[:] = list(new)
+            hv[:] = self._apply_token(tok, hv)
 
         def mid(i, t=1):
             # middle basis vector (length n+2) scaled by t

@@ -30,6 +30,13 @@ class CapExceeded(RuntimeError):
     """An enumeration cap was hit; the requested scan was not performed."""
 
 
+def _mod1(x) -> Fraction:
+    """x reduced into [0, 1); a Fraction already there is returned as is."""
+    if type(x) is Fraction and 0 <= x.numerator < x.denominator:
+        return x
+    return Fraction(x) % 1
+
+
 class FiniteQuadraticModule:
     """Discriminant form presented by divisors and dual-vector lifts.
 
@@ -50,8 +57,7 @@ class FiniteQuadraticModule:
             if b % a != 0:
                 raise ValueError("divisors must form a chain d_i | d_{i+1}")
         k = len(divisors)
-        lifts = tuple(tuple(Fraction(x) - (Fraction(x) // 1) for x in v)
-                      for v in generator_lifts)
+        lifts = tuple(tuple(map(_mod1, v)) for v in generator_lifts)
         if len(lifts) != k:
             raise ValueError("one lift per divisor required")
         if lift_gram.shape != (k, k) or not lift_gram.is_symmetric:

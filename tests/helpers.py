@@ -51,18 +51,64 @@ HYPOTHESIS_VIOLATOR_4A1 = [
 ]
 
 
-def count_calls(monkeypatch, name):
-    """List that grows by one per call of ExtendedForm.<name>, on any form.
+def count_calls(monkeypatch, name, owner=ExtendedForm):
+    """List that grows by one per call of owner.<name>.
 
-    Patched on the class, so forms built inside the code under test (the
-    CLI builds its own) are counted too.
+    The owner is a class (ExtendedForm by default, so every form is counted,
+    also those the CLI builds itself) or a module whose global function the
+    code under test calls by name.
     """
     calls = []
-    inner = getattr(ExtendedForm, name)
+    inner = getattr(owner, name)
 
-    def counting(self, *args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(name)
-        return inner(self, *args, **kwargs)
+        return inner(*args, **kwargs)
 
-    monkeypatch.setattr(ExtendedForm, name, counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+# -- generator tokens from their entry formulas, on plain lists --------------
+# Written apart from evenlat's closed-form action, as the oracle it is
+# checked against.
+
+
+def list_matmul(a, b):
+    return [[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a]
+
+
+def token_rows(form: ExtendedForm, tok):
+    """Dense matrix of ("J",), ("T", lam) or ("T*", lam) as lists of ints."""
+    d, n = form.dim, form.n
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    if tok[0] == "J":
+        for i, j in ((0, d - 1), (1, d - 2), (d - 2, 1), (d - 1, 0)):
+            m[i][i] = 0
+            m[i][j] = -1
+        return m
+    kind, lam = tok
+    s0 = [list(r) for r in form.s0.rows]
+    slam = [sum(x * y for x, y in zip(r, lam)) for r in s0]
+    q = sum(x * y for x, y in zip(lam, slam)) // 2
+    for j in range(n + 2):
+        if kind == "T":
+            m[0][1 + j] = -slam[j]
+            m[1 + j][d - 1] = lam[j]
+        else:
+            m[1 + j][0] = lam[j]
+            m[d - 1][1 + j] = -slam[j]
+    if kind == "T":
+        m[0][d - 1] = -q
+    else:
+        m[d - 1][0] = -q
+    return m
+
+
+def word_rows(form: ExtendedForm, word, start=None):
+    """start @ t_1 @ ... @ t_k by dense products (start defaults to I)."""
+    d = form.dim
+    m = start or [[int(i == j) for j in range(d)] for i in range(d)]
+    for tok in word:
+        m = list_matmul(m, token_rows(form, tok))
+    return m

@@ -124,6 +124,25 @@ def test_canonicalization_divides_out_content():
     assert make_scaled(A2, doubled) == canon
 
 
+def test_make_scaled_verifies_once(monkeypatch):
+    # the ratio is read off R^t S1 R, and that same product, one det and one
+    # orientation check verify R; canonical() divides a verified matrix by
+    # its content and checks nothing again
+    import evenlat.cosets
+
+    dets = helpers.count_calls(monkeypatch, "det", owner=evenlat.cosets)
+    w = A2.element_from_word(W_WORD)
+    x = make_scaled(A2, helpers.scale_matrix(w.matrix @ X, 6), canonicalize=True)
+    assert (x.ratio, x.matrix) == (4, w.matrix @ X)
+    assert len(dets) == 1
+    # direct construction and powers still verify
+    del dets[:]
+    ScaledOrthogonal(A2, x.matrix, 4).power(2)
+    assert len(dets) == 2
+    with pytest.raises(ValueError, match="scale the form"):
+        ScaledOrthogonal(A2, x.matrix, 2)
+
+
 # ----------------------------------------------------------------- right cosets
 
 
@@ -333,6 +352,20 @@ def test_reductions_classify_once_per_completion(form, seed, monkeypatch):
         reduce_double_coset(x)
         assert len(classified) == len(completed)
         del classified[:], completed[:]
+
+
+def test_double_coset_memory_stays_bounded():
+    # no per-token state on the form: 300 reductions leave it as it was
+    import sys
+
+    def footprint():
+        return {k: sys.getsizeof(v) for k, v in vars(D4).items()}
+
+    before = footprint()
+    rng = random.Random(131)
+    for _ in range(300):
+        reduce_double_coset(random_scaled(D4, rng))
+    assert footprint() == before
 
 
 # --------------------------------------------------- hypothesis violations

@@ -110,6 +110,20 @@ def test_direct_sum_gram_and_det():
     assert root_lattice("4A1").gram == Matrix.diagonal([2, 2, 2, 2])
 
 
+def test_direct_sum_det_is_product_of_summands():
+    # the determinant is taken from the summands, not recomputed; check it
+    # against Bareiss on the block Gram
+    rng = random.Random(59)
+    small = [Matrix([[2, 1], [1, 4]]), Matrix([[4, -1], [-1, 2]]),
+             Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 6]]), Matrix([[-2, 1], [1, 2]])]
+    names = ["A1", "A2", "A3", "A5", "D4", "D5", "E6", "E7", "E8"]
+    for _ in range(25):
+        parts = [root_lattice(rng.choice(names)) if rng.random() < 0.6
+                 else EvenLattice(rng.choice(small)) for _ in range(rng.randint(1, 4))]
+        lat = direct_sum(*parts)
+        assert lat.determinant == det(lat.gram)
+
+
 def test_direct_sum_discriminant_recombines():
     # q multiset of A1 + A2 must equal all sums q1(a) + q2(b) mod 1:
     # {0, 1/4} x {0, 1/3, 1/3} -> {0, 1/3, 1/3, 1/4, 7/12, 7/12}

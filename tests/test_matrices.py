@@ -157,6 +157,66 @@ def test_is_integral_and_integer_only_inputs():
     assert det(half) == Fraction(1, 2)
 
 
+def _ref_product(a, b):
+    # the generic rational product, on plain lists, with the documented
+    # normalisation: integral values come back as int
+    out = [[sum((Fraction(x) * y for x, y in zip(r, c)), Fraction(0))
+            for c in zip(*b)] for r in a]
+    return tuple(tuple(int(x) if x.denominator == 1 else x for x in r) for r in out)
+
+
+def _variants(rng, rows):
+    # the same values as ints, as Fraction(k, 1), and with one rational entry
+    rational = [list(r) for r in rows]
+    rational[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] = Fraction(
+        rng.choice((-3, -1, 1, 5)), rng.choice((2, 3, 4)))
+    return (rows, [[Fraction(x) for x in r] for r in rows], rational)
+
+
+def test_integer_path_matches_generic_products():
+    rng = random.Random(83)
+    for _ in range(30):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = [[rng.randint(-7, 7) for _ in range(k)] for _ in range(n)]
+        b = [[rng.randint(-7, 7) for _ in range(m)] for _ in range(k)]
+        v = [rng.randint(-7, 7) for _ in range(k)]
+        for x in _variants(rng, a):
+            for y in _variants(rng, b):
+                got = Matrix(x) @ Matrix(y)
+                assert got.rows == _ref_product(x, y)
+                assert got.is_integral == all(
+                    type(e) is int for r in got.rows for e in r)
+            for w in (v, [Fraction(e) for e in v]):
+                want = tuple(r[0] for r in _ref_product(x, [[e] for e in w]))
+                got = Matrix(x) @ w
+                assert got == want
+                assert [type(e) for e in got] == [type(e) for e in want]
+                got = tuple(w) @ Matrix(x).T
+                assert got == want
+                assert [type(e) for e in got] == [type(e) for e in want]
+
+
+def test_is_integral_after_arithmetic():
+    m = Matrix([[1, -2], [3, 4]])
+    h = Matrix([[Fraction(1, 2), 1], [0, Fraction(-3, 2)]])
+    for out, integral in ((m.T, True), (-m, True), (m + m, True), (m - m, True),
+                          (m * 3, True), (3 * m, True), (m * Fraction(4, 2), True),
+                          (m * Fraction(1, 2), False), (h.T, False), (-h, False),
+                          (h + h, True), (h + m, False), (m + h, False),
+                          (h * 2, True), (h * 3, False), (Matrix.identity(3), True),
+                          (Matrix([]), True)):
+        assert out.is_integral is integral, out
+        assert integral == all(type(x) is int for r in out.rows for x in r)
+    assert (m.T).rows == ((1, 3), (-2, 4))
+    assert (-m).rows == ((-1, 2), (-3, -4))
+    # bool stays out of every path: refused as an entry, and a bool vector
+    # or scalar produces plain ints
+    with pytest.raises(TypeError, match="got bool"):
+        Matrix([[1, True]])
+    assert all(type(x) is int for x in m @ (True, False))
+    assert all(type(x) is int for r in (m * True).rows for x in r)
+
+
 def test_scalar_and_addition():
     m = Matrix([[1, 2], [3, 4]])
     assert 2 * m == Matrix([[2, 4], [6, 8]])

@@ -1,6 +1,8 @@
 """The integer group core against the Fraction formulas it replaced.
 
-The oracle below classifies with (M - I)·S1^{-1} over Fraction, with S1^{-1}
+Generator tokens are applied in closed form; they are checked against dense
+products of the token matrices written from their entry formulas in
+``helpers``. The oracle below classifies with (M - I)·S1^{-1} over Fraction, with S1^{-1}
 from Gauss-Jordan elimination (``matrices.inverse``), as the library did
 before its kernel gate moved to the integral adjugate. The earlier gates are
 unchanged and are re-stated here only to reach the kernel gate in the same
@@ -146,3 +148,49 @@ def test_members_by_construction_are_not_reclassified(monkeypatch):
     assert len(calls) == 2 and done.matrix.col(0) == g.matrix.col(0)
     cert = normalizer_certificate(make_scaled(form, helpers.scale_matrix(g.matrix, 3)))
     assert len(calls) == 3 and cert.in_normalizer
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_token_action_matches_dense_products(name):
+    form = FORMS[name]
+    d = form.dim
+    rng = random.Random(31 + len(name))
+    for _ in range(12):
+        word = helpers.random_word(rng, form.n, rng.randint(1, 6), spread=3)
+        m = [[rng.randint(-5, 5) for _ in range(d)] for _ in range(d)]
+        for tok in word:
+            # from the left, on a column vector
+            v = [rng.randint(-9, 9) for _ in range(d)]
+            col = [r[0] for r in helpers.list_matmul(helpers.token_rows(form, tok),
+                                                     [[x] for x in v])]
+            assert form._apply_token(tok, v) == col
+        # from the right, on a whole matrix and so on each row vector
+        got = form._times_tokens(Matrix(m), word)
+        assert [list(r) for r in got.rows] == helpers.word_rows(form, word, start=m)
+        assert got.is_integral
+        # the element is the left-to-right product of its tokens
+        elem = form.element_from_word(word)
+        assert [list(r) for r in elem.matrix.rows] == helpers.word_rows(form, word)
+        assert elem.word == word
+
+
+def test_generators_match_their_entry_formulas():
+    form = FORMS["D4"]
+    lam = (1, -2, 0, 3, 1, -1)
+    for tok, elem in ((("J",), form.involution()),
+                      (("T", lam), form.transvection(lam)),
+                      (("T*", lam), form.dual_transvection(lam))):
+        assert [list(r) for r in elem.matrix.rows] == helpers.token_rows(form, tok)
+        assert elem.word == (tok,)
+
+
+def test_tokens_validated_on_use():
+    form = FORMS["A2"]
+    for bad in (("T", (1, 0, 0)),  # wrong length
+                ("T*", (Fraction(1, 2), 0, 0, 0)),
+                ("T", (True, 0, 0, 0)),  # bool is no integer entry
+                ("X", (0, 0, 0, 0))):
+        with pytest.raises(ValueError):
+            form.element_from_word((("J",), bad))
+        with pytest.raises(ValueError):
+            form._apply_token(bad, [0] * form.dim)

@@ -45,6 +45,22 @@ def test_divisor_chain_enforced():
         FiniteQuadraticModule((2,), [], Matrix.zeros(0, 0))
 
 
+def test_lifts_are_reduced_mod_one():
+    # A1: Z/2 generated by the class of 1/2; any rational lift of it is
+    # reduced into [0, 1), and a Fraction already there is kept as given
+    half = Fraction(1, 2)
+    for lift in (Fraction(-1, 2), Fraction(5, 2), Fraction(-7, 2), 0.5, half):
+        mod = FiniteQuadraticModule((2,), [(lift,)], Matrix([[half]]))
+        assert mod.generator_lifts == ((half,),)
+        assert type(mod.generator_lifts[0][0]) is Fraction
+    kept = FiniteQuadraticModule((2,), [(half,)], Matrix([[half]]))
+    assert kept.generator_lifts[0][0] is half
+    # integral lifts reduce to Fraction(0), on a 2-dimensional source
+    mod = FiniteQuadraticModule((2,), [(3, Fraction(-3, 2))], Matrix([[half]]))
+    assert mod.generator_lifts == ((Fraction(0), half),)
+    assert all(type(x) is Fraction for x in mod.generator_lifts[0])
+
+
 def test_element_validation():
     mod = root_lattice("A1").discriminant_group()
     with pytest.raises(ValueError):
