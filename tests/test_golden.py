@@ -12,8 +12,11 @@ cases on 3D4, 8A1, 4A2, 2D4 and D24+ and the ``analyze`` cases on
 ``[[510510]]`` (seven primes), 12A2, 16A1 and a Gram with 2-, 3- and
 5-parts were written by the ``Fraction`` discriminant-form layer, before
 the integer lift Gram, per-prime anisotropy scan and orthogonality-pruned
-glue search replaced it. The integrality gate of ``classify`` has no case:
-the CLI reads integer matrices only.
+glue search replaced it. The ``analyze`` cases on an indefinite Gram and on
+E8 (trivial discriminant group) and the ``atlas`` case on the E family were
+written by the CLI before each table was rendered from its JSON payload.
+The integrality gate of ``classify`` has no case: the CLI reads integer
+matrices only.
 """
 
 from pathlib import Path
@@ -60,9 +63,12 @@ CASES = {
         ["reduce", "--name", "E8", "--input", "@reduce-e8-word", "--mode", "double"],
     "atlas-a": ["atlas", "--family", "A", "--max", "10"],
     "atlas-d": ["atlas", "--family", "D", "--min", "2", "--max", "9"],
+    "atlas-e": ["atlas", "--family", "E", "--max", "8"],
     "analyze-a3": ["analyze", "--name", "A3"],
     "analyze-4a1": ["analyze", "--name", "4A1"],
     "analyze-gram-file": ["analyze", "--lattice", "@lattice-a2-gram"],
+    "analyze-indefinite": ["analyze", "--lattice", "@lattice-indefinite"],
+    "analyze-e8": ["analyze", "--name", "E8"],
     "analyze-6a1-capped": ["analyze", "--name", "6A1", "--max-order", "10"],
     "overlattices-5a1": ["overlattices", "--name", "5A1"],
     "overlattices-d8": ["overlattices", "--name", "D8"],
