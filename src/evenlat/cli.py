@@ -11,8 +11,9 @@ Subcommands:
 
 Lattices come from ``--name`` (ADE symbols like A7, D8+, 4A1) or ``--lattice``
 (a JSON file, ``-`` for stdin, with {"gram": [[...]]} or {"name": "..."}).
-Output is a stable table or JSON (``--format json``); exact rationals are
-rendered as "p/q" strings. Exit codes: 0 success, 2 invalid input or caps,
+Each command computes one JSON payload; ``--format json`` prints it, and the
+default table is rendered from it, so both show the same values. Exact
+rationals are "p/q" strings. Exit codes: 0 success, 2 invalid input or caps,
 3 reduction hypothesis violation.
 """
 
@@ -42,20 +43,12 @@ def _jsonable(obj):
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, Matrix):
-        return [list(row) for row in obj.rows]
+        return _jsonable(obj.rows)
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return obj
-
-
-def _emit(args, payload: dict, table_lines):
-    if args.format == "json":
-        print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
-    else:
-        for line in table_lines:
-            print(line)
 
 
 def _read_json_source(path: str):
@@ -112,43 +105,29 @@ def _load_lattice(args) -> EvenLattice:
     raise ValueError("provide a lattice via --name or --lattice")
 
 
-def _matrix_rows(lines, mat: Matrix, indent="  "):
-    cells = [[str(x) for x in row] for row in mat.rows]
+def _matrix_rows(rows) -> list:
+    cells = [[str(x) for x in row] for row in rows]
     width = max((len(c) for row in cells for c in row), default=1)
-    for row in cells:
-        lines.append(indent + " ".join(c.rjust(width) for c in row))
-
-
-def _word_json(word):
-    out = []
-    for tok in word:
-        if tok[0] == "J":
-            out.append(["J"])
-        else:
-            out.append([tok[0], list(tok[1])])
-    return out
+    return ["  " + " ".join(c.rjust(width) for c in row) for row in cells]
 
 
 # -- subcommands ----------------------------------------------------------------
+# _cmd_<name>(args) returns the payload; _table_<name>(payload, args) renders
+# the table from the payload's JSON form and the options alone.
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
     lat = _load_lattice(args)
     disc = lat.discriminant_group()
     try:
-        maximal = disc.is_anisotropic(args.max_order)
-        capped = False
+        maximal, capped = disc.is_anisotropic(args.max_order), False
     except CapExceeded:
-        maximal = None
-        capped = True
-    verdict = "unknown (cap exceeded)" if capped else (
-        "yes" if maximal else "no")
-    positive = lat.is_positive_definite  # a full Bareiss pass; read once
+        maximal, capped = None, True
     payload = {
         "name": lat.name or None,
         "rank": lat.rank,
         "determinant": lat.determinant,
-        "positive_definite": positive,
+        "positive_definite": lat.is_positive_definite,
         "discriminant_divisors": list(disc.divisors),
         "discriminant_order": disc.order,
         "anisotropic": maximal,
@@ -156,47 +135,41 @@ def _cmd_analyze(args) -> int:
         "single_cusp_class": maximal,
         "cap_exceeded": capped,
     }
+    if not capped and disc.order <= args.qtable_max:
+        payload["q_table"] = [
+            {"element": list(x), "q": q} for x, q in sorted(disc.q_table().items())
+        ]
+    return payload
+
+
+def _table_analyze(p, args) -> list:
+    capped, order = p["cap_exceeded"], p["discriminant_order"]
+    verdict = "unknown (cap exceeded)" if capped else (
+        "yes" if p["maximal_even"] else "no")
+    group = " x ".join(f"Z/{d}" for d in p["discriminant_divisors"]) or "trivial"
     lines = [
-        f"lattice: {lat.name or '(unnamed)'}",
-        f"rank: {lat.rank}",
-        f"determinant: {lat.determinant}",
-        f"positive definite: {'yes' if positive else 'no'}",
-        f"discriminant group: {_group_name(disc.divisors)} (order {disc.order})",
+        f"lattice: {p['name'] or '(unnamed)'}",
+        f"rank: {p['rank']}",
+        f"determinant: {p['determinant']}",
+        f"positive definite: {'yes' if p['positive_definite'] else 'no'}",
+        f"discriminant group: {group} (order {order})",
         f"anisotropic: {verdict}",
         f"maximal even: {verdict}",
     ]
     if capped:
-        lines.append("zero-dimensional cusps: unknown (cap exceeded)")
-        lines.append(
-            f"q values: suppressed (order {disc.order} > scan cap "
-            f"{args.max_order})"
-        )
-        _emit(args, payload, lines)
-        return 0
-    lines.append(f"zero-dimensional cusps: {'1' if maximal else '> 1'}")
-    if disc.order <= args.qtable_max:
-        table = disc.q_table()
-        payload["q_table"] = [
-            {"element": list(x), "q": q} for x, q in sorted(table.items())
+        return lines + [
+            "zero-dimensional cusps: unknown (cap exceeded)",
+            f"q values: suppressed (order {order} > scan cap {args.max_order})",
         ]
-        lines.append("q values:")
-        for x, q in sorted(table.items()):
-            lines.append(f"  {tuple(x)}: {q}")
-    else:
-        lines.append(
-            f"q values: suppressed (order {disc.order} > {args.qtable_max})"
-        )
-    _emit(args, payload, lines)
-    return 0
+    lines.append(f"zero-dimensional cusps: {'1' if p['maximal_even'] else '> 1'}")
+    if "q_table" not in p:
+        return lines + [f"q values: suppressed (order {order} > {args.qtable_max})"]
+    return lines + ["q values:"] + [
+        f"  {tuple(e['element'])}: {e['q']}" for e in p["q_table"]
+    ]
 
 
-def _group_name(divisors) -> str:
-    if not divisors:
-        return "trivial"
-    return " x ".join(f"Z/{d}" for d in divisors)
-
-
-def _cmd_atlas(args) -> int:
+def _cmd_atlas(args) -> dict:
     family = args.family.upper()
     ranks = range(max(args.min, 1), args.max + 1)
     if family == "D":
@@ -220,18 +193,19 @@ def _cmd_atlas(args) -> int:
             "maximal_by_formula": predicted,
             "maximal_by_scan": computed,
         })
-    lines = [f"{'name':<6} {'det':>8} {'disc order':>11} {'maximal':>8}"]
-    for row in rows:
-        lines.append(
-            f"{row['name']:<6} {row['determinant']:>8} "
-            f"{row['discriminant_order']:>11} "
-            f"{'yes' if row['maximal_by_formula'] else 'no':>8}"
-        )
-    _emit(args, {"family": family, "entries": rows}, lines)
-    return 0
+    return {"family": family, "entries": rows}
 
 
-def _cmd_overlattices(args) -> int:
+def _table_atlas(p, args) -> list:
+    return [f"{'name':<6} {'det':>8} {'disc order':>11} {'maximal':>8}"] + [
+        f"{row['name']:<6} {row['determinant']:>8} "
+        f"{row['discriminant_order']:>11} "
+        f"{'yes' if row['maximal_by_formula'] else 'no':>8}"
+        for row in p["entries"]
+    ]
+
+
+def _cmd_overlattices(args) -> dict:
     lat = _load_lattice(args)
     disc = lat.discriminant_group()
     glues = disc.maximal_isotropic_subgroups(args.max_glue_order)
@@ -248,54 +222,56 @@ def _cmd_overlattices(args) -> int:
                 args.max_order
             ),
         })
-    payload = {
+    return {
         "lattice": lat.name or None,
         "determinant": lat.determinant,
         "count": len(entries),
         "overlattices": entries,
     }
+
+
+def _table_overlattices(p, args) -> list:
     lines = [
-        f"lattice: {lat.name or '(unnamed)'} (determinant {lat.determinant})",
-        f"maximal even overlattices: {len(entries)}",
+        f"lattice: {p['lattice'] or '(unnamed)'} (determinant {p['determinant']})",
+        f"maximal even overlattices: {p['count']}",
     ]
-    for i, e in enumerate(entries):
+    for i, e in enumerate(p["overlattices"]):
         lines.append(
             f"[{i}] glue order {e['glue_order']}, index {e['index']}, "
             f"generators {e['glue_generators']}, "
             f"determinant {e['overlattice_determinant']}"
         )
-        _matrix_rows(lines, e["overlattice_gram"])
-    _emit(args, payload, lines)
-    return 0
+        lines += _matrix_rows(e["overlattice_gram"])
+    return lines
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> dict:
     lat = _load_lattice(args)
     form = ExtendedForm(lat)
     data = _read_object(args.input, "classify input")
     if "R" not in data:
         raise ValueError("classify input needs an 'R' matrix field")
     level, witness = form.classify_witness(_json_matrix(data["R"], "'R'"))
-    payload = {
+    return {
         "membership": level.name.lower(),
         "level": int(level),
         "witness": witness or None,
     }
-    lines = [f"membership: {level.name.lower()} (level {int(level)})"]
-    if witness:
-        parts = ", ".join(f"{k}: {_fmt_value(v)}" for k, v in witness.items())
+
+
+def _table_classify(p, args) -> list:
+    lines = [f"membership: {p['membership']} (level {p['level']})"]
+    if p["witness"]:
+        # an entry index is a JSON list, printed as the tuple it was
+        parts = ", ".join(
+            f"{k}: ({', '.join(map(str, v))})" if isinstance(v, list) else f"{k}: {v}"
+            for k, v in p["witness"].items()
+        )
         lines.append(f"witness ({parts})")
-    _emit(args, payload, lines)
-    return 0
+    return lines
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, tuple):
-        return "(" + ", ".join(str(x) for x in v) + ")"
-    return str(v)
-
-
-def _cmd_complete(args) -> int:
+def _cmd_complete(args) -> dict:
     lat = _load_lattice(args)
     form = ExtendedForm(lat)
     data = _read_object(args.input, "complete input")
@@ -303,24 +279,24 @@ def _cmd_complete(args) -> int:
         raise ValueError("complete input needs an 'h' vector field")
     h = _json_ints(data["h"], "'h'")
     elem = form.complete_isotropic(h)  # raises unless a kernel element
-    payload = {
+    return {
         "h": h,
-        "word": _word_json(elem.word),
+        "word": elem.word,
         "word_length": len(elem.word),
         "matrix": elem.matrix,
         "membership": Membership.DISCRIMINANT_KERNEL.name.lower(),
     }
-    lines = [
-        f"word length: {len(elem.word)}",
-        f"word: {_word_json(elem.word)}",
+
+
+def _table_complete(p, args) -> list:
+    return [
+        f"word length: {p['word_length']}",
+        f"word: {p['word']}",
         "matrix with first column h:",
-    ]
-    _matrix_rows(lines, elem.matrix)
-    _emit(args, payload, lines)
-    return 0
+    ] + _matrix_rows(p["matrix"])
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> dict:
     lat = _load_lattice(args)
     form = ExtendedForm(lat)
     data = _read_object(args.input, "reduce input")
@@ -335,49 +311,38 @@ def _cmd_reduce(args) -> int:
     )
     if args.mode == "right":
         red = reduce_right_coset(scaled)
-        payload = {
-            "mode": "right",
-            "ratio": scaled.ratio,
-            "alpha": red.alpha,
-            "delta": red.delta,
-            "reduced": red.reduced,
-            "transformer_word": _word_json(red.transformer.word),
-        }
-        lines = [
-            f"ratio: {scaled.ratio}",
-            f"alpha: {red.alpha}",
-            f"delta: {red.delta}",
-            f"transformer word length: {len(red.transformer.word)}",
-            "reduced matrix:",
-        ]
-        _matrix_rows(lines, red.reduced)
+        fields = {"transformer_word": red.transformer.word}
     else:
         red = reduce_double_coset(scaled)
-        payload = {
-            "mode": "double",
-            "ratio": scaled.ratio,
-            "alpha": red.alpha,
-            "delta": red.delta,
-            "reduced": red.reduced,
+        fields = {
             "core": red.core,
-            "left_word": _word_json(red.left.word),
-            "right_word": _word_json(red.right.word),
+            "left_word": red.left.word,
+            "right_word": red.right.word,
         }
-        lines = [
-            f"ratio: {scaled.ratio}",
-            f"alpha: {red.alpha}",
-            f"delta: {red.delta}",
-            f"left word length: {len(red.left.word)}",
-            f"right word length: {len(red.right.word)}",
-            "reduced matrix diag(alpha, core, delta):",
-        ]
-        _matrix_rows(lines, red.reduced)
-    # each identity the reduction guarantees held, or it raised
-    payload["verification"] = [{"check": name, "ok": True} for name in red.checks]
-    lines.append("verification:")
-    lines.extend(f"  {name}: ok" for name in red.checks)
-    _emit(args, payload, lines)
-    return 0
+    return {
+        "mode": args.mode,
+        "ratio": scaled.ratio,
+        "alpha": red.alpha,
+        "delta": red.delta,
+        "reduced": red.reduced,
+        **fields,
+        # each identity the reduction guarantees held, or it raised
+        "verification": [{"check": name, "ok": True} for name in red.checks],
+    }
+
+
+def _table_reduce(p, args) -> list:
+    lines = [f"ratio: {p['ratio']}", f"alpha: {p['alpha']}", f"delta: {p['delta']}"]
+    if p["mode"] == "right":
+        lines += [f"transformer word length: {len(p['transformer_word'])}",
+                  "reduced matrix:"]
+    else:
+        lines += [f"left word length: {len(p['left_word'])}",
+                  f"right word length: {len(p['right_word'])}",
+                  "reduced matrix diag(alpha, core, delta):"]
+    return lines + _matrix_rows(p["reduced"]) + ["verification:"] + [
+        f"  {c['check']}: ok" for c in p["verification"]
+    ]
 
 
 # -- parser ----------------------------------------------------------------------
@@ -421,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--qtable-max", type=int, default=100,
         help="largest discriminant order for which the q table is printed",
     )
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_analyze, table=_table_analyze)
 
     p = sub.add_parser("atlas", help="maximality across an ADE family")
     _add_common_options(p)
     p.add_argument("--family", required=True, choices=("A", "D", "E"))
     p.add_argument("--min", type=int, default=1, help="smallest rank")
     p.add_argument("--max", type=int, required=True, help="largest rank")
-    p.set_defaults(func=_cmd_atlas)
+    p.set_defaults(func=_cmd_atlas, table=_table_atlas)
 
     p = sub.add_parser("overlattices", help="maximal even overlattices")
     _add_lattice_options(p)
@@ -437,19 +402,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-glue-order", type=int, default=MAX_GLUE_ORDER,
         help="cap on discriminant order for glue enumeration",
     )
-    p.set_defaults(func=_cmd_overlattices)
+    p.set_defaults(func=_cmd_overlattices, table=_table_overlattices)
 
     p = sub.add_parser("classify", help="membership level of a matrix")
     _add_lattice_options(p)
     _add_common_options(p)
     p.add_argument("--input", required=True, help="JSON with {'R': [[...]]}")
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_classify, table=_table_classify)
 
     p = sub.add_parser("complete", help="complete a primitive isotropic vector")
     _add_lattice_options(p)
     _add_common_options(p)
     p.add_argument("--input", required=True, help="JSON with {'h': [...]}")
-    p.set_defaults(func=_cmd_complete)
+    p.set_defaults(func=_cmd_complete, table=_table_complete)
 
     p = sub.add_parser("reduce", help="coset normal form of a scaled matrix")
     _add_lattice_options(p)
@@ -460,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-canonicalize", action="store_true",
         help="keep the matrix/ratio as given instead of dividing out content",
     )
-    p.set_defaults(func=_cmd_reduce)
+    p.set_defaults(func=_cmd_reduce, table=_table_reduce)
 
     return parser
 
@@ -470,7 +435,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        code = args.func(args)
+        # the one place a report is printed: the JSON payload or its table
+        payload = _jsonable(args.func(args))
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print("\n".join(args.table(payload, args)))
     except HypothesisViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -482,7 +452,7 @@ def main(argv=None) -> int:
         if getattr(args, "timings", False):
             elapsed = time.perf_counter() - start
             print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ its sign flipped.
 
 The module provides:
 
-* ``ExtendedForm``: the (n+4)-dimensional form, its Gram matrix and inverse;
+* ``ExtendedForm``: the (n+4)-dimensional form, its Gram matrix and the
+  integral adjugate of that matrix;
 * ``Membership``/``classify``: where a given rational matrix sits in the
   chain orthogonal < special < special-plus < integral special-plus <
   discriminant kernel (each level includes all later ones);
@@ -30,7 +31,7 @@ from fractions import Fraction
 from operator import mul
 
 from .lattices import EvenLattice
-from .matrices import Matrix, det, vec_gcd
+from .matrices import Matrix, det, inverse, vec_gcd
 from .quadmod import MAX_ORDER, is_maximal_even
 
 _COMPLETION_CAP = 10000
@@ -189,44 +190,31 @@ class ExtendedForm:
     def __init__(self, base: EvenLattice):
         if not isinstance(base, EvenLattice):
             raise TypeError("base must be an EvenLattice")
+        # the orientation gate reads the positive 2-plane off the hyperbolic
+        # corners, which holds only when S1 has signature (2, n+2)
+        if not base.is_positive_definite:
+            raise ValueError("the base lattice must be positive definite")
         self.base = base
         n = base.rank
         self.n = n
         self.dim = n + 4
-        s = base.gram
-        self.s0 = self._corner_form(n + 2, s, invert=False)
-        self.s0_inv = self._corner_form(n + 2, s, invert=True)
-        self.s1 = self._nest(self.s0)
-        self.s1_inv = self._nest(self.s0_inv)
-        # |det S1| = |det S| = |D|; with the integral adjugate
-        # s1_adj = s1_det * S1^{-1} the kernel gate and inverse stay integral
-        self.s1_det = abs(base.determinant)
-        self.s1_adj = self.s1_inv * self.s1_det
+        self.s0 = self._nest(-base.gram, 1)
+        self.s1 = self._nest(self.s0, 1)
+        # |det S1| = |det S| = |D|; the corner blocks invert to themselves, so
+        # the integral adjugate s1_adj = s1_det * S1^{-1} nests -|D| S^{-1} in
+        # corners |D|, and the kernel gate and inverse stay integral
+        self.s1_det = d = abs(base.determinant)
+        self.s1_adj = self._nest(self._nest(-(inverse(base.gram) * d), d), d)
 
     @staticmethod
-    def _corner_form(size: int, s: Matrix, invert: bool) -> Matrix:
-        from .matrices import inverse
-
-        n = size - 2
-        mid = inverse(s) if invert else s
-        rows = [[0] * size for _ in range(size)]
-        rows[0][size - 1] = 1
-        rows[size - 1][0] = 1
-        for i in range(n):
-            for j in range(n):
-                rows[1 + i][1 + j] = -mid[i, j]
-        return Matrix(rows)
-
-    @staticmethod
-    def _nest(inner: Matrix) -> Matrix:
+    def _nest(inner: Matrix, corner: int) -> Matrix:
+        """inner between the corner pair: corner at (0, last) and (last, 0)."""
         size = inner.nrows + 2
         rows = [[0] * size for _ in range(size)]
-        rows[0][size - 1] = 1
-        rows[size - 1][0] = 1
-        for i in range(inner.nrows):
-            for j in range(inner.nrows):
-                rows[1 + i][1 + j] = inner[i, j]
-        return Matrix(rows)
+        rows[0][size - 1] = rows[size - 1][0] = corner
+        for i, row in enumerate(inner.rows):
+            rows[1 + i][1:size - 1] = row
+        return Matrix._from_ints(tuple(map(tuple, rows)))
 
     # -- basic form arithmetic -------------------------------------------------
 
@@ -391,11 +379,10 @@ class ExtendedForm:
         if not isinstance(m, Matrix):
             m = Matrix(m)
         den = self.s1_det
-        return Matrix([
-            [x // den if isinstance(x, int) and x % den == 0 else Fraction(x, den)
-             for x in row]
-            for row in (self.s1_adj @ m.T @ self.s1).rows
-        ])
+        prod = self.s1_adj @ m.T @ self.s1
+        if prod.is_integral and not any(x % den for r in prod.rows for x in r):
+            return Matrix._from_ints(tuple(tuple(x // den for x in r) for r in prod.rows))
+        return prod * Fraction(1, den)
 
     # -- isotropic vectors -----------------------------------------------------------
 

@@ -438,6 +438,8 @@ EXIT_CODE_CASES = [
      {"R": TRUE_CORNER}),
     ("classify-not-object", 2, "must be an object", ["classify", "--name", "A2"],
      None, [IDENTITY6]),
+    ("classify-indefinite-base", 2, "must be positive definite", ["classify"],
+     {"gram": [[2, 1], [1, -2]]}, {"R": IDENTITY6}),
     ("complete-float", 2, "got 1.7", ["complete", "--name", "A1"], None,
      {"h": [1.7, 0, 0, 0, 0]}),
     ("complete-string", 2, "'h' must be a JSON list", ["complete", "--name", "A1"],

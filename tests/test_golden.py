@@ -19,11 +19,12 @@ The integrality gate of ``classify`` has no case: the CLI reads integer
 matrices only.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from evenlat.cli import main
+from evenlat.cli import _jsonable, build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -109,3 +110,14 @@ def test_golden_table_output_byte_identical(case, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_table_is_rendered_from_the_json_payload(case):
+    # the command computes the payload once; the table reads only its JSON
+    # form and the parsed options
+    args = build_parser().parse_args(argv_for(case))
+    payload = _jsonable(args.func(args))
+    assert payload == json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
+    text = "\n".join(args.table(payload, args)) + "\n"
+    assert text == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")

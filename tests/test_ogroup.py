@@ -45,7 +45,7 @@ def test_extended_gram_frozen_a1():
     ])
     assert A1.s0 == Matrix([[0, 0, 1], [0, -2, 0], [1, 0, 0]])
     assert det(A1.s1) == -2
-    assert A1.s1_inv @ A1.s1 == Matrix.identity(5)
+    assert A1.s1_adj @ A1.s1 * Fraction(1, A1.s1_det) == Matrix.identity(5)
 
 
 def test_extended_gram_a2_and_signature():
@@ -62,6 +62,13 @@ def test_extended_gram_a2_and_signature():
 def test_constructor_type_check():
     with pytest.raises(TypeError):
         ExtendedForm("A2")
+
+
+def test_constructor_rejects_indefinite_base():
+    # even of determinant -5: S1 would have signature (3, 3), not (2, 4)
+    indefinite = EvenLattice(Matrix([[2, 1], [1, -2]]))
+    with pytest.raises(ValueError, match="positive definite"):
+        ExtendedForm(indefinite)
 
 
 def test_quad_values():
@@ -229,8 +236,8 @@ def test_classify_witness_all_levels():
     assert wit == {"check": "kernel-congruence", "entry": (2, 2),
                    "value": Fraction(4, 3)}
     # the witness entry really is an entry of (M - I) @ s1^{-1}
-    delta = (-Matrix.identity(d) - Matrix.identity(d)) @ A2.s1_inv
-    assert delta[2, 2] == Fraction(4, 3)
+    delta = (-Matrix.identity(d) - Matrix.identity(d)) @ A2.s1_adj
+    assert Fraction(delta[2, 2], A2.s1_det) == Fraction(4, 3)
 
 
 def test_classify_witness_matches_classify():

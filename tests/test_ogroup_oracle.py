@@ -127,6 +127,21 @@ def test_orthogonal_inverse_rational_input_unchanged():
         assert inv @ m == Matrix.identity(form.dim)
 
 
+def test_orthogonal_inverse_integral_input_skips_normalising(monkeypatch):
+    # a member's inverse is divided out in ints; no entry is re-normalised
+    import evenlat.matrices as matrices
+
+    normalised = []
+    real_norm = matrices._norm
+    monkeypatch.setattr(matrices, "_norm", lambda x: normalised.append(x) or real_norm(x))
+    for name, form in FORMS.items():
+        m = helpers.random_element(form, random.Random(5)).matrix
+        normalised.clear()
+        inv = form.orthogonal_inverse(m)
+        assert inv.is_integral and not normalised
+        assert inv == S1_INV[name] @ m.T @ form.s1
+
+
 def test_integral_adjugate():
     for name, form in FORMS.items():
         assert form.s1_det == abs(det(form.s1))
