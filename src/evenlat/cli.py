@@ -120,9 +120,11 @@ def _cmd_analyze(args) -> dict:
     lat = _load_lattice(args)
     disc = lat.discriminant_group()
     try:
-        maximal, capped = disc.is_anisotropic(args.max_order), False
+        maximal = disc.is_anisotropic(args.max_order)
+        capped = False
     except CapExceeded:
-        maximal, capped = None, True
+        maximal = None
+        capped = True
     payload = {
         "name": lat.name or None,
         "rank": lat.rank,
@@ -146,6 +148,8 @@ def _table_analyze(p, args) -> list:
     capped, order = p["cap_exceeded"], p["discriminant_order"]
     verdict = "unknown (cap exceeded)" if capped else (
         "yes" if p["maximal_even"] else "no")
+    cusps = "unknown (cap exceeded)" if capped else (
+        "1" if p["maximal_even"] else "> 1")
     group = " x ".join(f"Z/{d}" for d in p["discriminant_divisors"]) or "trivial"
     lines = [
         f"lattice: {p['name'] or '(unnamed)'}",
@@ -155,15 +159,11 @@ def _table_analyze(p, args) -> list:
         f"discriminant group: {group} (order {order})",
         f"anisotropic: {verdict}",
         f"maximal even: {verdict}",
+        f"zero-dimensional cusps: {cusps}",
     ]
-    if capped:
-        return lines + [
-            "zero-dimensional cusps: unknown (cap exceeded)",
-            f"q values: suppressed (order {order} > scan cap {args.max_order})",
-        ]
-    lines.append(f"zero-dimensional cusps: {'1' if p['maximal_even'] else '> 1'}")
-    if "q_table" not in p:
-        return lines + [f"q values: suppressed (order {order} > {args.qtable_max})"]
+    if capped or "q_table" not in p:
+        cap = f"scan cap {args.max_order}" if capped else args.qtable_max
+        return lines + [f"q values: suppressed (order {order} > {cap})"]
     return lines + ["q values:"] + [
         f"  {tuple(e['element'])}: {e['q']}" for e in p["q_table"]
     ]

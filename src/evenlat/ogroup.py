@@ -381,7 +381,8 @@ class ExtendedForm:
         den = self.s1_det
         prod = self.s1_adj @ m.T @ self.s1
         if prod.is_integral and not any(x % den for r in prod.rows for x in r):
-            return Matrix._from_ints(tuple(tuple(x // den for x in r) for r in prod.rows))
+            return Matrix._from_ints(
+                tuple(tuple(x // den for x in r) for r in prod.rows))
         return prod * Fraction(1, den)
 
     # -- isotropic vectors -----------------------------------------------------------
