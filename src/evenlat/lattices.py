@@ -3,34 +3,30 @@
 An even lattice is Z^n with a nondegenerate integral symmetric Gram matrix
 whose diagonal is even. Everything downstream is exact:
 
-* the discriminant form lives on dual/lattice and is computed from a Smith
-  normal form of the Gram matrix;
+* the discriminant form lives on dual/lattice and is read, in integers, off
+  the one Smith normal form of the Gram matrix that each lattice keeps;
 * an overlattice is rebuilt from a totally isotropic glue group by saturating
-  the row lattice spanned by Z^n and rational lifts of the glue generators;
+  the integer rows d Z^n + d (lifts of the glue generators), d = exponent;
 * embeddings carry the change of basis and verify Gram transport.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from operator import mul
 
-from .matrices import (
-    Matrix,
-    denominator_lcm,
-    det,
-    is_positive_definite,
-    smith_normal_form,
-)
+from .matrices import Matrix, det, is_positive_definite, smith_normal_form
 from .quadmod import FiniteQuadraticModule, GlueGroup
 
 
 class EvenLattice:
     """Z^n with an exact, nondegenerate, even Gram matrix."""
 
-    def __init__(self, gram: Matrix, name: str = "", *, _determinant=None):
-        # _determinant: det(gram) when the caller knows it, as direct_sum does
+    def __init__(self, gram: Matrix, name: str = "", *, _determinant=None,
+                 _positive_definite=None):
+        # _determinant, _positive_definite: known facts, as direct_sum has them
         if not isinstance(gram, Matrix):
             gram = Matrix(gram)
         if not gram.is_square:
@@ -47,6 +43,7 @@ class EvenLattice:
         self.gram = gram
         self.name = name
         self.determinant = d
+        self._pd = _positive_definite
         self._disc = None
 
     @property
@@ -55,7 +52,10 @@ class EvenLattice:
 
     @property
     def is_positive_definite(self) -> bool:
-        return is_positive_definite(self.gram)
+        """Sylvester's test, run once per lattice."""
+        if self._pd is None:
+            self._pd = is_positive_definite(self.gram)
+        return self._pd
 
     def inner(self, u, v) -> int:
         return sum(a * b for a, b in zip(self.gram @ tuple(v), u))
@@ -63,35 +63,65 @@ class EvenLattice:
     def norm(self, u) -> int:
         return self.inner(u, u)
 
+    @cached_property
+    def _smith(self) -> tuple:
+        """(U, V, full divisors, kept divisors d_i > 1, numerators w_i).
+
+        From U S V = D: the divisors d_i > 1 are the last k of the chain, and
+        the generator of Z/d_i lifts to column i of S^{-1} U^{-1} = V D^{-1},
+        V[:, i]/d_i, kept as w_i/d_i with the integer w_i = V[:, i] mod d_i.
+        """
+        u, d, v = smith_normal_form(self.gram)
+        full = tuple(d[i, i] for i in range(d.nrows))
+        if prod(full) != abs(self.determinant):
+            raise AssertionError("Smith form inconsistent with determinant")
+        k = sum(di > 1 for di in full)
+        divs = full[len(full) - k:]
+        w = tuple(tuple(x % di for x in v.col(i))
+                  for i, di in enumerate(divs, len(full) - k))
+        return u, v, full, divs, w
+
+    @cached_property
+    def adjugate(self) -> Matrix:
+        """|det S| S^{-1} as an integer matrix: V diag(|det S|/d_i) U."""
+        u, v, full, _, _ = self._smith
+        dabs = abs(self.determinant)
+        scale = [dabs // di for di in full]
+        return Matrix._from_ints(tuple(tuple(map(mul, row, scale))
+                                       for row in v.rows)) @ u
+
     def discriminant_group(self) -> FiniteQuadraticModule:
         """The finite quadratic module on dual/lattice, built once and cached."""
         if self._disc is None:
-            self._disc = self._build_disc()
+            _, _, _, divs, w = self._smith
+            # lift_gram[a][b] = (w_a^t S w_b) / (d_a d_b), from one integer product
+            sw = [self.gram @ wi for wi in w]
+            lg = Matrix([
+                [Fraction(sum(map(mul, wa, swb)), da * db)
+                 for swb, db in zip(sw, divs)]
+                for wa, da in zip(w, divs)
+            ]) if w else Matrix.zeros(0, 0)
+            self._disc = FiniteQuadraticModule(divs, lg)
         return self._disc
 
-    def _build_disc(self) -> FiniteQuadraticModule:
-        s = self.gram
-        u, d, v = smith_normal_form(s)
-        full = tuple(d[i, i] for i in range(d.nrows))
-        kept = [i for i, di in enumerate(full) if di > 1]
-        if prod(full) != abs(self.determinant):
-            raise AssertionError("Smith form inconsistent with determinant")
-        # generator lifts: column i of S^{-1} U^{-1} = V D^{-1} is V[:,i]/d_i,
-        # reduced into [0, 1) as w_i/d_i with the integer w_i = V[:,i] mod d_i
-        divs = [full[i] for i in kept]
-        w = [[x % d for x in v.col(i)] for i, d in zip(kept, divs)]
-        lifts = [tuple(Fraction(x, d) for x in wi) for wi, d in zip(w, divs)]
-        # lift_gram[a][b] = (w_a^t S w_b) / (d_a d_b), from one integer product
-        sw = [[sum(map(mul, row, wi)) for row in s.rows] for wi in w]
-        lg = Matrix([
-            [Fraction(sum(map(mul, wa, swb)), da * db)
-             for swb, db in zip(sw, divs)]
-            for wa, da in zip(w, divs)
-        ]) if w else Matrix.zeros(0, 0)
-        return FiniteQuadraticModule(
-            tuple(divs), lifts, lg,
-            source_gram=s, snf_row_transform=u, full_divisors=full,
-        )
+    def _lift_numerators(self, x) -> tuple:
+        # with d = d_k, the class x lifts to (sum_i x_i (d/d_i) w_i mod d) / d
+        _, _, _, divs, w = self._smith
+        d = divs[-1] if divs else 1
+        acc = [0] * self.rank
+        for c, di, wi in zip(x, divs, w):
+            f = c * (d // di)
+            acc = [a + f * b for a, b in zip(acc, wi)]
+        return d, tuple(a % d for a in acc)
+
+    def lift(self, x) -> tuple:
+        """A rational dual vector representing the class x, entries in [0, 1)."""
+        divs = self._smith[3]
+        if len(x) != len(divs) or not all(
+                type(c) is int and 0 <= c < di for c, di in zip(x, divs)):
+            raise ValueError(f"{x!r} is not a reduced element of dual/lattice")
+        d, num = self._lift_numerators(x)
+        return tuple(Fraction(a, d) for a in num)
 
     def element_from_dual(self, v) -> tuple:
         """Class in the discriminant group of a rational vector in the dual.
@@ -99,17 +129,14 @@ class EvenLattice:
         The vector is given in Gram-matrix coordinates (so membership in the
         dual means the Gram matrix times it is integral).
         """
-        disc = self.discriminant_group()
+        u, _, _, divs, _ = self._smith
         w = self.gram @ tuple(Fraction(x) for x in v)
         if any(x.denominator != 1 for x in map(Fraction, w)):
             raise ValueError("vector is not in the dual lattice")
-        w = tuple(int(x) for x in w)
-        xfull = disc._snf_u @ w
-        full = disc._full_divisors
-        kept = [i for i, di in enumerate(full) if di > 1]
-        cls = tuple(int(xfull[i]) % full[i] for i in kept)
+        xfull = u @ tuple(int(x) for x in w)
+        cls = tuple(x % d for x, d in zip(xfull[len(xfull) - len(divs):], divs))
         # consistency: the class lift must agree with v modulo the lattice
-        diff = [Fraction(a) - b for a, b in zip(disc.lift(cls), v)]
+        diff = [a - Fraction(b) for a, b in zip(self.lift(cls), v)]
         if any(x.denominator != 1 for x in diff):
             raise AssertionError("dual-class lift mismatch")
         return cls
@@ -162,38 +189,10 @@ def direct_sum(*lattices: EvenLattice) -> EvenLattice:
         off += r
     name = " + ".join(lat.name for lat in lattices) if all(
         lat.name for lat in lattices) else ""
-    return EvenLattice(Matrix(rows), name=name,
-                       _determinant=prod(lat.determinant for lat in lattices))
-
-
-def _saturate(rows):
-    """Integer data of the lattice the given rational rows generate.
-
-    With den the common denominator and U (den rows) V = D the Smith form,
-    the row lattice of den rows is that of D V^{-1}, so its first n rows
-    B = diag(d) V^{-1} over den are a basis. Returns (den, d, V, B), all
-    integral; V^{-1} comes from the Smith form itself, not from an inverse.
-    """
-    m = len(rows)
-    n = len(rows[0])
-    den = denominator_lcm(x for row in rows for x in row)
-    a = Matrix([[int(Fraction(x) * den) for x in row] for row in rows])
-    _, d, v, vinv = smith_normal_form(a, with_v_inverse=True)
-    if any(d[i, i] == 0 for i in range(min(m, n))) or m < n:
-        raise ValueError("rows do not span full rank")
-    divs = [d[i, i] for i in range(n)]
-    b = Matrix([[di * x for x in vinv.row(i)] for i, di in enumerate(divs)])
-    return den, divs, v, b
-
-
-def _saturated_row_basis(rows) -> Matrix:
-    """Basis (as rows) of the lattice the given rational rows generate.
-
-    Clears denominators, reads off a triangular generating set from the Smith
-    decomposition, and rescales back.
-    """
-    den, _, _, b = _saturate(rows)
-    return Matrix([[Fraction(x, den) for x in row] for row in b.rows])
+    return EvenLattice(
+        Matrix(rows), name=name,
+        _determinant=prod(lat.determinant for lat in lattices),
+        _positive_definite=all(lat.is_positive_definite for lat in lattices))
 
 
 def overlattice_from_glue(lat: EvenLattice, glue: GlueGroup):
@@ -201,24 +200,30 @@ def overlattice_from_glue(lat: EvenLattice, glue: GlueGroup):
 
     Returns (overlattice, embedding of lat into it). The overlattice is the
     preimage of the glue group in the dual; its Gram matrix is rebuilt in a
-    new basis, and the embedding has index equal to the glue order.
+    new basis, and the embedding has index equal to the glue order. With
+    U A V = D the Smith form of the integer rows A = [d I; d lifts], d = d_k,
+    the rows B = diag(d_i) V^{-1} are a basis of d times the overlattice.
     """
     disc = lat.discriminant_group()
-    if glue.parent._source_gram != lat.gram:
+    mod = glue.parent
+    if mod.divisors != disc.divisors or mod.lift_gram != disc.lift_gram:
         raise ValueError("glue group does not belong to this lattice")
     n = lat.rank
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for g in glue.generators:
-        rows.append(disc.lift(g))
-    den, divs, v, b = _saturate(rows)
-    # new basis B/den: Gram (B S B^t)/den^2 and embedding (den V diag(d)^-1)^t,
+    d = disc.divisors[-1] if disc.divisors else 1
+    rows = [[d * int(i == j) for j in range(n)] for i in range(n)]
+    rows += [lat._lift_numerators(g)[1] for g in glue.generators]
+    _, dm, v, vinv = smith_normal_form(Matrix(rows), with_v_inverse=True)
+    divs = [dm[i, i] for i in range(n)]
+    b = Matrix._from_ints(tuple(tuple(di * x for x in vinv.row(i))
+                                for i, di in enumerate(divs)))
+    # new basis B/d: Gram (B S B^t)/d^2 and embedding (d V diag(d_i)^-1)^t,
     # the inverse of the basis, transposed; both must divide exactly
-    sq = den * den
+    sq = d * d
     num = b @ lat.gram @ b.T
     if any(x % sq for row in num.rows for x in row):
         raise ValueError("glue group is not isotropic for the bilinear form")
     over = EvenLattice(Matrix([[x // sq for x in row] for row in num.rows]))
-    h = [[den * x for x in v.col(j)] for j in range(n)]
+    h = [[d * x for x in v.col(j)] for j in range(n)]
     if any(x % dj for row, dj in zip(h, divs) for x in row):
         raise ValueError("embedding matrix must be integral")
     emb = LatticeEmbedding(

@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import mul
 
 from .lattices import EvenLattice
-from .matrices import Matrix, det, inverse, vec_gcd
+from .matrices import Matrix, det, vec_gcd
 from .quadmod import MAX_ORDER, is_maximal_even
 
 _COMPLETION_CAP = 10000
@@ -160,10 +160,13 @@ def _act(parts, v: list, row: bool) -> None:
 
 
 def _int_vec(v) -> tuple:
+    """v as ints; a bool, float or non-integral entry raises ValueError."""
     out = []
     for x in v:
-        if x != int(x):
-            raise ValueError("transvection vector must be integral")
+        if isinstance(x, Fraction) and x.denominator == 1:
+            x = x.numerator
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"vector entries must be integers, got {x!r}")
         out.append(int(x))
     return tuple(out)
 
@@ -201,10 +204,10 @@ class ExtendedForm:
         self.s0 = self._nest(-base.gram, 1)
         self.s1 = self._nest(self.s0, 1)
         # |det S1| = |det S| = |D|; the corner blocks invert to themselves, so
-        # the integral adjugate s1_adj = s1_det * S1^{-1} nests -|D| S^{-1} in
+        # s1_adj = s1_det * S1^{-1} nests the base adjugate -|D| S^{-1} in
         # corners |D|, and the kernel gate and inverse stay integral
         self.s1_det = d = abs(base.determinant)
-        self.s1_adj = self._nest(self._nest(-(inverse(base.gram) * d), d), d)
+        self.s1_adj = self._nest(self._nest(-base.adjugate, d), d)
 
     @staticmethod
     def _nest(inner: Matrix, corner: int) -> Matrix:
@@ -297,11 +300,13 @@ class ExtendedForm:
             raise ValueError("rotation must preserve the base form")
         if det(q) != 1:
             raise ValueError("rotation must have determinant one")
+        # a special base isometry between identity corners is a member by
+        # construction: it preserves S1, has det 1 and fixes the 2-plane
         rows = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
-        for i in range(self.n):
-            for j in range(self.n):
-                rows[2 + i][2 + j] = q[i, j]
-        return GroupElement(self, Matrix(rows))
+        for i, row in enumerate(q.rows):
+            rows[2 + i][2:2 + self.n] = row
+        return GroupElement(self, Matrix._from_ints(tuple(map(tuple, rows))),
+                            _trusted=True)
 
     # -- membership ----------------------------------------------------------------
 
@@ -396,8 +401,8 @@ class ExtendedForm:
         The second condition is the gcd of the form-gram times h being 1; it is
         exactly what makes h completable to a first column of a group element.
         """
-        h = tuple(h)
-        if len(h) != self.dim or any(not isinstance(x, int) for x in h):
+        h = _int_vec(h)
+        if len(h) != self.dim:
             raise ValueError("need an integral vector of full dimension")
         if all(x == 0 for x in h):
             return False
@@ -539,7 +544,7 @@ def has_single_cusp(form: ExtendedForm, max_order: int = MAX_ORDER) -> bool:
 
 def base_reflection(lat: EvenLattice, v) -> Matrix:
     """Reflection of the base lattice in a vector of norm 2 or -2."""
-    v = tuple(int(x) for x in v)
+    v = _int_vec(v)
     norm = lat.norm(v)
     if norm not in (2, -2):
         raise ValueError("reflections are integral only for norm +-2 vectors here")

@@ -1,9 +1,9 @@
 """Finite quadratic modules, isotropy, and glue groups.
 
 A module here is a finite abelian group d_1 Z x ... x d_k Z carrying a
-quadratic form q with values in Q/Z, presented by rational lifts of its
-generators into the dual of an even lattice. Elements are coordinate tuples
-taken mod the divisors; q is evaluated exactly. The central predicates:
+quadratic form q with values in Q/Z, presented by the Gram matrix of lifts
+of its generators into the dual of an even lattice. Elements are coordinate
+tuples taken mod the divisors; q is evaluated exactly. The central predicates:
 
 * anisotropic (q vanishes only at 0), which is equivalent to the source
   lattice having no proper even overlattice;
@@ -30,26 +30,17 @@ class CapExceeded(RuntimeError):
     """An enumeration cap was hit; the requested scan was not performed."""
 
 
-def _mod1(x) -> Fraction:
-    """x reduced into [0, 1); a Fraction already there is returned as is."""
-    if type(x) is Fraction and 0 <= x.numerator < x.denominator:
-        return x
-    return Fraction(x) % 1
-
-
 class FiniteQuadraticModule:
-    """Discriminant form presented by divisors and dual-vector lifts.
+    """Finite quadratic module presented by divisors and a lift Gram matrix.
 
     divisors: the nontrivial invariant factors d_1 | d_2 | ... (each > 1).
-    generator_lifts: for each divisor, a rational coordinate vector in the
-        source lattice basis whose class generates the corresponding cyclic
-        factor; entries reduced into [0, 1).
-    lift_gram: exact Gram matrix of the lifts under the source form, so
-        q(x) = (1/2) x^t lift_gram x mod 1.
+    lift_gram: exact Gram matrix, under the source form, of lifts of the
+        generators into the dual of an even lattice, so
+        q(x) = (1/2) x^t lift_gram x mod 1. The lifts themselves stay with
+        the lattice (``EvenLattice.lift``).
     """
 
-    def __init__(self, divisors, generator_lifts, lift_gram: Matrix,
-                 source_gram=None, snf_row_transform=None, full_divisors=None):
+    def __init__(self, divisors, lift_gram: Matrix):
         divisors = tuple(int(d) for d in divisors)
         if any(d <= 1 for d in divisors):
             raise ValueError("divisors must all exceed 1")
@@ -57,21 +48,14 @@ class FiniteQuadraticModule:
             if b % a != 0:
                 raise ValueError("divisors must form a chain d_i | d_{i+1}")
         k = len(divisors)
-        lifts = tuple(tuple(map(_mod1, v)) for v in generator_lifts)
-        if len(lifts) != k:
-            raise ValueError("one lift per divisor required")
         if lift_gram.shape != (k, k) or not lift_gram.is_symmetric:
             raise ValueError("lift_gram must be symmetric k x k")
         self.divisors = divisors
-        self.generator_lifts = lifts
         self.lift_gram = lift_gram
         # integer fast path: q(x) = (x^t N*G x) / (2N) mod 1
         n = denominator_lcm(x for row in lift_gram.rows for x in row)
         self._den = 2 * n
         self._igram = [[int(x * n) for x in row] for row in lift_gram.rows]
-        self._source_gram = source_gram
-        self._snf_u = snf_row_transform
-        self._full_divisors = full_divisors
 
     # -- group structure -----------------------------------------------------
 
@@ -102,15 +86,6 @@ class FiniteQuadraticModule:
             o = d // gcd(a, d)
             out = out * o // gcd(out, o)
         return out
-
-    def lift(self, x: tuple) -> tuple:
-        """A rational dual vector representing the class x, entries in [0,1)."""
-        n = len(self.generator_lifts[0]) if self.generator_lifts else 0
-        acc = [Fraction(0)] * n
-        for c, vec in zip(x, self.generator_lifts):
-            for i, val in enumerate(vec):
-                acc[i] += c * val
-        return tuple(v - (v // 1) for v in acc)
 
     # -- quadratic form --------------------------------------------------------
 

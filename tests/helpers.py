@@ -1,5 +1,8 @@
 """Shared fixtures and samplers for the test suite."""
 
+import sys
+
+import evenlat
 from evenlat import ExtendedForm, Matrix
 
 
@@ -66,6 +69,25 @@ def count_calls(monkeypatch, name, owner=ExtendedForm):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def record_calls(monkeypatch, name):
+    """List of the argument tuples of every call of matrices.<name>.
+
+    The function is re-pointed in every evenlat module that imported it by
+    name, so a call from any layer is recorded.
+    """
+    calls = []
+    inner = getattr(evenlat.matrices, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "evenlat" and getattr(mod, name, None) is inner:
+            monkeypatch.setattr(mod, name, recording)
     return calls
 
 

@@ -10,18 +10,22 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from evenlat import (
     EvenLattice,
+    ExtendedForm,
+    GlueGroup,
     LatticeEmbedding,
     Matrix,
+    a_generator_class,
     det,
     direct_sum,
     inverse,
     is_maximal_even,
+    is_positive_definite,
     overlattice_from_glue,
     root_lattice,
 )
-from evenlat.lattices import _saturated_row_basis
 
 
 # ----------------------------------------------------------------- validation
@@ -67,7 +71,7 @@ def test_element_from_dual_a2():
     # a lattice vector lands on the zero class
     assert lat.element_from_dual((1, -2)) == disc.zero
     # lift of the class differs from the input by a lattice vector
-    lift = disc.lift(cls)
+    lift = lat.lift(cls)
     assert all(
         (Fraction(a) - b).denominator == 1
         for a, b in zip(lift, (Fraction(2, 3), Fraction(1, 3)))
@@ -232,14 +236,74 @@ def test_trivial_glue_returns_same_lattice():
     assert over.determinant == lat.determinant
 
 
-# ------------------------------------------------------------------- internals
-
-
-def test_saturated_row_basis():
-    # rows Z^2 plus (1/2, 1/2): index-2 overlattice of Z^2
-    basis = _saturated_row_basis(
-        [[1, 0], [0, 1], [Fraction(1, 2), Fraction(1, 2)]]
-    )
-    assert abs(det(basis)) == Fraction(1, 2)
+def test_overlattice_accepts_glue_of_an_equal_lattice():
+    # ownership is the module's presentation: a second 4A1 object has the
+    # same Smith form, so the same divisors and lift Gram
+    lat, twin = root_lattice("4A1"), root_lattice("4A1")
+    (glue,) = twin.discriminant_group().maximal_isotropic_subgroups()
+    over, emb = overlattice_from_glue(lat, glue)
+    assert emb.sub is lat
+    assert over.gram == overlattice_from_glue(twin, glue)[0].gram
     with pytest.raises(ValueError):
-        _saturated_row_basis([[1, 0], [2, 0]])  # rank deficient
+        overlattice_from_glue(root_lattice("5A1"), glue)
+    # same divisors (2, 2), other lift Gram: U(2) against 2A1
+    u2 = EvenLattice(Matrix([[0, 2], [2, 0]]))
+    iso = GlueGroup(u2.discriminant_group(), [(1, 0)])
+    with pytest.raises(ValueError):
+        overlattice_from_glue(root_lattice("2A1"), iso)
+
+
+# ---------------------------------------------------------- one Smith form
+
+
+def test_one_smith_form_serves_every_map(monkeypatch):
+    snf = helpers.record_calls(monkeypatch, "smith_normal_form")
+    lat = root_lattice("A5")
+    disc = lat.discriminant_group()
+    cls = a_generator_class(lat)  # element_from_dual
+    assert disc.order == 6 and disc.element_order(cls) == 6
+    assert lat.lift(cls) == tuple(Fraction(5 - i, 6) for i in range(5))
+    form = ExtendedForm(lat)
+    assert form.s1_adj.is_integral
+    assert [args[0] for args in snf] == [lat.gram]
+
+
+def test_extended_form_takes_no_rational_inverse(monkeypatch):
+    inverted = helpers.record_calls(monkeypatch, "inverse")
+    for name in ("A2", "D4", "E8", "3A1"):
+        ExtendedForm(root_lattice(name))
+    assert inverted == []
+
+
+def test_lift_refuses_unreduced_classes():
+    lat = root_lattice("A2")
+    for bad in ((3,), (-1,), (True,), (Fraction(1),), (1, 0), ()):
+        with pytest.raises(ValueError):
+            lat.lift(bad)
+    # a trivial discriminant group lifts to the zero vector
+    assert root_lattice("E8").lift(()) == (0,) * 8
+
+
+def test_positive_definite_once_and_from_summands(monkeypatch):
+    rng = random.Random(67)
+    small = [Matrix([[2, 1], [1, 4]]), Matrix([[2, 1], [1, -2]]),
+             Matrix([[4, -1], [-1, 2]]), Matrix([[0, 1], [1, 0]])]
+    names = ["A1", "A2", "A4", "D4", "E6"]
+    seen = set()
+    for _ in range(30):
+        parts = [root_lattice(rng.choice(names)) if rng.random() < 0.6
+                 else EvenLattice(rng.choice(small)) for _ in range(rng.randint(1, 4))]
+        lat = direct_sum(*parts)
+        seen.add(lat.is_positive_definite)
+        assert lat.is_positive_definite == is_positive_definite(lat.gram)
+    assert seen == {True, False}
+    indefinite = direct_sum(root_lattice("A2"), EvenLattice(Matrix([[2, 1], [1, -2]])))
+    assert not indefinite.is_positive_definite
+    assert not is_positive_definite(indefinite.gram)
+    # one Sylvester pass per summand, none on the block Gram, none repeated
+    passes = helpers.record_calls(monkeypatch, "is_positive_definite")
+    a, b = root_lattice("A3"), root_lattice("D4")
+    lat = direct_sum(a, b)
+    assert lat.is_positive_definite and lat.is_positive_definite
+    assert a.is_positive_definite
+    assert [args[0] for args in passes] == [a.gram, b.gram]

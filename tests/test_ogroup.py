@@ -332,6 +332,49 @@ def test_base_reflection():
         base_reflection(A2.base, (2, 0))  # norm 8
 
 
+def test_vectors_are_read_as_integers_or_refused():
+    # a float is not truncated and a bool is no integer entry; an integral
+    # Fraction is read as its integer, as Matrix reads it
+    for v in ((1.7, 0.2), (1.0, 0), (True, 0), (Fraction(1, 2), 0)):
+        with pytest.raises(ValueError):
+            base_reflection(A2.base, v)
+    assert base_reflection(A2.base, (Fraction(1), 0)) == Matrix([[-1, 1], [0, 1]])
+    for lam in ((True, 0, 0, 0), (1.0, 0, 0, 0), (0, 0.5, 0, 0),
+                (0, Fraction(1, 2), 0, 0)):
+        with pytest.raises(ValueError):
+            A2.transvection(lam)
+        with pytest.raises(ValueError):
+            A2.dual_transvection(lam)
+    lam = (Fraction(2), 0, 0, 1)
+    assert A2.transvection(lam) == A2.transvection((2, 0, 0, 1))
+    assert A2.dual_transvection(lam).word == (("T*", (2, 0, 0, 1)),)
+    e0 = (1, 0, 0, 0, 0, 0)
+    for h in ((True, 0, 0, 0, 0, 0), (1.0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0.0)):
+        with pytest.raises(ValueError):
+            A2.is_primitive_isotropic(h)
+        with pytest.raises(ValueError):
+            A2.complete_isotropic(h)
+    assert A2.is_primitive_isotropic((Fraction(1),) + e0[1:])
+    assert A2.complete_isotropic((Fraction(1),) + e0[1:]).matrix.col(0) == e0
+
+
+def test_embed_rotation_is_a_member_by_construction(monkeypatch):
+    rot = base_reflection(A2.base, (1, 0)) @ base_reflection(A2.base, (0, 1))
+    classified = helpers.count_calls(monkeypatch, "classify_witness")
+    g = A2.embed_rotation(rot)
+    neg = A2.embed_rotation(-Matrix.identity(2))
+    assert classified == []
+    # oracle: the block matrix written out, and its full classification; a
+    # Weyl rotation acts trivially on dual/lattice, -1 does not on Z/3
+    for elem, q, level in ((g, rot, Membership.DISCRIMINANT_KERNEL),
+                           (neg, -Matrix.identity(2), Membership.INTEGRAL_SPECIAL_PLUS)):
+        dense = [[int(i == j) for j in range(6)] for i in range(6)]
+        for i in range(2):
+            dense[2 + i][2:4] = q.row(i)
+        assert elem.matrix == Matrix(dense) and elem.matrix.is_integral
+        assert A2.classify(elem.matrix) == level
+
+
 # ------------------------------------------------------------------ completion
 
 

@@ -21,9 +21,9 @@ from evenlat import (
 )
 
 
-def q_from_lift(lat, mod, x) -> Fraction:
+def q_from_lift(lat, x) -> Fraction:
     """Independent q: half the source norm of the lift, reduced mod 1."""
-    v = mod.lift(x)
+    v = lat.lift(x)
     total = Fraction(0)
     for i in range(lat.rank):
         for j in range(lat.rank):
@@ -37,28 +37,12 @@ def q_from_lift(lat, mod, x) -> Fraction:
 
 def test_divisor_chain_enforced():
     with pytest.raises(ValueError):
-        FiniteQuadraticModule((2, 3), [(Fraction(1, 2),), (Fraction(1, 3),)],
-                              Matrix([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]))
+        FiniteQuadraticModule(
+            (2, 3), Matrix([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]))
     with pytest.raises(ValueError):
-        FiniteQuadraticModule((1,), [(Fraction(1, 1),)], Matrix([[1]]))
-    with pytest.raises(ValueError):  # one lift per divisor
-        FiniteQuadraticModule((2,), [], Matrix.zeros(0, 0))
-
-
-def test_lifts_are_reduced_mod_one():
-    # A1: Z/2 generated by the class of 1/2; any rational lift of it is
-    # reduced into [0, 1), and a Fraction already there is kept as given
-    half = Fraction(1, 2)
-    for lift in (Fraction(-1, 2), Fraction(5, 2), Fraction(-7, 2), 0.5, half):
-        mod = FiniteQuadraticModule((2,), [(lift,)], Matrix([[half]]))
-        assert mod.generator_lifts == ((half,),)
-        assert type(mod.generator_lifts[0][0]) is Fraction
-    kept = FiniteQuadraticModule((2,), [(half,)], Matrix([[half]]))
-    assert kept.generator_lifts[0][0] is half
-    # integral lifts reduce to Fraction(0), on a 2-dimensional source
-    mod = FiniteQuadraticModule((2,), [(3, Fraction(-3, 2))], Matrix([[half]]))
-    assert mod.generator_lifts == ((Fraction(0), half),)
-    assert all(type(x) is Fraction for x in mod.generator_lifts[0])
+        FiniteQuadraticModule((1,), Matrix([[1]]))
+    with pytest.raises(ValueError):  # one lift Gram row per divisor
+        FiniteQuadraticModule((2,), Matrix.zeros(0, 0))
 
 
 def test_element_validation():
@@ -78,7 +62,7 @@ def test_a1_module_frozen():
     assert mod.order == 2
     assert mod.q_value((1,)) == Fraction(1, 4)
     assert mod.q_value((0,)) == 0
-    assert mod.lift((1,)) == (Fraction(1, 2),)
+    assert root_lattice("A1").lift((1,)) == (Fraction(1, 2),)
     assert mod.is_anisotropic()
 
 
@@ -99,7 +83,7 @@ def test_q_matches_lift_oracle_sweep():
         elems = list(mod.elements())
         for _ in range(12):
             x = rng.choice(elems)
-            assert mod.q_value(x) == q_from_lift(lat, mod, x)
+            assert mod.q_value(x) == q_from_lift(lat, x)
 
 
 def test_group_operations():

@@ -5,7 +5,9 @@ lift Gram, the per-prime anisotropy scan and the orthogonality-pruned glue
 search:
 
 * lift Gram: lifts V[:, i]/d_i reduced into [0, 1), and their Gram matrix
-  summed entry by entry over ``Fraction``;
+  summed entry by entry over ``Fraction``; ``EvenLattice.lift`` of each
+  generator must give those lifts;
+* adjugate: ``inverse`` (Gauss-Jordan over ``Fraction``) times |det S|;
 * anisotropy: a scan over every element of the module;
 * glue search: the depth-first search that builds the closure of each
   candidate, tests every new element for isotropy, and rescans all
@@ -24,7 +26,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from evenlat import (
-    EvenLattice, Matrix, det, direct_sum, root_lattice, smith_normal_form,
+    EvenLattice, Matrix, det, direct_sum, inverse, root_lattice,
+    smith_normal_form,
 )
 
 # discriminant order and rank of each irreducible component
@@ -123,8 +126,12 @@ def oracle_glue(mod):
 def check_against_oracles(lat):
     mod = lat.discriminant_group()
     lifts, gram = oracle_lifts_and_gram(lat)
-    assert mod.generator_lifts == lifts
+    k = len(mod.divisors)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    assert tuple(lat.lift(e) for e in units) == lifts
     assert mod.lift_gram == gram
+    # the Smith-form adjugate against the Gauss-Jordan inverse
+    assert lat.adjugate == inverse(lat.gram) * abs(lat.determinant)
     assert mod.is_anisotropic() == oracle_anisotropic(mod)
     got = [(g.generators, g.elements()) for g in mod.maximal_isotropic_subgroups()]
     assert got == oracle_glue(mod)
