@@ -16,11 +16,8 @@ The package provides, with no floating point anywhere:
 
 from .matrices import (
     Matrix,
-    SingularMatrixError,
     det,
-    inverse,
     is_positive_definite,
-    signature,
     smith_normal_form,
 )
 from .quadmod import (
@@ -48,7 +45,6 @@ from .ogroup import (
     ExtendedForm,
     GroupElement,
     Membership,
-    has_single_cusp,
 )
 from .cosets import (
     HatEmbedding,
@@ -65,11 +61,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Matrix",
-    "SingularMatrixError",
     "det",
-    "inverse",
     "is_positive_definite",
-    "signature",
     "smith_normal_form",
     "MAX_GLUE_ORDER",
     "MAX_ORDER",
@@ -89,7 +82,6 @@ __all__ = [
     "ExtendedForm",
     "GroupElement",
     "Membership",
-    "has_single_cusp",
     "HatEmbedding",
     "HypothesisViolation",
     "ScaledOrthogonal",

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattices import LatticeEmbedding
-from .matrices import Matrix, det, inverse, vec_gcd
+from .matrices import Matrix, det, vec_gcd
 from .ogroup import ExtendedForm, GroupElement, Membership
 from .quadmod import MAX_ORDER, is_maximal_even
 
@@ -338,9 +338,11 @@ class HatEmbedding:
             for j in range(n):
                 rows[2 + i][2 + j] = emb.matrix[i, j]
         self.matrix = Matrix(rows)
-        self._inv = inverse(self.matrix)
-        if self.matrix.T @ self.sup_form.s1 @ self.matrix != self.sub_form.s1:
+        sub, sup = self.sub_form, self.sup_form
+        if self.matrix.T @ sup.s1 @ self.matrix != sub.s1:
             raise AssertionError("hat embedding fails to transport the form")
+        # the transport identity inverts the matrix: S1_sub^{-1} H^t S1_sup
+        self._inv = sub.s1_adj @ self.matrix.T @ sup.s1 * Fraction(1, sub.s1_det)
 
     def push(self, m) -> Matrix:
         """Conjugate a small-form matrix into (possibly rational) big-form terms."""

@@ -17,16 +17,15 @@ from functools import cached_property
 from math import prod
 from operator import mul
 
-from .matrices import Matrix, det, is_positive_definite, smith_normal_form
+from .matrices import Matrix, _bareiss, det, smith_normal_form
 from .quadmod import FiniteQuadraticModule, GlueGroup
 
 
 class EvenLattice:
     """Z^n with an exact, nondegenerate, even Gram matrix."""
 
-    def __init__(self, gram: Matrix, name: str = "", *, _determinant=None,
-                 _positive_definite=None):
-        # _determinant, _positive_definite: known facts, as direct_sum has them
+    def __init__(self, gram: Matrix, name: str = "", *, _known=None):
+        # _known: (determinant, positive definite), as direct_sum has them
         if not isinstance(gram, Matrix):
             gram = Matrix(gram)
         if not gram.is_square:
@@ -37,25 +36,19 @@ class EvenLattice:
             raise ValueError("Gram matrix must be symmetric")
         if any(gram[i, i] % 2 for i in range(gram.nrows)):
             raise ValueError("Gram diagonal must be even")
-        d = det(gram) if _determinant is None else _determinant
+        # one Bareiss pass gives both; positive definite is Sylvester's test
+        d, pd = _bareiss(gram.rows) if _known is None else _known
         if d == 0:
             raise ValueError("Gram matrix must be nondegenerate")
         self.gram = gram
         self.name = name
         self.determinant = d
-        self._pd = _positive_definite
+        self.is_positive_definite = pd
         self._disc = None
 
     @property
     def rank(self) -> int:
         return self.gram.nrows
-
-    @property
-    def is_positive_definite(self) -> bool:
-        """Sylvester's test, run once per lattice."""
-        if self._pd is None:
-            self._pd = is_positive_definite(self.gram)
-        return self._pd
 
     def inner(self, u, v) -> int:
         return sum(a * b for a, b in zip(self.gram @ tuple(v), u))
@@ -191,8 +184,8 @@ def direct_sum(*lattices: EvenLattice) -> EvenLattice:
         lat.name for lat in lattices) else ""
     return EvenLattice(
         Matrix(rows), name=name,
-        _determinant=prod(lat.determinant for lat in lattices),
-        _positive_definite=all(lat.is_positive_definite for lat in lattices))
+        _known=(prod(lat.determinant for lat in lattices),
+                all(lat.is_positive_definite for lat in lattices)))
 
 
 def overlattice_from_glue(lat: EvenLattice, glue: GlueGroup):

@@ -4,12 +4,12 @@ Everything here is pure Python on int and fractions.Fraction, so results are
 exact by construction. Matrices are immutable; all mutating algorithms work on
 private list-of-list copies. Integer input stays on integer paths: products,
 sums, negation, transposes and integer scalings of integral matrices are
-computed on plain ints and skip the per-entry normalisation, and the
-determinant and the definiteness test use fraction-free Bareiss elimination,
-which keeps intermediate entries polynomial in size, and the Smith normal form
-can return the inverse of its column transform, so callers that need V^{-1}
-get it as an integer matrix with no rational Gauss-Jordan pass. ``inverse`` is
-for answers that are rational by nature.
+computed on plain ints and skip the per-entry normalisation. The determinant
+and the definiteness test share one fraction-free Bareiss pass, which keeps
+intermediate entries polynomial in size, and the Smith normal form can return
+the inverse of its column transform as an integer matrix. Nothing here inverts
+over the rationals: callers invert through an integral adjugate and one exact
+division.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from operator import add, mul, neg
 from typing import Iterable, Sequence, Union
 
 Entry = Union[int, Fraction]
-
-
-class SingularMatrixError(ValueError):
-    """Raised when an exact inverse of a singular matrix is requested."""
 
 
 def _norm(x) -> Entry:
@@ -219,141 +215,62 @@ def denominator_lcm(entries: Iterable[Entry]) -> int:
     return out
 
 
-def det(a: Matrix):
-    """Exact determinant of a square matrix, by Bareiss elimination.
+def _bareiss(rows) -> tuple:
+    """(determinant, positive definite) of a square integer matrix, in one pass.
 
-    Fraction-free on integral input: every intermediate division is exact,
-    entries stay integers of bit size linear in n. Rational input is scaled
-    to integers first; the result is an int whenever it is integral.
+    Fraction-free elimination: every division is exact and entries stay
+    integers of bit size linear in n. Until the first row swap the pivot at
+    step k is the leading principal minor of order k+1, so a non-positive
+    pivot or a swap (a zero minor) means "not positive definite"; that answer
+    is Sylvester's test when the matrix is symmetric.
     """
-    if not a.is_square:
-        raise ValueError("determinant needs a square matrix")
-    if not a.is_integral:
-        den = denominator_lcm(x for row in a.rows for x in row)
-        scaled = Matrix([[int(Fraction(x) * den) for x in row] for row in a.rows])
-        out = Fraction(det(scaled), den**a.nrows)
-        return int(out) if out.denominator == 1 else out
-    n = a.nrows
+    n = len(rows)
     if n == 0:
-        return 1
-    m = [list(r) for r in a.rows]
+        return 1, True
+    m = [list(r) for r in rows]
     sign = 1
     prev = 1
+    pd = True
     for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+        if m[k][k] <= 0:
+            pd = False
+            if m[k][k] == 0:
+                i = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+                if i is None:
+                    return 0, False
+                m[k], m[i] = m[i], m[k]
+                sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    d = sign * m[n - 1][n - 1]
+    return d, pd and d > 0
+
+
+def det(a: Matrix):
+    """Exact determinant of a square matrix, by Bareiss elimination.
+
+    Rational input is scaled to integers first; the result is an int
+    whenever it is integral.
+    """
+    if not a.is_square:
+        raise ValueError("determinant needs a square matrix")
+    if a.is_integral:
+        return _bareiss(a.rows)[0]
+    den = denominator_lcm(x for row in a.rows for x in row)
+    out = Fraction(_bareiss([[int(x * den) for x in row] for row in a.rows])[0],
+                   den**a.nrows)
+    return int(out) if out.denominator == 1 else out
 
 
 def is_positive_definite(a: Matrix) -> bool:
-    """Sylvester test for a symmetric integral matrix.
-
-    The Bareiss pivot before step k equals the leading principal minor of
-    order k+1, so one elimination pass reads off all n minors.
-    """
+    """Sylvester test for a symmetric integral matrix: all leading minors > 0."""
     if not a.is_symmetric:
         raise ValueError("definiteness test needs a symmetric matrix")
     if not a.is_integral:
         raise ValueError("matrix has non-integer entries")
-    n = a.nrows
-    m = [list(r) for r in a.rows]
-    prev = 1
-    for k in range(n):
-        if m[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return True
-
-
-def signature(a: Matrix) -> tuple:
-    """(positive, negative, zero) inertia of a symmetric rational matrix.
-
-    Symmetric Gaussian congruence with exact rationals; Sylvester's law makes
-    the count basis independent.
-    """
-    if not a.is_symmetric:
-        raise ValueError("signature needs a symmetric matrix")
-    n = a.nrows
-    m = [[Fraction(x) for x in r] for r in a.rows]
-    pos = neg = 0
-    t = 0
-    while t < n:
-        piv = next((k for k in range(t, n) if m[k][k] != 0), None)
-        if piv is None:
-            spot = next(
-                (
-                    (i, j)
-                    for i in range(t, n)
-                    for j in range(i + 1, n)
-                    if m[i][j] != 0
-                ),
-                None,
-            )
-            if spot is None:
-                break  # remaining block is zero
-            i, j = spot
-            # symmetric op: row/col i += row/col j creates 2*m[i][j] on the diagonal
-            for k in range(n):
-                m[i][k] += m[j][k]
-            for k in range(n):
-                m[k][i] += m[k][j]
-            piv = i
-        if piv != t:
-            m[piv], m[t] = m[t], m[piv]
-            for row in m:
-                row[piv], row[t] = row[t], row[piv]
-        p = m[t][t]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(t + 1, n):
-            f = m[i][t] / p
-            if f:
-                for k in range(n):
-                    m[i][k] -= f * m[t][k]
-                for k in range(n):
-                    m[k][i] -= f * m[k][t]
-        t += 1
-    return (pos, neg, n - pos - neg)
-
-
-def inverse(a: Matrix) -> Matrix:
-    """Exact rational inverse by Gauss-Jordan elimination.
-
-    Raises SingularMatrixError when no inverse exists.
-    """
-    if not a.is_square:
-        raise ValueError("inverse needs a square matrix")
-    n = a.nrows
-    m = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(a.rows)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        m[k], m[piv] = m[piv], m[k]
-        p = m[k][k]
-        m[k] = [x / p for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k]:
-                f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return Matrix([row[n:] for row in m])
+    return _bareiss(a.rows)[1]
 
 
 def smith_normal_form(a: Matrix, *, with_v_inverse: bool = False):

@@ -32,7 +32,6 @@ from operator import mul
 
 from .lattices import EvenLattice
 from .matrices import Matrix, det, vec_gcd
-from .quadmod import MAX_ORDER, is_maximal_even
 
 _COMPLETION_CAP = 10000
 
@@ -242,27 +241,34 @@ class ExtendedForm:
     #   T*(lam)  I + b e0^t + e_last (-q, -S0 lam, 0)^t  (Eichler transvections).
     # _act applies one to a vector in O(d); no dense token matrix is built.
 
+    def _token(self, tok) -> tuple:
+        """tok with its vector as ints; a malformed token raises ValueError."""
+        if tok[0] == "J":
+            return tok
+        kind, lam = tok
+        if kind not in ("T", "T*"):
+            raise ValueError(f"unknown token {tok!r}")
+        lam = _int_vec(lam)
+        if len(lam) != self.n + 2:
+            raise ValueError("transvection vector must be integral of length n+2")
+        return (kind, lam)
+
     def _token_parts(self, tok) -> tuple:
-        """(kind, lam, S0 lam, q) of a token, validated."""
+        """(kind, lam, S0 lam, q) of a token that _token has checked."""
         if tok[0] == "J":
             return ("J", None, None, 0)
         kind, lam = tok
-        if len(lam) != self.n + 2 or any(
-                isinstance(x, bool) or not isinstance(x, int) for x in lam):
-            raise ValueError("transvection vector must be integral of length n+2")
-        if kind not in ("T", "T*"):
-            raise ValueError(f"unknown token {tok!r}")
         slam = [sum(map(mul, r, lam)) for r in self.s0.rows]
         return (kind, lam, slam, sum(map(mul, lam, slam)) // 2)
 
     def _apply_token(self, tok, v) -> list:
         """tok @ v for an integral column vector, in O(d)."""
         out = list(v)
-        _act(self._token_parts(tok), out, row=False)
+        _act(self._token_parts(self._token(tok)), out, row=False)
         return out
 
     def _times_tokens(self, m: Matrix, word) -> Matrix:
-        """m @ t_1 @ ... @ t_k for an integral m, in O(k d^2)."""
+        """m @ t_1 @ ... @ t_k for an integral m and checked tokens, in O(k d^2)."""
         rows = [list(r) for r in m.rows]
         for tok in word:
             parts = self._token_parts(tok)
@@ -275,19 +281,19 @@ class ExtendedForm:
 
     def involution(self) -> GroupElement:
         """Swaps the two hyperbolic pairs (with signs); squares to the identity."""
-        return self.identity()._times_word((("J",),))
+        return self.element_from_word((("J",),))
 
     def transvection(self, lam) -> GroupElement:
         """Unipotent element translating the second isotropic line by lam."""
-        return self.identity()._times_word((("T", _int_vec(lam)),))
+        return self.element_from_word((("T", lam),))
 
     def dual_transvection(self, lam) -> GroupElement:
         """Mirror unipotent element translating the first isotropic line by lam."""
-        return self.identity()._times_word((("T*", _int_vec(lam)),))
+        return self.element_from_word((("T*", lam),))
 
     def element_from_word(self, word) -> GroupElement:
         """Left-to-right product of generator tokens, each validated."""
-        return self.identity()._times_word(word)
+        return self.identity()._times_word(tuple(map(self._token, word)))
 
     def embed_rotation(self, q) -> GroupElement:
         """Extend a special isometry of the base lattice by identity corners."""
@@ -529,17 +535,6 @@ class ExtendedForm:
         if out.matrix @ tuple(h_from) != tuple(h_to):
             raise AssertionError("transporter failed to map the vectors")
         return out
-
-
-def has_single_cusp(form: ExtendedForm, max_order: int = MAX_ORDER) -> bool:
-    """Whether the primitive isotropic dual vectors form a single orbit.
-
-    The orbits of primitive isotropic vectors of the extended dual lattice
-    under the discriminant kernel collapse to one exactly when the base
-    lattice admits no proper even overlattice, so the verdict is computed
-    from anisotropy of the base discriminant form.
-    """
-    return is_maximal_even(form.base, max_order)
 
 
 def base_reflection(lat: EvenLattice, v) -> Matrix:

@@ -1,6 +1,7 @@
 """Shared fixtures and samplers for the test suite."""
 
 import sys
+from fractions import Fraction
 
 import evenlat
 from evenlat import ExtendedForm, Matrix
@@ -134,3 +135,89 @@ def word_rows(form: ExtendedForm, word, start=None):
     for tok in word:
         m = list_matmul(m, token_rows(form, tok))
     return m
+
+
+# -- rational linear algebra, kept as oracles for the integer paths ---------
+# Gauss-Jordan inverse and symmetric congruence over Fraction; the library
+# computes neither.
+
+
+class SingularMatrixError(ValueError):
+    """Raised when an exact inverse of a singular matrix is requested."""
+
+
+def inverse(a: Matrix) -> Matrix:
+    """Exact rational inverse by Gauss-Jordan elimination.
+
+    Raises SingularMatrixError when no inverse exists.
+    """
+    if not a.is_square:
+        raise ValueError("inverse needs a square matrix")
+    n = a.nrows
+    m = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(a.rows)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        m[k], m[piv] = m[piv], m[k]
+        p = m[k][k]
+        m[k] = [x / p for x in m[k]]
+        for i in range(n):
+            if i != k and m[i][k]:
+                f = m[i][k]
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return Matrix([row[n:] for row in m])
+
+
+def signature(a: Matrix) -> tuple:
+    """(positive, negative, zero) inertia of a symmetric rational matrix.
+
+    Symmetric Gaussian congruence with exact rationals; Sylvester's law makes
+    the count basis independent.
+    """
+    if not a.is_symmetric:
+        raise ValueError("signature needs a symmetric matrix")
+    n = a.nrows
+    m = [[Fraction(x) for x in r] for r in a.rows]
+    pos = neg = 0
+    t = 0
+    while t < n:
+        piv = next((k for k in range(t, n) if m[k][k] != 0), None)
+        if piv is None:
+            spot = next(
+                (
+                    (i, j)
+                    for i in range(t, n)
+                    for j in range(i + 1, n)
+                    if m[i][j] != 0
+                ),
+                None,
+            )
+            if spot is None:
+                break  # remaining block is zero
+            i, j = spot
+            # symmetric op: row/col i += row/col j creates 2*m[i][j] on the diagonal
+            for k in range(n):
+                m[i][k] += m[j][k]
+            for k in range(n):
+                m[k][i] += m[k][j]
+            piv = i
+        if piv != t:
+            m[piv], m[t] = m[t], m[piv]
+            for row in m:
+                row[piv], row[t] = row[t], row[piv]
+        p = m[t][t]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(t + 1, n):
+            f = m[i][t] / p
+            if f:
+                for k in range(n):
+                    m[i][k] -= f * m[t][k]
+                for k in range(n):
+                    m[k][i] -= f * m[k][t]
+        t += 1
+    return (pos, neg, n - pos - neg)

@@ -18,7 +18,6 @@ from evenlat import (
     Matrix,
     Membership,
     a_generator_class,
-    inverse,
     make_scaled,
     normalizer_certificate,
     overlattice_from_glue,
@@ -177,7 +176,7 @@ def test_ac08_inverse_formula_and_block_pattern():
         form = forms[i % len(forms)]
         d = form.dim
         mid = range(1, d - 1)
-        s0inv = inverse(form.s0)
+        s0inv = helpers.inverse(form.s0)
         g = helpers.random_element(form, rng, max_len=5)
         m = g.matrix
         inv = form.orthogonal_inverse(m)

@@ -32,6 +32,7 @@ from evenlat import (
 )
 from evenlat.cosets import DoubleCosetForm, RightCosetForm
 from evenlat.matrices import vec_gcd
+from evenlat.ogroup import base_reflection
 
 A2 = ExtendedForm(root_lattice("A2"))
 X = helpers.corner_scaling(6, 2)  # diag(4, 2, 2, 2, 2, 1) over the A2 form
@@ -469,6 +470,41 @@ def test_max_extension_member_levels(glued):
         Matrix([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     )
     assert max_extension_member(glued, cyc) == Membership.INTEGRAL_SPECIAL_PLUS
+
+
+@pytest.fixture(scope="module")
+def d8_plus():
+    lat = root_lattice("D8")
+    glue = lat.discriminant_group().maximal_isotropic_subgroups()[0]
+    _, emb = overlattice_from_glue(lat, glue)
+    return HatEmbedding(emb)
+
+
+def _hat_samples(form, rng):
+    """A random kernel word and a product of two or four root reflections."""
+    lat = form.base
+    n = lat.rank
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    roots = [v for v in units + [tuple(a + s * b for a, b in zip(u, w))
+                                 for u in units for w in units if u < w
+                                 for s in (1, -1)]
+             if lat.norm(v) == 2]
+    q = Matrix.identity(n)
+    for _ in range(2 * rng.randint(1, 2)):
+        q = q @ base_reflection(lat, rng.choice(roots))
+    return helpers.random_element(form, rng, max_len=4), form.embed_rotation(q)
+
+
+def test_hat_inverse_matches_gauss_jordan(glued, d8_plus):
+    # push and pull against the Gauss-Jordan inverse of the hat matrix
+    rng = random.Random(97)
+    for hat in (glued, d8_plus):
+        h, inv = hat.matrix, helpers.inverse(hat.matrix)
+        for _ in range(6):
+            for g in _hat_samples(hat.sub_form, rng):
+                assert hat.push(g) == h @ g.matrix @ inv
+            for g in _hat_samples(hat.sup_form, rng):
+                assert hat.pull(g) == inv @ g.matrix @ h
 
 
 def test_hat_identity_embedding():

@@ -6,8 +6,9 @@ standard output, byte for byte, with ``golden/<case>.json`` and
 ``golden/<case>.txt``. The table outputs were written by the CLI before
 ``reduce`` and ``complete`` stopped re-verifying library results. The JSON
 outputs were written by the CLI before the integer-only group core replaced
-the ``Fraction`` kernel gate and inverse, so they pin that refactors keep
-every reported value, witness and generator word. The ``overlattices``
+the kernel gate over ``Fraction`` and the Gauss-Jordan inverse of S1 (the
+library keeps neither; ``test_ogroup_oracle`` checks against both), so they
+pin that refactors keep every reported value, witness and generator word. The ``overlattices``
 cases on 3D4, 8A1, 4A2, 2D4 and D24+ and the ``analyze`` cases on
 ``[[510510]]`` (seven primes), 12A2, 16A1 and a Gram with 2-, 3- and
 5-parts were written by the ``Fraction`` discriminant-form layer, before

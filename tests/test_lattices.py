@@ -6,6 +6,7 @@ arithmetically from the summands rather than through the module under test.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from evenlat import (
     a_generator_class,
     det,
     direct_sum,
-    inverse,
     is_maximal_even,
     is_positive_definite,
     overlattice_from_glue,
@@ -88,7 +88,7 @@ def test_element_from_dual_is_additive():
     rng = random.Random(31)
     lat = root_lattice("D4")
     disc = lat.discriminant_group()
-    sinv = inverse(lat.gram)
+    sinv = helpers.inverse(lat.gram)
 
     def random_dual():
         # integer combination of the dual basis (columns of the inverse Gram)
@@ -148,8 +148,8 @@ def test_direct_sum_q_additive_via_duals():
     a, b = root_lattice("A3"), root_lattice("D4")
     both = direct_sum(a, b)
     da, db, dd = (x.discriminant_group() for x in (a, b, both))
-    ia = inverse(a.gram)
-    ib = inverse(b.gram)
+    ia = helpers.inverse(a.gram)
+    ib = helpers.inverse(b.gram)
     for _ in range(25):
         u = tuple((ia @ tuple(rng.randint(-2, 2) for _ in range(a.rank))))
         v = tuple((ib @ tuple(rng.randint(-2, 2) for _ in range(b.rank))))
@@ -268,11 +268,16 @@ def test_one_smith_form_serves_every_map(monkeypatch):
     assert [args[0] for args in snf] == [lat.gram]
 
 
-def test_extended_form_takes_no_rational_inverse(monkeypatch):
-    inverted = helpers.record_calls(monkeypatch, "inverse")
+def test_extended_form_takes_no_rational_inverse():
+    # no module of the library defines a Gauss-Jordan inverse or a rational
+    # congruence to call; the form inverts S1 through its integral adjugate
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "evenlat":
+            assert not hasattr(mod, "inverse") and not hasattr(mod, "signature"), key
     for name in ("A2", "D4", "E8", "3A1"):
-        ExtendedForm(root_lattice(name))
-    assert inverted == []
+        form = ExtendedForm(root_lattice(name))
+        assert form.s1_adj.is_integral
+        assert form.s1_adj @ form.s1 == Matrix.identity(form.dim) * form.s1_det
 
 
 def test_lift_refuses_unreduced_classes():
@@ -300,10 +305,18 @@ def test_positive_definite_once_and_from_summands(monkeypatch):
     indefinite = direct_sum(root_lattice("A2"), EvenLattice(Matrix([[2, 1], [1, -2]])))
     assert not indefinite.is_positive_definite
     assert not is_positive_definite(indefinite.gram)
-    # one Sylvester pass per summand, none on the block Gram, none repeated
-    passes = helpers.record_calls(monkeypatch, "is_positive_definite")
+    # one Bareiss pass per summand gives its determinant and definiteness
+    # together; none runs on the block Gram, and none is repeated
+    passes = helpers.record_calls(monkeypatch, "_bareiss")
     a, b = root_lattice("A3"), root_lattice("D4")
     lat = direct_sum(a, b)
     assert lat.is_positive_definite and lat.is_positive_definite
-    assert a.is_positive_definite
-    assert [args[0] for args in passes] == [a.gram, b.gram]
+    assert a.is_positive_definite and b.is_positive_definite
+    assert lat.determinant == a.determinant * b.determinant == 16
+    assert ExtendedForm(lat).s1_det == 16
+    assert [args[0] for args in passes] == [a.gram.rows, b.gram.rows]
+    # a lattice built from a Gram runs exactly one pass for both facts
+    passes.clear()
+    hyp = EvenLattice(Matrix([[0, 1], [1, 0]]))
+    assert hyp.determinant == -1 and not hyp.is_positive_definite
+    assert [args[0] for args in passes] == [hyp.gram.rows]

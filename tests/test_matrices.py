@@ -2,7 +2,9 @@
 
 Frozen values below were computed by hand (cofactor expansions, adjugates);
 the sweeps check the defining identities, which determine each result
-uniquely (Smith divisors, inverses, inertia are all canonical).
+uniquely (Smith divisors, inverses, inertia are all canonical). The rational
+``inverse`` and ``signature`` live in ``helpers`` as oracles for the integer
+paths; they are checked here too.
 """
 
 import random
@@ -10,16 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from evenlat import (
-    Matrix,
-    SingularMatrixError,
-    det,
-    inverse,
-    is_positive_definite,
-    signature,
-    smith_normal_form,
-)
-from evenlat.matrices import denominator_lcm, vec_gcd
+from helpers import SingularMatrixError, inverse, signature
+from evenlat import Matrix, det, is_positive_definite, smith_normal_form
+from evenlat.matrices import _bareiss, denominator_lcm, vec_gcd
 
 A2 = Matrix([[2, -1], [-1, 2]])
 
@@ -269,12 +264,34 @@ def test_positive_definite():
 
 
 def test_positive_definite_matches_signature_sweep():
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(505)
+    inputs = []
     for _ in range(60):
         n = rng.randint(1, 4)
         g = random_int_matrix(rng, n, lo=-3, hi=3)
-        s = g + g.T
-        assert is_positive_definite(s) == (signature(s) == (n, 0, 0))
+        inputs.append(g + g.T)
+    # nonsingular, but some leading minor is 0: the hyperbolic plane's first
+    # index to enter the leading block pairs with nothing there, so the pass
+    # must swap rows
+    blocks = [A2, Matrix([[2, 1], [1, -2]]), Matrix([[-2]]), Matrix([[4]]),
+              Matrix([[0, 1], [1, 0]])]
+    for _ in range(30):
+        b = rng.choice(blocks)
+        k, n = b.nrows, b.nrows + 2
+        block = Matrix([[0, 1] + [0] * k, [1, 0] + [0] * k]
+                       + [[0, 0] + list(r) for r in b.rows])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        p = Matrix([[int(i == perm[j]) for j in range(n)] for i in range(n)])
+        s = p.T @ block @ p
+        assert any(det(s.submatrix(range(k), range(k))) == 0 for k in range(1, n))
+        inputs.append(s)
+    for s in inputs:
+        n = s.nrows
+        d, pd = _bareiss(s.rows)
+        assert d == det(s) == sympy.Matrix([list(r) for r in s.rows]).det()
+        assert pd == is_positive_definite(s) == (signature(s) == (n, 0, 0))
 
 
 # --------------------------------------------------------- smith normal form

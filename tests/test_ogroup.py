@@ -20,10 +20,8 @@ from evenlat import (
     Matrix,
     Membership,
     det,
-    has_single_cusp,
     is_maximal_even,
     root_lattice,
-    signature,
 )
 from evenlat.ogroup import base_reflection
 
@@ -51,7 +49,7 @@ def test_extended_gram_frozen_a1():
 def test_extended_gram_a2_and_signature():
     assert det(A2.s1) == 3
     for form, n in ((A1, 1), (A2, 2), (ExtendedForm(root_lattice("D4")), 4)):
-        assert signature(form.s1) == (2, n + 2, 0)
+        assert helpers.signature(form.s1) == (2, n + 2, 0)
         # the base block sits negated in the middle
         assert form.s1.submatrix(range(2, 2 + n), range(2, 2 + n)) == -(
             form.base.gram
@@ -339,15 +337,23 @@ def test_vectors_are_read_as_integers_or_refused():
         with pytest.raises(ValueError):
             base_reflection(A2.base, v)
     assert base_reflection(A2.base, (Fraction(1), 0)) == Matrix([[-1, 1], [0, 1]])
+    # a word token's vector is read the same way, as are its kind and length
     for lam in ((True, 0, 0, 0), (1.0, 0, 0, 0), (0, 0.5, 0, 0),
-                (0, Fraction(1, 2), 0, 0)):
-        with pytest.raises(ValueError):
-            A2.transvection(lam)
-        with pytest.raises(ValueError):
-            A2.dual_transvection(lam)
+                (0, Fraction(1, 2), 0, 0), (1, 0, 0)):
+        for kind, make in (("T", A2.transvection), ("T*", A2.dual_transvection)):
+            with pytest.raises(ValueError):
+                make(lam)
+            with pytest.raises(ValueError):
+                A2.element_from_word([(kind, lam)])
+    with pytest.raises(ValueError):
+        A2.element_from_word([("X", (1, 0, 0, 0))])
     lam = (Fraction(2), 0, 0, 1)
     assert A2.transvection(lam) == A2.transvection((2, 0, 0, 1))
     assert A2.dual_transvection(lam).word == (("T*", (2, 0, 0, 1)),)
+    # the word keeps the normalised ints
+    g = A2.element_from_word([("T", (Fraction(1), 0, 0, 0))])
+    t = A2.transvection((Fraction(1), 0, 0, 0))
+    assert g == t and g.word == t.word == (("T", (1, 0, 0, 0)),)
     e0 = (1, 0, 0, 0, 0, 0)
     for h in ((True, 0, 0, 0, 0, 0), (1.0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0.0)):
         with pytest.raises(ValueError):
@@ -478,18 +484,12 @@ def test_orbit_transporter():
 
 
 def test_single_cusp_frozen_cases():
-    assert has_single_cusp(ExtendedForm(root_lattice("E8"))) is True
-    assert has_single_cusp(A2) is True
-    assert has_single_cusp(ExtendedForm(root_lattice("4A1"))) is False
-
-
-def test_single_cusp_matches_maximality():
-    for name in ("A1", "A3", "A7", "D4", "D8", "E6", "2A1", "3A2"):
-        lat = root_lattice(name)
-        form = ExtendedForm(lat)
-        assert has_single_cusp(form) == is_maximal_even(lat), name
+    # one cusp exactly when the base of the form is maximal even
+    assert is_maximal_even(ExtendedForm(root_lattice("E8")).base) is True
+    assert is_maximal_even(A2.base) is True
+    assert is_maximal_even(ExtendedForm(root_lattice("4A1")).base) is False
 
 
 def test_single_cusp_cap():
     with pytest.raises(CapExceeded):
-        has_single_cusp(ExtendedForm(root_lattice("4A1")), max_order=3)
+        is_maximal_even(ExtendedForm(root_lattice("4A1")).base, max_order=3)

@@ -3,7 +3,7 @@
 Generator tokens are applied in closed form; they are checked against dense
 products of the token matrices written from their entry formulas in
 ``helpers``. The oracle below classifies with (M - I)·S1^{-1} over Fraction, with S1^{-1}
-from Gauss-Jordan elimination (``matrices.inverse``), as the library did
+from Gauss-Jordan elimination (``helpers.inverse``), as the library did
 before its kernel gate moved to the integral adjugate. The earlier gates are
 unchanged and are re-stated here only to reach the kernel gate in the same
 order. Inputs are random generator words, each also perturbed so that it
@@ -17,13 +17,13 @@ import pytest
 
 import helpers
 from evenlat import (
-    ExtendedForm, GroupElement, Matrix, Membership, det, inverse, root_lattice,
+    ExtendedForm, GroupElement, Matrix, Membership, det, root_lattice,
 )
 from evenlat.cosets import make_scaled, normalizer_certificate
 
 FORMS = {name: ExtendedForm(root_lattice(name))
          for name in ("A1", "A2", "D4", "E8", "A15")}
-S1_INV = {name: inverse(form.s1) for name, form in FORMS.items()}
+S1_INV = {name: helpers.inverse(form.s1) for name, form in FORMS.items()}
 GATES = ("form-congruence", "determinant", "orientation", "integrality",
          "kernel-congruence")
 

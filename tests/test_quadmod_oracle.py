@@ -7,7 +7,7 @@ search:
 * lift Gram: lifts V[:, i]/d_i reduced into [0, 1), and their Gram matrix
   summed entry by entry over ``Fraction``; ``EvenLattice.lift`` of each
   generator must give those lifts;
-* adjugate: ``inverse`` (Gauss-Jordan over ``Fraction``) times |det S|;
+* adjugate: ``helpers.inverse`` (Gauss-Jordan over ``Fraction``) times |det S|;
 * anisotropy: a scan over every element of the module;
 * glue search: the depth-first search that builds the closure of each
   candidate, tests every new element for isotropy, and rescans all
@@ -16,7 +16,7 @@ search:
 Inputs: every ADE sum of rank <= 8 whose discriminant order is <= 256, and
 ``hypothesis``-drawn even Grams of rank <= 4 with |det| <= 256. The Smith
 normal form, which both layers share, is checked for its identities and
-against ``sympy``'s invariant factors (``sympy`` is used here only).
+against ``sympy``'s invariant factors (``sympy`` is a test-only oracle).
 """
 
 from fractions import Fraction
@@ -25,9 +25,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from evenlat import (
-    EvenLattice, Matrix, det, direct_sum, inverse, root_lattice,
-    smith_normal_form,
+    EvenLattice, Matrix, det, direct_sum, root_lattice, smith_normal_form,
 )
 
 # discriminant order and rank of each irreducible component
@@ -131,7 +131,7 @@ def check_against_oracles(lat):
     assert tuple(lat.lift(e) for e in units) == lifts
     assert mod.lift_gram == gram
     # the Smith-form adjugate against the Gauss-Jordan inverse
-    assert lat.adjugate == inverse(lat.gram) * abs(lat.determinant)
+    assert lat.adjugate == helpers.inverse(lat.gram) * abs(lat.determinant)
     assert mod.is_anisotropic() == oracle_anisotropic(mod)
     got = [(g.generators, g.elements()) for g in mod.maximal_isotropic_subgroups()]
     assert got == oracle_glue(mod)
