@@ -356,7 +356,7 @@ def _add_lattice_options(p):
     )
 
 
-def _add_common_options(p):
+def _add_common_options(p, scans=False):
     p.add_argument(
         "--format", choices=("table", "json"), default="table",
         help="output format (default: table)",
@@ -365,10 +365,11 @@ def _add_common_options(p):
         "--timings", action="store_true",
         help="print elapsed wall time to stderr",
     )
-    p.add_argument(
-        "--max-order", type=int, default=MAX_ORDER,
-        help="cap on discriminant-group scans",
-    )
+    if scans:  # the commands that scan a discriminant group take its cap
+        p.add_argument(
+            "--max-order", type=int, default=MAX_ORDER,
+            help="cap on discriminant-group scans",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="discriminant form and maximality")
     _add_lattice_options(p)
-    _add_common_options(p)
+    _add_common_options(p, scans=True)
     p.add_argument(
         "--qtable-max", type=int, default=100,
         help="largest discriminant order for which the q table is printed",
@@ -389,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze, table=_table_analyze)
 
     p = sub.add_parser("atlas", help="maximality across an ADE family")
-    _add_common_options(p)
+    _add_common_options(p, scans=True)
     p.add_argument("--family", required=True, choices=("A", "D", "E"))
     p.add_argument("--min", type=int, default=1, help="smallest rank")
     p.add_argument("--max", type=int, required=True, help="largest rank")
@@ -397,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overlattices", help="maximal even overlattices")
     _add_lattice_options(p)
-    _add_common_options(p)
+    _add_common_options(p, scans=True)
     p.add_argument(
         "--max-glue-order", type=int, default=MAX_GLUE_ORDER,
         help="cap on discriminant order for glue enumeration",

@@ -73,7 +73,7 @@ class ScaledOrthogonal:
     @property
     def content(self) -> int:
         """gcd of all matrix entries."""
-        return vec_gcd(x for row in self.matrix.rows for x in row)
+        return vec_gcd(x for row in self.matrix.num for x in row)
 
     def is_canonical(self) -> bool:
         return self.content == 1
@@ -87,13 +87,16 @@ class ScaledOrthogonal:
         s = self.content
         if s == 1:
             return self
-        mat = Matrix([[x // s for x in row] for row in self.matrix.rows])
-        return ScaledOrthogonal(self.form, mat, self.ratio // (s * s), _trusted=True)
+        return ScaledOrthogonal(self.form, self.matrix * Fraction(1, s),
+                                self.ratio // (s * s), _trusted=True)
 
     def power(self, m: int) -> "ScaledOrthogonal":
+        # R^m scales S1 by ratio^m, with positive determinant and orientation,
+        # whenever R does: a member by construction, so it is not verified again
         if m < 1:
             raise ValueError("powers of scaled matrices are taken for m >= 1")
-        return ScaledOrthogonal(self.form, self.matrix**m, self.ratio**m)
+        return ScaledOrthogonal(self.form, self.matrix**m, self.ratio**m,
+                                _trusted=True)
 
     def __eq__(self, other):
         return (
@@ -304,7 +307,7 @@ def reduce_double_coset(x: ScaledOrthogonal) -> DoubleCosetForm:
     core = t.submatrix(range(1, d - 1), range(1, d - 1))
     if core.T @ form.s0 @ core != r * form.s0:
         raise AssertionError("core does not scale the middle form")
-    src_gcd = vec_gcd(v for row in x.matrix.rows for v in row)
+    src_gcd = vec_gcd(v for row in x.matrix.num for v in row)
     if alpha != src_gcd:
         raise AssertionError("corner gcd must equal the gcd of the input entries")
     if left.matrix @ x.matrix @ right.matrix != t:

@@ -37,7 +37,7 @@ class EvenLattice:
         if any(gram[i, i] % 2 for i in range(gram.nrows)):
             raise ValueError("Gram diagonal must be even")
         # one Bareiss pass gives both; positive definite is Sylvester's test
-        d, pd = _bareiss(gram.rows) if _known is None else _known
+        d, pd = _bareiss(gram.num) if _known is None else _known
         if d == 0:
             raise ValueError("Gram matrix must be nondegenerate")
         self.gram = gram
@@ -80,21 +80,23 @@ class EvenLattice:
         u, v, full, _, _ = self._smith
         dabs = abs(self.determinant)
         scale = [dabs // di for di in full]
-        return Matrix._from_ints(tuple(tuple(map(mul, row, scale))
-                                       for row in v.rows)) @ u
+        return Matrix._over(tuple(tuple(map(mul, row, scale))
+                                  for row in v.num)) @ u
 
     def discriminant_group(self) -> FiniteQuadraticModule:
         """The finite quadratic module on dual/lattice, built once and cached."""
         if self._disc is None:
             _, _, _, divs, w = self._smith
-            # lift_gram[a][b] = (w_a^t S w_b) / (d_a d_b), from one integer product
-            sw = [self.gram @ wi for wi in w]
-            lg = Matrix([
-                [Fraction(sum(map(mul, wa, swb)), da * db)
-                 for swb, db in zip(sw, divs)]
-                for wa, da in zip(w, divs)
-            ]) if w else Matrix.zeros(0, 0)
-            self._disc = FiniteQuadraticModule(divs, lg)
+            # lift_gram[a][b] = (w_a^t S w_b) / (d_a d_b), in integers over
+            # d_k^2; the products run over the nonzero entries of each w_i only
+            dk = divs[-1] if divs else 1
+            nz = [[(j, x) for j, x in enumerate(wi) if x] for wi in w]
+            sw = [[sum(x * row[j] for j, x in nzb) for row in self.gram.num]
+                  for nzb in nz]
+            lg = tuple(tuple(sum(x * swb[j] for j, x in nza) * (dk // da) * (dk // db)
+                             for swb, db in zip(sw, divs))
+                       for nza, da in zip(nz, divs))
+            self._disc = FiniteQuadraticModule(divs, Matrix._over(lg, dk * dk))
         return self._disc
 
     def _lift_numerators(self, x) -> tuple:
@@ -172,18 +174,14 @@ def direct_sum(*lattices: EvenLattice) -> EvenLattice:
     if not lattices:
         raise ValueError("need at least one summand")
     n = sum(lat.rank for lat in lattices)
-    rows = [[0] * n for _ in range(n)]
-    off = 0
+    rows = []
     for lat in lattices:
-        r = lat.rank
-        for i in range(r):
-            for j in range(r):
-                rows[off + i][off + j] = lat.gram[i, j]
-        off += r
+        off = len(rows)
+        rows += [(0,) * off + row + (0,) * (n - off - lat.rank) for row in lat.gram.num]
     name = " + ".join(lat.name for lat in lattices) if all(
         lat.name for lat in lattices) else ""
     return EvenLattice(
-        Matrix(rows), name=name,
+        Matrix._over(tuple(rows)), name=name,
         _known=(prod(lat.determinant for lat in lattices),
                 all(lat.is_positive_definite for lat in lattices)))
 
@@ -207,20 +205,19 @@ def overlattice_from_glue(lat: EvenLattice, glue: GlueGroup):
     rows += [lat._lift_numerators(g)[1] for g in glue.generators]
     _, dm, v, vinv = smith_normal_form(Matrix(rows), with_v_inverse=True)
     divs = [dm[i, i] for i in range(n)]
-    b = Matrix._from_ints(tuple(tuple(di * x for x in vinv.row(i))
-                                for i, di in enumerate(divs)))
+    b = Matrix._over(tuple(tuple(di * x for x in vinv.num[i])
+                           for i, di in enumerate(divs)))
     # new basis B/d: Gram (B S B^t)/d^2 and embedding (d V diag(d_i)^-1)^t,
     # the inverse of the basis, transposed; both must divide exactly
-    sq = d * d
-    num = b @ lat.gram @ b.T
-    if any(x % sq for row in num.rows for x in row):
+    gram = b @ lat.gram @ b.T * Fraction(1, d * d)
+    if not gram.is_integral:
         raise ValueError("glue group is not isotropic for the bilinear form")
-    over = EvenLattice(Matrix([[x // sq for x in row] for row in num.rows]))
+    over = EvenLattice(gram)
     h = [[d * x for x in v.col(j)] for j in range(n)]
     if any(x % dj for row, dj in zip(h, divs) for x in row):
         raise ValueError("embedding matrix must be integral")
-    emb = LatticeEmbedding(
-        lat, over, Matrix([[x // dj for x in row] for row, dj in zip(h, divs)]))
+    emb = LatticeEmbedding(lat, over, Matrix._over(
+        tuple(tuple(x // dj for x in row) for row, dj in zip(h, divs))))
     if emb.index != glue.order:
         raise AssertionError("embedding index does not match glue order")
     if over.determinant * glue.order**2 != lat.determinant:

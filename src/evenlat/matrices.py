@@ -1,10 +1,11 @@
 """Exact dense linear algebra over the integers and rationals.
 
 Everything here is pure Python on int and fractions.Fraction, so results are
-exact by construction. Matrices are immutable; all mutating algorithms work on
-private list-of-list copies. Integer input stays on integer paths: products,
-sums, negation, transposes and integer scalings of integral matrices are
-computed on plain ints and skip the per-entry normalisation. The determinant
+exact by construction. A matrix is an immutable integer matrix ``num`` over
+one positive denominator ``den``, reduced so that den and the entries of num
+have no common factor; an integral matrix is the case den == 1. Every
+operation computes on num, multiplies the denominators and reduces once by a
+gcd, so there is one integer path whatever the entries are. The determinant
 and the definiteness test share one fraction-free Bareiss pass, which keeps
 intermediate entries polynomial in size, and the Smith normal form can return
 the inverse of its column transform as an integer matrix. Nothing here inverts
@@ -15,44 +16,45 @@ division.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from operator import add, mul, neg
+from itertools import chain
+from math import gcd, lcm
+from operator import mul, neg
 from typing import Iterable, Sequence, Union
 
 Entry = Union[int, Fraction]
 
 
-def _norm(x) -> Entry:
-    # canonical entry: plain int whenever the value is integral; bool is an
-    # int subclass, but a truth value is no matrix entry
-    if isinstance(x, bool):
-        raise TypeError("matrix entries must be int or Fraction, got bool")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
-
-
 class Matrix:
-    """Immutable rectangular matrix with int or Fraction entries.
+    """Immutable rectangular matrix with exact rational entries.
 
-    Integral values are stored as int; ``is_integral`` is set at construction.
+    Held as the integer matrix ``num`` (a tuple of row tuples) over the
+    positive int ``den``, with gcd(den, entries of num) == 1. ``rows`` gives
+    the entries themselves: int where integral, Fraction otherwise.
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "is_integral")
+    __slots__ = ("num", "den", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable[Entry]]):
-        rws = tuple(tuple(_norm(x) for x in row) for row in rows)
+        rws = tuple(map(tuple, rows))
         if rws and any(len(r) != len(rws[0]) for r in rws):
             raise ValueError("ragged rows")
-        _fill(self, rws, all(isinstance(x, int) for r in rws for x in r))
+        # bool is an int subclass, but a truth value is no matrix entry
+        if any(type(x) is bool for r in rws for x in r):
+            raise TypeError("matrix entries must be int or Fraction, got bool")
+        split = [_split(r) for r in rws]
+        den = lcm(*(d for _, d in split))
+        _fill(self, tuple(r if d == den else tuple(x * (den // d) for x in r)
+                          for r, d in split), den)
 
     @classmethod
-    def _from_ints(cls, rows: tuple) -> "Matrix":
-        # rows are equal-length tuples of ints, as the integer paths make them
+    def _over(cls, num: tuple, den: int = 1) -> "Matrix":
+        """num / den from equal-length tuples of ints and a positive den."""
+        g = gcd(den, *chain.from_iterable(num)) if den != 1 else 1
+        if g != 1:
+            num = tuple(tuple(x // g for x in r) for r in num)
+            den //= g
         out = object.__new__(cls)
-        _fill(out, rows, True)
+        _fill(out, num, den)
         return out
 
     def __setattr__(self, name, value):
@@ -60,12 +62,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._from_ints(tuple(tuple(int(i == j) for j in range(n))
-                                    for i in range(n)))
+        return cls._over(tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "Matrix":
-        return cls([[0] * n for _ in range(m)])
+        return cls._over(tuple((0,) * n for _ in range(m)))
 
     @classmethod
     def diagonal(cls, entries: Sequence[Entry]) -> "Matrix":
@@ -75,27 +76,34 @@ class Matrix:
     # -- access ------------------------------------------------------------
 
     @property
+    def rows(self) -> tuple:
+        return tuple(_values(r, self.den) for r in self.num)
+
+    @property
+    def is_integral(self) -> bool:
+        return self.den == 1
+
+    @property
     def shape(self):
         return (self.nrows, self.ncols)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return _entry(self.num[i][j], self.den)
 
     def row(self, i: int) -> tuple:
-        return self.rows[i]
+        return _values(self.num[i], self.den)
 
     def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
+        return _values((r[j] for r in self.num), self.den)
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
-        return Matrix([[self.rows[i][j] for j in cols] for i in rows])
+        return Matrix._over(tuple(tuple(self.num[i][j] for j in cols) for i in rows),
+                            self.den)
 
     @property
     def T(self) -> "Matrix":
-        if self.is_integral:
-            return Matrix._from_ints(tuple(zip(*self.rows)))
-        return Matrix(zip(*self.rows))
+        return Matrix._over(tuple(zip(*self.num)), self.den)
 
     @property
     def is_square(self) -> bool:
@@ -103,41 +111,38 @@ class Matrix:
 
     @property
     def is_symmetric(self) -> bool:
+        num = self.num
         return self.is_square and all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i)
-        )
+            num[i][j] == num[j][i] for i in range(self.nrows) for j in range(i))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return (isinstance(other, Matrix) and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
         return hash(self.rows)
 
     def __neg__(self) -> "Matrix":
-        if self.is_integral:
-            return Matrix._from_ints(tuple(tuple(map(neg, r)) for r in self.rows))
-        return Matrix([[-x for x in r] for r in self.rows])
+        return Matrix._over(tuple(tuple(map(neg, r)) for r in self.num), self.den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        pairs = zip(self.rows, other.rows)
-        if self.is_integral and other.is_integral:
-            return Matrix._from_ints(tuple(tuple(map(add, r, s)) for r, s in pairs))
-        return Matrix([[x + y for x, y in zip(r, s)] for r, s in pairs])
+        a, b = self.den, other.den
+        return Matrix._over(tuple(tuple(x * b + y * a for x, y in zip(r, s))
+                                  for r, s in zip(self.num, other.num)), a * b)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __mul__(self, scalar: Entry) -> "Matrix":
-        if self.is_integral and type(scalar) is int:
-            return Matrix._from_ints(tuple(tuple(x * scalar for x in r)
-                                           for r in self.rows))
-        return Matrix([[x * scalar for x in r] for r in self.rows])
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        p = scalar.numerator
+        return Matrix._over(tuple(tuple(x * p for x in r) for r in self.num),
+                            self.den * scalar.denominator)
 
     __rmul__ = __mul__
 
@@ -145,29 +150,21 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            cols = tuple(zip(*other.rows))
-            if self.is_integral and other.is_integral:
-                return Matrix._from_ints(tuple(
-                    tuple(sum(map(mul, r, c)) for c in cols) for r in self.rows
-                ))
-            return Matrix(
-                [[_dot(r, c) for c in cols] for r in self.rows]
-            )
+            cols = tuple(zip(*other.num))
+            return Matrix._over(tuple(tuple(sum(map(mul, r, c)) for c in cols)
+                                      for r in self.num), self.den * other.den)
         # matrix @ vector
-        v = tuple(other)
+        v, den = _split(tuple(other))
         if self.ncols != len(v):
             raise ValueError("shape mismatch")
-        # plain ints only: bool and Fraction entries take the normalising path
-        if self.is_integral and all(type(x) is int for x in v):
-            return tuple(sum(map(mul, r, v)) for r in self.rows)
-        return tuple(_norm(_dot(r, v)) for r in self.rows)
+        return _values((sum(map(mul, r, v)) for r in self.num), self.den * den)
 
     def __rmatmul__(self, other):
         # vector @ matrix
-        v = tuple(other)
+        v, den = _split(tuple(other))
         if self.nrows != len(v):
             raise ValueError("shape mismatch")
-        return tuple(_norm(_dot(v, c)) for c in zip(*self.rows))
+        return _values((sum(map(mul, v, c)) for c in zip(*self.num)), self.den * den)
 
     def __pow__(self, k: int) -> "Matrix":
         if not self.is_square or k < 0:
@@ -185,15 +182,34 @@ class Matrix:
         return "Matrix(%s)" % (list(map(list, self.rows)),)
 
 
-def _fill(m: Matrix, rows: tuple, integral: bool) -> None:
-    object.__setattr__(m, "rows", rows)
-    object.__setattr__(m, "nrows", len(rows))
-    object.__setattr__(m, "ncols", len(rows[0]) if rows else 0)
-    object.__setattr__(m, "is_integral", integral)
+def _fill(m: Matrix, num: tuple, den: int) -> None:
+    object.__setattr__(m, "num", num)
+    object.__setattr__(m, "den", den)
+    object.__setattr__(m, "nrows", len(num))
+    object.__setattr__(m, "ncols", len(num[0]) if num else 0)
 
 
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+def _split(xs: tuple) -> tuple:
+    """(integer numerators, their one positive denominator) of int/Fraction values."""
+    if all(type(x) is int for x in xs):
+        return xs, 1
+    for x in xs:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(
+                f"matrix entries must be int or Fraction, got {type(x).__name__}")
+    den = lcm(*(x.denominator for x in xs))
+    return tuple(x.numerator * (den // x.denominator) for x in xs), den
+
+
+def _entry(x: int, den: int) -> Entry:
+    # the value x / den: an int when integral, a Fraction otherwise
+    return x // den if x % den == 0 else Fraction(x, den)
+
+
+def _values(xs: Iterable[int], den: int) -> tuple:
+    if den == 1:
+        return tuple(xs)
+    return tuple(_entry(x, den) for x in xs)
 
 
 def vec_gcd(v: Iterable[int]) -> int:
@@ -204,15 +220,6 @@ def vec_gcd(v: Iterable[int]) -> int:
             raise ValueError("gcd needs integer entries")
         g = gcd(g, abs(x))
     return g
-
-
-def denominator_lcm(entries: Iterable[Entry]) -> int:
-    out = 1
-    for x in entries:
-        if isinstance(x, Fraction):
-            d = x.denominator
-            out = out * d // gcd(out, d)
-    return out
 
 
 def _bareiss(rows) -> tuple:
@@ -249,19 +256,14 @@ def _bareiss(rows) -> tuple:
 
 
 def det(a: Matrix):
-    """Exact determinant of a square matrix, by Bareiss elimination.
+    """Exact determinant of a square matrix, by Bareiss elimination on num.
 
-    Rational input is scaled to integers first; the result is an int
-    whenever it is integral.
+    det(num / den) = det(num) / den^n; the result is an int whenever it is
+    integral.
     """
     if not a.is_square:
         raise ValueError("determinant needs a square matrix")
-    if a.is_integral:
-        return _bareiss(a.rows)[0]
-    den = denominator_lcm(x for row in a.rows for x in row)
-    out = Fraction(_bareiss([[int(x * den) for x in row] for row in a.rows])[0],
-                   den**a.nrows)
-    return int(out) if out.denominator == 1 else out
+    return _entry(_bareiss(a.num)[0], a.den ** a.nrows)
 
 
 def is_positive_definite(a: Matrix) -> bool:
@@ -270,7 +272,7 @@ def is_positive_definite(a: Matrix) -> bool:
         raise ValueError("definiteness test needs a symmetric matrix")
     if not a.is_integral:
         raise ValueError("matrix has non-integer entries")
-    return _bareiss(a.rows)[1]
+    return _bareiss(a.num)[1]
 
 
 def smith_normal_form(a: Matrix, *, with_v_inverse: bool = False):
@@ -289,7 +291,7 @@ def smith_normal_form(a: Matrix, *, with_v_inverse: bool = False):
     if not a.is_integral:
         raise ValueError("matrix has non-integer entries")
     m, n = a.nrows, a.ncols
-    A = [list(r) for r in a.rows]
+    A = [list(r) for r in a.num]
     U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
     W = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -366,6 +368,5 @@ def smith_normal_form(a: Matrix, *, with_v_inverse: bool = False):
         if A[i][i] < 0:
             A[i] = [-x for x in A[i]]
             U[i] = [-x for x in U[i]]
-    if with_v_inverse:
-        return Matrix(U), Matrix(A), Matrix(V), Matrix(W)
-    return Matrix(U), Matrix(A), Matrix(V)
+    out = [U, A, V, W] if with_v_inverse else [U, A, V]
+    return tuple(Matrix._over(tuple(map(tuple, x))) for x in out)

@@ -171,19 +171,13 @@ def _int_vec(v) -> tuple:
 
 
 def _first_mismatch(a: Matrix, b: Matrix) -> tuple:
-    for i in range(a.nrows):
-        for j in range(a.ncols):
-            if a[i, j] != b[i, j]:
-                return i, j
-    raise AssertionError("matrices agree everywhere")
+    return next((i, j) for i in range(a.nrows) for j in range(a.ncols)
+                if a[i, j] != b[i, j])
 
 
 def _first_non_integral(a: Matrix) -> tuple:
-    for i in range(a.nrows):
-        for j in range(a.ncols):
-            if a[i, j] != int(a[i, j]):
-                return i, j
-    raise AssertionError("matrix is integral")
+    return next((i, j) for i, row in enumerate(a.num) for j, x in enumerate(row)
+                if x % a.den)
 
 
 class ExtendedForm:
@@ -214,9 +208,9 @@ class ExtendedForm:
         size = inner.nrows + 2
         rows = [[0] * size for _ in range(size)]
         rows[0][size - 1] = rows[size - 1][0] = corner
-        for i, row in enumerate(inner.rows):
+        for i, row in enumerate(inner.num):
             rows[1 + i][1:size - 1] = row
-        return Matrix._from_ints(tuple(map(tuple, rows)))
+        return Matrix._over(tuple(map(tuple, rows)))
 
     # -- basic form arithmetic -------------------------------------------------
 
@@ -258,7 +252,7 @@ class ExtendedForm:
         if tok[0] == "J":
             return ("J", None, None, 0)
         kind, lam = tok
-        slam = [sum(map(mul, r, lam)) for r in self.s0.rows]
+        slam = [sum(map(mul, r, lam)) for r in self.s0.num]
         return (kind, lam, slam, sum(map(mul, lam, slam)) // 2)
 
     def _apply_token(self, tok, v) -> list:
@@ -269,12 +263,12 @@ class ExtendedForm:
 
     def _times_tokens(self, m: Matrix, word) -> Matrix:
         """m @ t_1 @ ... @ t_k for an integral m and checked tokens, in O(k d^2)."""
-        rows = [list(r) for r in m.rows]
+        rows = [list(r) for r in m.num]
         for tok in word:
             parts = self._token_parts(tok)
             for r in rows:
                 _act(parts, r, row=True)
-        return Matrix._from_ints(tuple(map(tuple, rows)))
+        return Matrix._over(tuple(map(tuple, rows)))
 
     def identity(self) -> GroupElement:
         return GroupElement(self, Matrix.identity(self.dim), (), _trusted=True)
@@ -309,9 +303,9 @@ class ExtendedForm:
         # a special base isometry between identity corners is a member by
         # construction: it preserves S1, has det 1 and fixes the 2-plane
         rows = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
-        for i, row in enumerate(q.rows):
+        for i, row in enumerate(q.num):
             rows[2 + i][2:2 + self.n] = row
-        return GroupElement(self, Matrix._from_ints(tuple(map(tuple, rows))),
+        return GroupElement(self, Matrix._over(tuple(map(tuple, rows))),
                             _trusted=True)
 
     # -- membership ----------------------------------------------------------------
@@ -328,7 +322,7 @@ class ExtendedForm:
         non-positive orientation value, a non-integral entry, or the entry
         of (M - I)·S1^{-1} showing nontrivial discriminant action. Kernel
         members get an empty witness. The kernel gate works in integers:
-        (M - I)·s1_adj must vanish modulo s1_det.
+        (M - I)·s1_adj over s1_det must reduce to an integral matrix.
         """
         if not isinstance(m, Matrix):
             m = Matrix(m)
@@ -358,16 +352,14 @@ class ExtendedForm:
                 "value": m[i, j],
             }
         if self.s1_det != 1:
-            den = self.s1_det
-            delta = (m - Matrix.identity(d)) @ self.s1_adj
-            for i, row in enumerate(delta.rows):
-                for j, x in enumerate(row):
-                    if x % den:
-                        return Membership.INTEGRAL_SPECIAL_PLUS, {
-                            "check": "kernel-congruence",
-                            "entry": (i, j),
-                            "value": Fraction(x, den),
-                        }
+            delta = (m - Matrix.identity(d)) @ self.s1_adj * Fraction(1, self.s1_det)
+            if not delta.is_integral:
+                i, j = _first_non_integral(delta)
+                return Membership.INTEGRAL_SPECIAL_PLUS, {
+                    "check": "kernel-congruence",
+                    "entry": (i, j),
+                    "value": delta[i, j],
+                }
         return Membership.DISCRIMINANT_KERNEL, {}
 
     def _orientation_value(self, m):
@@ -384,17 +376,13 @@ class ExtendedForm:
     def orthogonal_inverse(self, m) -> Matrix:
         """Inverse of an orthogonal matrix via the form: S1^{-1} m^t S1.
 
-        Computed as s1_adj m^t S1 followed by one exact division by s1_det,
-        so integral input stays in integers throughout.
+        Computed as s1_adj m^t S1 over s1_det, reduced once by a gcd, so
+        integral input stays in integers throughout.
         """
         if not isinstance(m, Matrix):
             m = Matrix(m)
-        den = self.s1_det
-        prod = self.s1_adj @ m.T @ self.s1
-        if prod.is_integral and not any(x % den for r in prod.rows for x in r):
-            return Matrix._from_ints(
-                tuple(tuple(x // den for x in r) for r in prod.rows))
-        return prod * Fraction(1, den)
+        p = self.s1_adj @ m.T @ self.s1
+        return Matrix._over(p.num, p.den * self.s1_det)
 
     # -- isotropic vectors -----------------------------------------------------------
 

@@ -20,7 +20,7 @@ from itertools import product
 from math import gcd, prod
 from operator import mul
 
-from .matrices import Matrix, denominator_lcm
+from .matrices import Matrix
 
 MAX_ORDER = 10**6  # element-scan guard
 MAX_GLUE_ORDER = 4096  # subgroup-enumeration guard
@@ -52,10 +52,9 @@ class FiniteQuadraticModule:
             raise ValueError("lift_gram must be symmetric k x k")
         self.divisors = divisors
         self.lift_gram = lift_gram
-        # integer fast path: q(x) = (x^t N*G x) / (2N) mod 1
-        n = denominator_lcm(x for row in lift_gram.rows for x in row)
-        self._den = 2 * n
-        self._igram = [[int(x * n) for x in row] for row in lift_gram.rows]
+        # integer fast path: with lift_gram = G / N, q(x) = (x^t G x) / (2N) mod 1
+        self._den = 2 * lift_gram.den
+        self._igram = lift_gram.num
 
     # -- group structure -----------------------------------------------------
 

@@ -150,7 +150,7 @@ def root_lattice(name: str) -> EvenLattice:
     one = _single(family, n, plus)
     if mult == 1:
         return one
-    out = direct_sum(*[_single(family, n, plus) for _ in range(mult)])
+    out = direct_sum(*[one] * mult)
     out.name = name.strip()
     return out
 

@@ -73,14 +73,15 @@ def count_calls(monkeypatch, name, owner=ExtendedForm):
     return calls
 
 
-def record_calls(monkeypatch, name):
-    """List of the argument tuples of every call of matrices.<name>.
+def record_calls(monkeypatch, name, owner=evenlat.matrices):
+    """List of the argument tuples of every call of <owner>.<name>.
 
-    The function is re-pointed in every evenlat module that imported it by
-    name, so a call from any layer is recorded.
+    owner is an evenlat module, matrices by default. The function is
+    re-pointed in every evenlat module that imported it by name, so a call
+    from any layer is recorded.
     """
     calls = []
-    inner = getattr(evenlat.matrices, name)
+    inner = getattr(owner, name)
 
     def recording(*args, **kwargs):
         calls.append(args)

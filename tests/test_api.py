@@ -3,9 +3,10 @@
 ``evenlat.__all__`` is compared with a frozen set, so adding, removing or
 renaming a public name shows up as a one-line diff here. The rational linear
 algebra the library retired (a Gauss-Jordan ``inverse``, the ``Fraction``
-congruence ``signature``) and the ``has_single_cusp`` alias of
-``is_maximal_even`` must not come back; the tests keep the first two in
-``helpers`` as oracles.
+congruence ``signature``), the ``has_single_cusp`` alias of
+``is_maximal_even`` and the per-entry ``Fraction`` path of ``Matrix``
+(``_norm``, ``_dot``, ``denominator_lcm``, ``Matrix._from_ints``) must not
+come back; the tests keep the first two in ``helpers`` as oracles.
 """
 
 import evenlat
@@ -38,3 +39,7 @@ def test_retired_names_stay_gone():
         assert not hasattr(evenlat, name), name
     assert not hasattr(evenlat.ogroup, "has_single_cusp")
     assert not hasattr(evenlat, "has_single_cusp")
+    # the per-entry Fraction path of Matrix: every matrix is num over one den
+    for name in ("_norm", "_dot", "denominator_lcm"):
+        assert not hasattr(evenlat.matrices, name), name
+    assert not hasattr(evenlat.Matrix, "_from_ints")

@@ -14,7 +14,7 @@ import pytest
 import evenlat
 import helpers
 from evenlat import ExtendedForm, Matrix, __version__, root_lattice
-from evenlat.cli import main
+from evenlat.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -485,6 +485,21 @@ def test_no_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_max_order_only_where_a_group_is_scanned(capsys, tmp_path):
+    # classify, complete and reduce scan no discriminant group, so they take
+    # no scan cap: the option is a usage error there
+    path = str(tmp_path / "unread.json")
+    for cmd in ("classify", "complete", "reduce"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--name", "A1", "--input", path, "--max-order", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-order 5" in capsys.readouterr().err
+    parser = build_parser()
+    for argv in (["analyze", "--name", "A1"], ["atlas", "--family", "A", "--max", "2"],
+                 ["overlattices", "--name", "A1"]):
+        assert parser.parse_args(argv + ["--max-order", "5"]).max_order == 5
 
 
 def test_json_output_is_deterministic(capsys):

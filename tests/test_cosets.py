@@ -136,10 +136,10 @@ def test_make_scaled_verifies_once(monkeypatch):
     x = make_scaled(A2, helpers.scale_matrix(w.matrix @ X, 6), canonicalize=True)
     assert (x.ratio, x.matrix) == (4, w.matrix @ X)
     assert len(dets) == 1
-    # direct construction and powers still verify
+    # direct construction still verifies; its power is trusted
     del dets[:]
     ScaledOrthogonal(A2, x.matrix, 4).power(2)
-    assert len(dets) == 2
+    assert len(dets) == 1
     with pytest.raises(ValueError, match="scale the form"):
         ScaledOrthogonal(A2, x.matrix, 2)
 
@@ -263,6 +263,21 @@ def random_scaled(form, rng):
     return make_scaled(form, helpers.scale_matrix(r, c), canonicalize=False)
 
 
+@pytest.mark.parametrize("form,seed", [(A2, 131), (D4, 137)])
+def test_power_is_trusted_and_matches_verified(form, seed, monkeypatch):
+    # R^m scales S1 by r^m by construction: power runs no determinant, and
+    # the same matrix and ratio pass the full verification
+    rng = random.Random(seed)
+    for _ in range(3):
+        x = random_scaled(form, rng)
+        for m in (1, 2, 3):
+            dets = helpers.record_calls(monkeypatch, "det")
+            p = x.power(m)
+            assert dets == []
+            monkeypatch.undo()
+            assert p == ScaledOrthogonal(form, x.matrix**m, x.ratio**m)
+
+
 def is_kernel_word(form, g):
     # recomputed from scratch: the word rebuilds the matrix, which is
     # classified as a whole
@@ -334,7 +349,7 @@ def test_certificate_invariants_match_verified_powers(form, seed):
             continue
         witness = ScaledOrthogonal(form, cert.witness_matrix, cert.canonical_ratio)
         for m, alpha, inv in zip(cert.exponents, cert.corner_gcds, cert.invariants):
-            p = witness.power(m)
+            p = ScaledOrthogonal(form, witness.matrix**m, witness.ratio**m)
             assert alpha == vec_gcd(form.s1 @ p.matrix.col(0))
             assert inv == Fraction(alpha * alpha, p.ratio)
 

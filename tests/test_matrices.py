@@ -9,12 +9,15 @@ paths; they are checked here too.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import SingularMatrixError, inverse, signature
 from evenlat import Matrix, det, is_positive_definite, smith_normal_form
-from evenlat.matrices import _bareiss, denominator_lcm, vec_gcd
+from evenlat.matrices import _bareiss, vec_gcd
 
 A2 = Matrix([[2, -1], [-1, 2]])
 
@@ -152,12 +155,29 @@ def test_is_integral_and_integer_only_inputs():
     assert det(half) == Fraction(1, 2)
 
 
+def _canon(x):
+    # the documented normalisation: integral values come back as int
+    x = Fraction(x)
+    return int(x) if x.denominator == 1 else x
+
+
+def _ref_rows(rows):
+    return tuple(tuple(_canon(x) for x in r) for r in rows)
+
+
 def _ref_product(a, b):
-    # the generic rational product, on plain lists, with the documented
-    # normalisation: integral values come back as int
-    out = [[sum((Fraction(x) * y for x, y in zip(r, c)), Fraction(0))
-            for c in zip(*b)] for r in a]
-    return tuple(tuple(int(x) if x.denominator == 1 else x for x in r) for r in out)
+    # the generic rational product, entry by entry on plain lists
+    return _ref_rows([[sum((Fraction(x) * y for x, y in zip(r, c)), Fraction(0))
+                       for c in zip(*b)] for r in a])
+
+
+def _ref_det(a):
+    # cofactor expansion along the first row, in Fractions
+    if not a:
+        return 1
+    return _canon(sum(
+        (-1) ** j * Fraction(x) * _ref_det([r[:j] + r[j + 1:] for r in a[1:]])
+        for j, x in enumerate(a[0])))
 
 
 def _variants(rng, rows):
@@ -210,6 +230,85 @@ def test_is_integral_after_arithmetic():
         Matrix([[1, True]])
     assert all(type(x) is int for x in m @ (True, False))
     assert all(type(x) is int for r in (m * True).rows for x in r)
+
+
+_ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 1, 2, 3, 4, 6))))
+
+
+def _rows(n, m):
+    return st.lists(st.lists(_ENTRIES, min_size=m, max_size=m),
+                    min_size=n, max_size=n)
+
+
+def _same(got, want):
+    # equal values, and an int exactly where the oracle has one
+    assert got == want and list(map(type, got)) == list(map(type, want))
+
+
+def _check_form(out, want):
+    # num over one reduced positive den, and rows = num/den with an int for
+    # every integral value, equal to the per-entry Fraction oracle
+    flat = [x for r in out.num for x in r]
+    assert all(type(x) is int for x in flat) and type(out.den) is int
+    assert out.den > 0 and gcd(out.den, *flat) == 1
+    assert out.rows == tuple(tuple(Fraction(x, out.den) for x in r) for r in out.num)
+    assert all(type(x) is int for r in out.rows for x in r
+               if Fraction(x).denominator == 1)
+    assert out.is_integral is (out.den == 1)
+    assert len(out.rows) == len(want)
+    for got_row, want_row in zip(out.rows, want):
+        _same(got_row, want_row)
+    assert Matrix(out.rows) == out and hash(Matrix(out.rows)) == hash(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_num_over_den_matches_fraction_oracle(data):
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b = data.draw(_rows(n, k)), data.draw(_rows(k, m))
+    c = data.draw(_rows(n, k))
+    v = data.draw(st.lists(_ENTRIES, min_size=k, max_size=k))
+    t = data.draw(_ENTRIES)
+    ma, mb, mc = Matrix(a), Matrix(b), Matrix(c)
+    fa = [[Fraction(x) for x in r] for r in a]
+    pairs = [list(zip(r, s)) for r, s in zip(fa, c)]
+    ref = _ref_rows(a)
+    _check_form(ma, ref)
+    _check_form(ma.T, _ref_rows(zip(*a)))
+    _check_form(-ma, _ref_rows([[-x for x in r] for r in fa]))
+    _check_form(ma + mc, _ref_rows([[x + y for x, y in r] for r in pairs]))
+    _check_form(ma - mc, _ref_rows([[x - y for x, y in r] for r in pairs]))
+    scaled = _ref_rows([[x * t for x in r] for r in fa])
+    _check_form(ma * t, scaled)
+    _check_form(t * ma, scaled)
+    _check_form(ma @ mb, _ref_product(a, b))
+    _check_form(ma.submatrix(range(n - 1, -1, -1), range(k)), _ref_rows(a[::-1]))
+    for w in (v, [bool(x) for x in v]):
+        want = tuple(r[0] for r in _ref_product(a, [[x] for x in w]))
+        for got in (ma @ w, tuple(w) @ ma.T):
+            _same(got, want)
+    for i in range(n):
+        _same(ma.row(i), ref[i])
+        _same(tuple(ma[i, j] for j in range(k)), ref[i])
+    _same(ma.col(0), tuple(r[0] for r in ref))
+    sq = data.draw(_rows(n, n))
+    _same((det(Matrix(sq)),), (_ref_det(sq),))
+    for e in range(4):
+        want = _ref_rows([[int(i == j) for j in range(n)] for i in range(n)])
+        for _ in range(e):
+            want = _ref_product(want, sq)
+        _check_form(Matrix(sq) ** e, want)
+    # a bool is no entry, but a bool vector or scalar gives ints; a float
+    # is refused everywhere
+    with pytest.raises(TypeError, match="got bool"):
+        Matrix([list(r[:-1]) + [True] for r in a])
+    _check_form(ma * True, _ref_rows(a))
+    for bad in (lambda: Matrix([[1.0] * k]), lambda: ma @ ([0.5] * k),
+                lambda: ([0.5] * n) @ ma, lambda: ma * 0.5, lambda: 0.5 * ma):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_scalar_and_addition():
@@ -362,8 +461,3 @@ def test_vec_gcd():
     assert vec_gcd((0, 7)) == 7
     with pytest.raises(ValueError):
         vec_gcd((Fraction(1, 2),))
-
-
-def test_denominator_lcm():
-    assert denominator_lcm([Fraction(1, 4), Fraction(1, 6), 2]) == 12
-    assert denominator_lcm([1, 2]) == 1

@@ -128,17 +128,17 @@ def test_orthogonal_inverse_rational_input_unchanged():
 
 
 def test_orthogonal_inverse_integral_input_skips_normalising(monkeypatch):
-    # a member's inverse is divided out in ints; no entry is re-normalised
-    import evenlat.matrices as matrices
-
-    normalised = []
-    real_norm = matrices._norm
-    monkeypatch.setattr(matrices, "_norm", lambda x: normalised.append(x) or real_norm(x))
+    # a member's inverse is divided out in ints: no matrix is rebuilt from
+    # its entries, which is what Matrix.__init__ does
+    built = []
+    real_init = Matrix.__init__
+    monkeypatch.setattr(Matrix, "__init__",
+                        lambda self, rows: built.append(rows) or real_init(self, rows))
     for name, form in FORMS.items():
         m = helpers.random_element(form, random.Random(5)).matrix
-        normalised.clear()
+        built.clear()
         inv = form.orthogonal_inverse(m)
-        assert inv.is_integral and not normalised
+        assert inv.is_integral and not built
         assert inv == S1_INV[name] @ m.T @ form.s1
 
 

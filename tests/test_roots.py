@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+import evenlat.lattices
+import helpers
 from evenlat import (
     Matrix,
     a_generator_class,
@@ -103,6 +105,24 @@ def test_multiplicity_prefix():
         assert lat.gram.submatrix(range(2 * b, 2 * b + 2),
                                   range(2 * b, 2 * b + 2)) == a2
     assert root_lattice("4A1").gram == 2 * Matrix.identity(4)
+
+
+@pytest.mark.parametrize("single,multiple", [("A1", "4A1"), ("D8+", "2D8+")])
+def test_multiplicity_builds_one_summand(monkeypatch, single, multiple):
+    # kX sums k copies of one built X: the same Bareiss passes, Smith forms
+    # and overlattices as X alone
+    def calls(name):
+        bareiss = helpers.record_calls(monkeypatch, "_bareiss")
+        smith = helpers.record_calls(monkeypatch, "smith_normal_form")
+        glued = helpers.record_calls(monkeypatch, "overlattice_from_glue",
+                                     owner=evenlat.lattices)
+        root_lattice(name)
+        monkeypatch.undo()
+        return bareiss, smith, len(glued)
+
+    want = calls(single)
+    assert calls(multiple) == want
+    assert want[0] and (single == "A1" or (want[1] and want[2] == 1))
 
 
 # -------------------------------------------------------------- glued D-series
