@@ -20,6 +20,7 @@ rationals are "p/q" strings. Exit codes: 0 success, 2 invalid input or caps,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -431,9 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main parses with one parser per process; build_parser() stays fresh per call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         # the one place a report is printed: the JSON payload or its table
