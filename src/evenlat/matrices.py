@@ -7,10 +7,11 @@ have no common factor; an integral matrix is the case den == 1. Every
 operation computes on num, multiplies the denominators and reduces once by a
 gcd, so there is one integer path whatever the entries are. The determinant
 and the definiteness test share one fraction-free Bareiss pass, which keeps
-intermediate entries polynomial in size, and the Smith normal form can return
-the inverse of its column transform as an integer matrix. Nothing here inverts
-over the rationals: callers invert through an integral adjugate and one exact
-division.
+intermediate entries polynomial in size; a determinant already known up to
+sign is read modulo a small prime instead (``_det_mod``). The Smith normal
+form can return the inverse of its column transform as an integer matrix.
+Nothing here inverts over the rationals: callers invert through an integral
+adjugate and one exact division.
 """
 
 from __future__ import annotations
@@ -253,6 +254,33 @@ def _bareiss(rows) -> tuple:
         prev = m[k][k]
     d = sign * m[n - 1][n - 1]
     return d, pd and d > 0
+
+
+def _det_mod(rows, p: int) -> int:
+    """Determinant of a square integer matrix modulo a prime p, in [0, p).
+
+    Gaussian elimination over F_p on the shrinking active block: entries stay
+    below p, not the growing integers of an exact pass.
+    """
+    m = [[x % p for x in r] for r in rows]
+    out = 1
+    while m:
+        i = next((i for i, r in enumerate(m) if r[0]), None)
+        if i is None:
+            return 0
+        if i:
+            m[0], m[i] = m[i], m[0]
+            out = -out
+        piv = m[0]
+        out = out * piv[0] % p
+        inv = pow(piv[0], -1, p)
+        tail = piv[1:]
+        rest = []
+        for r in m[1:]:
+            f = r[0] * inv % p
+            rest.append([(x - f * y) % p for x, y in zip(r[1:], tail)] if f else r[1:])
+        m = rest
+    return out % p
 
 
 def det(a: Matrix):

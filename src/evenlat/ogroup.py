@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
-from operator import mul
+from math import isqrt
+from operator import add, mul
 
 from .lattices import EvenLattice
-from .matrices import Matrix, det, vec_gcd
+from .matrices import Matrix, _det_mod, _entry, det, vec_gcd
 
 _COMPLETION_CAP = 10000
 
@@ -136,6 +137,14 @@ def _token_inverse(tok):
     return (kind, tuple(-x for x in lam))
 
 
+def _parts_inverse(parts):
+    # T(-lam) inverts T(lam), and S0(-lam) = -S0 lam while q(-lam) = q(lam)
+    kind, lam, slam, q = parts
+    if kind == "J":
+        return parts
+    return (kind, tuple(-x for x in lam), [-x for x in slam], q)
+
+
 def _act(parts, v: list, row: bool) -> None:
     """Apply a token in place: v <- v @ token if row, else token @ v.
 
@@ -170,9 +179,11 @@ def _int_vec(v) -> tuple:
     return tuple(out)
 
 
-def _first_mismatch(a: Matrix, b: Matrix) -> tuple:
-    return next((i, j) for i in range(a.nrows) for j in range(a.ncols)
-                if a[i, j] != b[i, j])
+def _odd_prime_not_dividing(n: int) -> int:
+    p = 3
+    while n % p == 0 or any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)):
+        p += 2
+    return p
 
 
 def _first_non_integral(a: Matrix) -> tuple:
@@ -201,6 +212,16 @@ class ExtendedForm:
         # corners |D|, and the kernel gate and inverse stay integral
         self.s1_det = d = abs(base.determinant)
         self.s1_adj = self._nest(self._nest(-base.adjugate, d), d)
+        # the nonzeros of each row of S1, as (columns, values): one corner
+        # entry, or the nonzeros of a row of the base Gram
+        self._s1_nz = tuple((tuple(j for j, x in enumerate(r) if x),
+                             tuple(x for x in r if x)) for r in self.s1.num)
+        # L* = Z^d + sum_i Z g_i with g_i = (0, 0, w_i/d_i, 0, 0), from the
+        # base's Smith record: each generator as (d_i, columns, values of w_i)
+        _, _, _, divs, w = base._smith
+        self._kernel_gens = tuple(
+            (di, tuple(2 + j for j, x in enumerate(wi) if x), tuple(x for x in wi if x))
+            for di, wi in zip(divs, w))
 
     @staticmethod
     def _nest(inner: Matrix, corner: int) -> Matrix:
@@ -263,12 +284,27 @@ class ExtendedForm:
 
     def _times_tokens(self, m: Matrix, word) -> Matrix:
         """m @ t_1 @ ... @ t_k for an integral m and checked tokens, in O(k d^2)."""
+        return self._times_parts(m, map(self._token_parts, word))
+
+    @staticmethod
+    def _times_parts(m: Matrix, parts) -> Matrix:
+        """m @ t_1 @ ... @ t_k for an integral m, each token given by its parts."""
         rows = [list(r) for r in m.num]
-        for tok in word:
-            parts = self._token_parts(tok)
+        for p in parts:
             for r in rows:
-                _act(parts, r, row=True)
+                _act(p, r, row=True)
         return Matrix._over(tuple(map(tuple, rows)))
+
+    def _s1_times(self, num) -> list:
+        """S1 @ num for integer rows num: each row of the product combines
+        the few rows of num that the nonzeros of that row of S1 pick."""
+        out = []
+        for js, xs in self._s1_nz:
+            acc = list(map(xs[0].__mul__, num[js[0]]))
+            for j, x in zip(js[1:], xs[1:]):
+                acc = list(map(add, acc, map(x.__mul__, num[j])))
+            out.append(acc)
+        return out
 
     def identity(self) -> GroupElement:
         return GroupElement(self, Matrix.identity(self.dim), (), _trusted=True)
@@ -321,26 +357,41 @@ class ExtendedForm:
         form congruence fails, a determinant different from one, a
         non-positive orientation value, a non-integral entry, or the entry
         of (M - I)·S1^{-1} showing nontrivial discriminant action. Kernel
-        members get an empty witness. The kernel gate works in integers:
-        (M - I)·s1_adj over s1_det must reduce to an integral matrix.
+        members get an empty witness.
+
+        Each gate is exact and uses the form's structure. The congruence
+        forms S1·M from the nonzeros of S1 and compares only the upper
+        triangle of Mᵀ(S1·M), which is symmetric, so its first mismatch in
+        row-major order lies there. Once it holds, det M = ±1, and the sign
+        is read from det(num) modulo the least odd prime p not dividing den.
+        The kernel gate asks, for integral M, whether M - I maps each
+        generator g_i of L*/Z^d into Z^d: k mat-vecs modulo d_i; on failure
+        only the first failing row of (M - I)·S1^{-1} is formed.
         """
         if not isinstance(m, Matrix):
             m = Matrix(m)
         d = self.dim
         if m.shape != (d, d):
             raise ValueError("matrix has the wrong size for this form")
-        w = m.T @ self.s1 @ m
-        if w != self.s1:
-            i, j = _first_mismatch(w, self.s1)
-            return Membership.NOT_ORTHOGONAL, {
-                "check": "form-congruence",
-                "entry": (i, j),
-                "got": w[i, j],
-                "expected": self.s1[i, j],
-            }
-        dt = det(m)
-        if dt != 1:
-            return Membership.ORTHOGONAL, {"check": "determinant", "value": dt}
+        num, den = m.num, m.den
+        cols = tuple(zip(*num))
+        x_cols = tuple(zip(*self._s1_times(num)))
+        scale = den * den
+        for i, (col, s1_row) in enumerate(zip(cols, self.s1.num)):
+            got = [sum(map(mul, col, c)) for c in x_cols[i:]]
+            want = [scale * x for x in s1_row[i:]]
+            if got != want:
+                j = next(j for j, (a, b) in enumerate(zip(got, want), i) if a != b)
+                return Membership.NOT_ORTHOGONAL, {
+                    "check": "form-congruence",
+                    "entry": (i, j),
+                    "got": _entry(got[j - i], scale),
+                    "expected": s1_row[j],
+                }
+        # det M = ±1 now, and 1 != -1 modulo an odd prime
+        p = _odd_prime_not_dividing(den)
+        if _det_mod(num, p) * pow(den, -d, p) % p != 1:
+            return Membership.ORTHOGONAL, {"check": "determinant", "value": -1}
         orient = self._orientation_value(m)
         if orient <= 0:
             return Membership.SPECIAL, {"check": "orientation", "value": orient}
@@ -351,16 +402,23 @@ class ExtendedForm:
                 "entry": (i, j),
                 "value": m[i, j],
             }
-        if self.s1_det != 1:
-            delta = (m - Matrix.identity(d)) @ self.s1_adj * Fraction(1, self.s1_det)
-            if not delta.is_integral:
-                i, j = _first_non_integral(delta)
-                return Membership.INTEGRAL_SPECIAL_PLUS, {
-                    "check": "kernel-congruence",
-                    "entry": (i, j),
-                    "value": delta[i, j],
-                }
-        return Membership.DISCRIMINANT_KERNEL, {}
+        # row r of (M - I)·S1^{-1} is integral iff row r of M - I pairs
+        # integrally with every g_i, that is v · w_i = 0 mod d_i
+        for r, row in enumerate(num):
+            v = list(row)
+            v[r] -= 1
+            if any(sum(map(mul, map(v.__getitem__, js), xs)) % di
+                   for di, js, xs in self._kernel_gens):
+                break
+        else:
+            return Membership.DISCRIMINANT_KERNEL, {}
+        delta = [sum(map(mul, v, c)) for c in zip(*self.s1_adj.num)]
+        j = next(j for j, x in enumerate(delta) if x % self.s1_det)
+        return Membership.INTEGRAL_SPECIAL_PLUS, {
+            "check": "kernel-congruence",
+            "entry": (r, j),
+            "value": Fraction(delta[j], self.s1_det),
+        }
 
     def _orientation_value(self, m):
         # orientation of the positive 2-plane, read off the corner blocks
@@ -376,13 +434,22 @@ class ExtendedForm:
     def orthogonal_inverse(self, m) -> Matrix:
         """Inverse of an orthogonal matrix via the form: S1^{-1} m^t S1.
 
-        Computed as s1_adj m^t S1 over s1_det, reduced once by a gcd, so
-        integral input stays in integers throughout.
+        m^t S1 is (S1 m)^t, formed from the nonzeros of S1. s1_adj is applied
+        by its nest blocks: each corner row is s1_det times one row of m^t S1,
+        and only the base block -adj(S) is dense. The result over s1_det is
+        reduced once by a gcd, so integral input stays in integers throughout.
         """
         if not isinstance(m, Matrix):
             m = Matrix(m)
-        p = self.s1_adj @ m.T @ self.s1
-        return Matrix._over(p.num, p.den * self.s1_det)
+        d, n, sd = self.dim, self.n, self.s1_det
+        if m.shape != (d, d):
+            raise ValueError("matrix has the wrong size for this form")
+        z = tuple(zip(*self._s1_times(m.num)))  # rows of m^t S1
+        base_cols = tuple(zip(*z[2:n + 2]))
+        rows = [[sd * x for x in z[d - 1]], [sd * x for x in z[d - 2]]]
+        rows += [[-sum(map(mul, a, c)) for c in base_cols] for a in self.base.adjugate.num]
+        rows += [[sd * x for x in z[1]], [sd * x for x in z[0]]]
+        return Matrix._over(tuple(map(tuple, rows)), m.den * sd)
 
     # -- isotropic vectors -----------------------------------------------------------
 
@@ -417,11 +484,12 @@ class ExtendedForm:
         d = self.dim
         i2, i3 = d - 2, d - 1
         hv = list(h)
-        applied = []
+        applied = []  # parts of each token applied to hv, in order
 
         def do(tok):
-            applied.append(tok)
-            hv[:] = self._apply_token(tok, hv)
+            parts = self._token_parts(tok)
+            applied.append(parts)
+            _act(parts, hv, row=False)
 
         def mid(i, t=1):
             # middle basis vector (length n+2) scaled by t
@@ -507,8 +575,12 @@ class ExtendedForm:
         if hv != [1] + [0] * (d - 1):
             raise AssertionError("completion did not reach the unit vector")
 
-        word = tuple(_token_inverse(t) for t in applied)
-        out = self.element_from_word(word)
+        # h = t_1^{-1} ... t_k^{-1} e_0: the tokens are built here, so they are
+        # not checked again as a word from outside would be
+        inverse = [_parts_inverse(p) for p in applied]
+        word = tuple(p[:1] if p[0] == "J" else p[:2] for p in inverse)
+        out = GroupElement(self, self._times_parts(Matrix.identity(d), inverse), word,
+                           _trusted=True)
         if out.matrix.col(0) != h:
             raise AssertionError("completed element does not start with h")
         if out.classify() < Membership.DISCRIMINANT_KERNEL:

@@ -216,8 +216,20 @@ def test_overlattice_det_index_identity_sweep():
         lat = root_lattice(name)
         for glue in lat.discriminant_group().maximal_isotropic_subgroups():
             over, emb = overlattice_from_glue(lat, glue)
-            assert emb.index == glue.order
+            assert emb.index == glue.order == abs(det(emb.matrix))
             assert over.determinant * glue.order**2 == lat.determinant
+
+
+def test_index_is_read_off_the_determinants(monkeypatch):
+    calls = helpers.record_calls(monkeypatch, "det")
+    lat = root_lattice("6A1")
+    for glue in lat.discriminant_group().maximal_isotropic_subgroups():
+        _, emb = overlattice_from_glue(lat, glue)
+        assert emb.index == glue.order == 4
+    assert calls == []
+    a1, d4 = root_lattice("A1"), root_lattice("D4")
+    with pytest.raises(ValueError):
+        LatticeEmbedding(a1, d4, Matrix([[1], [0], [0], [0]])).index
 
 
 def test_overlattice_wrong_parent_rejected():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import SingularMatrixError, inverse, signature
 from evenlat import Matrix, det, is_positive_definite, smith_normal_form
-from evenlat.matrices import _bareiss, vec_gcd
+from evenlat.matrices import _bareiss, _det_mod, vec_gcd
 
 A2 = Matrix([[2, -1], [-1, 2]])
 
@@ -61,6 +61,19 @@ def test_det_transpose_invariant_sweep():
     for _ in range(40):
         a = random_int_matrix(rng, rng.randint(1, 5))
         assert det(a.T) == det(a)
+
+
+def test_det_mod_matches_exact_determinant_sweep():
+    # singular inputs and zero leading columns included, so the row swaps and
+    # the early zero both run
+    rng = random.Random(113)
+    for _ in range(80):
+        n = rng.randint(0, 6)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -3, 7)) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            rows[-1] = list(rows[0])
+        for p in (3, 5, 7, 11):
+            assert _det_mod(rows, p) == _bareiss(rows)[0] % p, (rows, p)
 
 
 # -------------------------------------------------------------------- inverse

@@ -23,6 +23,7 @@ from evenlat import (
     is_maximal_even,
     root_lattice,
 )
+from evenlat import ogroup
 from evenlat.ogroup import base_reflection
 
 A1 = ExtendedForm(root_lattice("A1"))
@@ -447,6 +448,19 @@ def test_completion_roundtrip_sweep():
         assert done.matrix.col(0) == h
         assert len(done.word) <= 15
         assert done.in_discriminant_kernel()
+
+
+def test_completion_checks_only_its_input(monkeypatch):
+    # the tokens a completion builds are ints already: only h is checked, and
+    # the word still multiplies out to the element
+    calls = helpers.record_calls(monkeypatch, "_int_vec", owner=ogroup)
+    rng = random.Random(41)
+    for form in (A1, A2, ExtendedForm(root_lattice("D4"))):
+        h = helpers.random_element(form, rng, max_len=4).matrix.col(0)
+        calls.clear()
+        done = form.complete_isotropic(h)
+        assert calls and all(args == (h,) for args in calls)
+        assert done.word and done == form.element_from_word(done.word)
 
 
 def test_completion_covers_sign_and_bootstrap_branches():

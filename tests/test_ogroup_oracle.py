@@ -1,13 +1,14 @@
-"""The integer group core against the Fraction formulas it replaced.
+"""The integer group core against the dense Fraction formulas it replaced.
 
 Generator tokens are applied in closed form; they are checked against dense
 products of the token matrices written from their entry formulas in
-``helpers``. The oracle below classifies with (M - I)·S1^{-1} over Fraction, with S1^{-1}
-from Gauss-Jordan elimination (``helpers.inverse``), as the library did
-before its kernel gate moved to the integral adjugate. The earlier gates are
-unchanged and are re-stated here only to reach the kernel gate in the same
-order. Inputs are random generator words, each also perturbed so that it
-fails one chosen gate.
+``helpers``. The oracle below classifies with the dense formulas: the full
+product MᵀS1M, a Bareiss determinant, and (M - I)·S1^{-1} over Fraction with
+S1^{-1} from Gauss-Jordan elimination (``helpers.inverse``). The library
+reads the same witnesses off the upper triangle of Mᵀ(S1·M), the
+determinant modulo an odd prime, and the discriminant generators. Inputs
+are random generator words, each also perturbed so that it fails one chosen
+gate, and rescaled on the outer hyperbolic plane so that it is rational.
 """
 
 import random
@@ -17,12 +18,14 @@ import pytest
 
 import helpers
 from evenlat import (
-    ExtendedForm, GroupElement, Matrix, Membership, det, root_lattice,
+    ExtendedForm, GroupElement, Matrix, Membership, det, direct_sum, root_lattice,
 )
 from evenlat.cosets import make_scaled, normalizer_certificate
 
 FORMS = {name: ExtendedForm(root_lattice(name))
-         for name in ("A1", "A2", "D4", "E8", "A15")}
+         for name in ("A1", "A2", "D4", "E8", "A15", "2D4")}
+# two discriminant generators of mixed orders, Z/2 x Z/4
+FORMS["A1+A3"] = ExtendedForm(direct_sum(root_lattice("A1"), root_lattice("A3")))
 S1_INV = {name: helpers.inverse(form.s1) for name, form in FORMS.items()}
 GATES = ("form-congruence", "determinant", "orientation", "integrality",
          "kernel-congruence")
@@ -58,8 +61,9 @@ def oracle_witness(name, m):
     return Membership.DISCRIMINANT_KERNEL, {}
 
 
-def perturb(form, m, gate, rng):
+def perturb(name, m, gate, rng):
     """Right-multiply (or shift) a member so that it fails exactly one gate."""
+    form = FORMS[name]
     d, n = form.dim, form.n
     rows = [list(r) for r in m.rows]
     if gate == "form-congruence":
@@ -71,13 +75,21 @@ def perturb(form, m, gate, rng):
             row[0], row[d - 1] = -row[0], -row[d - 1]
         elif gate == "integrality":  # e0 -> 2 e0, e_last -> e_last / 2
             row[0], row[d - 1] = 2 * row[0], Fraction(row[d - 1], 2)
-        elif gate == "kernel-congruence" and n == 4:  # D4: swap two outer nodes
+        elif gate == "kernel-congruence" and n == 4:
+            # D4: swap two outer nodes; A1+A3: flip the A3 diagram
             row[3], row[5], row[1], row[d - 2] = row[5], row[3], row[d - 2], row[1]
+        elif gate == "kernel-congruence" and name == "2D4":  # swap the D4 blocks
+            row[2:6], row[6:10] = row[6:10], row[2:6]
         elif gate == "kernel-congruence":  # -1 on the base, det fixed by a swap
             row[2:n + 2] = [-x for x in row[2:n + 2]]
             if n % 2:
                 row[1], row[d - 2] = row[d - 2], row[1]
     return Matrix(rows)
+
+
+def rescale(m, t):
+    """m @ diag(t, 1, ..., 1, 1/t): still orthogonal, rational off t | last column."""
+    return Matrix([[t * r[0], *r[1:-1], Fraction(r[-1], t)] for r in m.rows])
 
 
 @pytest.mark.parametrize("name", sorted(FORMS))
@@ -88,14 +100,53 @@ def test_classify_witness_matches_fraction_oracle(name):
     for _ in range(4):
         m = helpers.random_element(form, rng, max_len=4, spread=1).matrix
         for gate in ("",) + GATES:
-            x = perturb(form, m, gate, rng) if gate else m
-            got = form.classify_witness(x)
-            assert got == oracle_witness(name, x), (name, gate)
-            seen.add(got[1].get("check", ""))
+            x = perturb(name, m, gate, rng) if gate else m
+            # denominators 3 and 15 move the determinant's prime to 5 and 7
+            for y in (x, rescale(x, 3), rescale(x, 15)):
+                got = form.classify_witness(y)
+                assert got == oracle_witness(name, y), (name, gate)
+                seen.add(got[1].get("check", ""))
     # every gate fails somewhere, except the kernel gate where O(D) is
     # trivial: D = 0 for E8 and D = Z/2 for A1
     trivial = {"kernel-congruence"} if name in ("A1", "E8") else set()
     assert seen == {""} | set(GATES) - trivial
+
+
+def test_determinant_sign_read_modulo_an_odd_prime(monkeypatch):
+    # the least odd prime not dividing the denominator: 3, then 5, then 7
+    form = FORMS["A2"]
+    calls = helpers.record_calls(monkeypatch, "_det_mod")
+    m = helpers.random_element(form, random.Random(11)).matrix
+    swapped = perturb("A2", m, "determinant", None)
+    for t, p in ((1, 3), (2, 3), (3, 5), (15, 7)):
+        x, y = rescale(m, t), rescale(swapped, t)
+        assert x.den == y.den == t
+        calls.clear()
+        assert form.classify(x) >= Membership.SPECIAL
+        assert form.classify_witness(y) == (Membership.ORTHOGONAL,
+                                            {"check": "determinant", "value": -1})
+        assert [c[1] for c in calls] == [p, p]
+
+
+def test_rational_matrix_failing_the_congruence():
+    for name in ("A2", "A1+A3"):
+        form = FORMS[name]
+        m = rescale(helpers.random_element(form, random.Random(4)).matrix, 3)
+        rows = [list(r) for r in m.rows]
+        rows[2][1] += Fraction(1, 3)
+        x = Matrix(rows)
+        got = form.classify_witness(x)
+        assert got == oracle_witness(name, x)
+        assert got[1]["check"] == "form-congruence" and x.den == 3
+
+
+def test_classifying_a_member_runs_no_exact_determinant(monkeypatch):
+    calls = helpers.record_calls(monkeypatch, "_bareiss")
+    for name, form in FORMS.items():
+        g = helpers.random_element(form, random.Random(9))
+        assert GroupElement(form, g.matrix).classify() >= Membership.INTEGRAL_SPECIAL_PLUS
+        assert form.orthogonal_inverse(g.matrix) @ g.matrix == Matrix.identity(form.dim)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", sorted(FORMS))
@@ -120,7 +171,7 @@ def test_orthogonal_inverse_rational_input_unchanged():
     # a special-plus matrix off the lattice keeps the old S1^{-1} m^t S1 value
     for name in ("A1", "A2", "A15"):
         form = FORMS[name]
-        m = perturb(form, helpers.random_element(form, random.Random(3)).matrix,
+        m = perturb(name, helpers.random_element(form, random.Random(3)).matrix,
                     "integrality", None)
         inv = form.orthogonal_inverse(m)
         assert inv == S1_INV[name] @ m.T @ form.s1
