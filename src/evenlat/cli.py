@@ -37,7 +37,7 @@ from .lattices import EvenLattice, overlattice_from_glue
 from .matrices import Matrix
 from .ogroup import ExtendedForm, Membership
 from .quadmod import MAX_GLUE_ORDER, MAX_ORDER, CapExceeded
-from .roots import maximality_formula, root_lattice
+from .roots import MAX_RANK, maximality_formula, root_lattice
 
 
 def _jsonable(obj):
@@ -172,6 +172,8 @@ def _table_analyze(p, args) -> list:
 
 def _cmd_atlas(args) -> dict:
     family = args.family.upper()
+    if args.max > MAX_RANK:
+        raise ValueError(f"--max {args.max} is above the rank limit {MAX_RANK}")
     ranks = range(max(args.min, 1), args.max + 1)
     if family == "D":
         ranks = [n for n in ranks if n >= 2]

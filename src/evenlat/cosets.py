@@ -245,9 +245,11 @@ def reduce_double_coset(x: ScaledOrthogonal) -> DoubleCosetForm:
             t = m.matrix @ t
         return alpha
 
-    # transvections probing divisibility of core and corner
+    # transvections probing divisibility of core and corner, each with its
+    # first column T*(lam) @ e0, which is all a probe reads
     probes = [("T*", tuple(int(i == j) for j in range(n + 2))) for i in range(n + 2)]
     probes.append(("T*", (1,) + (0,) * n + (1,)))
+    probes = [(tok, form._apply_token(tok, e0)) for tok in probes]
 
     def apply_right(tok):
         nonlocal t, right
@@ -269,14 +271,9 @@ def reduce_double_coset(x: ScaledOrthogonal) -> DoubleCosetForm:
         beta = vec_gcd(z)
         if beta == alpha and all(v % alpha == 0 for v in k):
             apply_right(("T", tuple(k[1 + j] // alpha for j in range(n + 2))))
-            # t is now block diagonal; probe whether alpha divides everything,
-            # reading only the first column of each probe: T*(lam) @ e0
-            failing = None
-            for tok in probes:
-                col = t @ form._apply_token(tok, e0)
-                if vec_gcd(form.s1 @ col) != alpha:
-                    failing = tok
-                    break
+            # t is now block diagonal; probe whether alpha divides everything
+            failing = next((tok for tok, c0 in probes
+                            if vec_gcd(form.s1 @ (t @ c0)) != alpha), None)
             if failing is None:
                 finished = True
                 break

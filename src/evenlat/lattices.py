@@ -3,8 +3,10 @@
 An even lattice is Z^n with a nondegenerate integral symmetric Gram matrix
 whose diagonal is even. Everything downstream is exact:
 
-* the discriminant form lives on dual/lattice and is read, in integers, off
-  the one Smith normal form of the Gram matrix that each lattice keeps;
+* the constructor runs one Smith elimination of the Gram matrix and keeps
+  it: the determinant is the product of its divisors with the tracked sign
+  of det U * det V, and the discriminant form on dual/lattice is read off it
+  in integers; definiteness is one Bareiss pass, run when first asked for;
 * an overlattice is rebuilt from a totally isotropic glue group by saturating
   the integer rows d Z^n + d (lifts of the glue generators), d = exponent;
 * embeddings carry the change of basis and verify Gram transport.
@@ -25,7 +27,7 @@ class EvenLattice:
     """Z^n with an exact, nondegenerate, even Gram matrix."""
 
     def __init__(self, gram: Matrix, name: str = "", *, _known=None):
-        # _known: (determinant, positive definite), as direct_sum has them
+        # _known: (determinant, summands), as direct_sum has them
         if not isinstance(gram, Matrix):
             gram = Matrix(gram)
         if not gram.is_square:
@@ -36,15 +38,14 @@ class EvenLattice:
             raise ValueError("Gram matrix must be symmetric")
         if any(gram[i, i] % 2 for i in range(gram.nrows)):
             raise ValueError("Gram diagonal must be even")
-        # one Bareiss pass gives both; positive definite is Sylvester's test
-        d, pd = _bareiss(gram.num) if _known is None else _known
-        if d == 0:
-            raise ValueError("Gram matrix must be nondegenerate")
         self.gram = gram
         self.name = name
-        self.determinant = d
-        self.is_positive_definite = pd
         self._disc = None
+        if _known is None:
+            self._smith, self.determinant = self._eliminate()
+            self._summands = ()
+        else:
+            self.determinant, self._summands = _known
 
     @property
     def rank(self) -> int:
@@ -56,23 +57,41 @@ class EvenLattice:
     def norm(self, u) -> int:
         return self.inner(u, u)
 
-    @cached_property
-    def _smith(self) -> tuple:
-        """(U, V, full divisors, kept divisors d_i > 1, numerators w_i).
+    def _eliminate(self) -> tuple:
+        """(Smith record, determinant) from the one Smith elimination of S.
 
-        From U S V = D: the divisors d_i > 1 are the last k of the chain, and
-        the generator of Z/d_i lifts to column i of S^{-1} U^{-1} = V D^{-1},
-        V[:, i]/d_i, kept as w_i/d_i with the integer w_i = V[:, i] mod d_i.
+        The record is (U, V, full divisors, kept divisors d_i > 1, numerators
+        w_i). From U S V = D: det S = det U * det V * prod d_i, the divisors
+        d_i > 1 are the last k of the chain, and the generator of Z/d_i lifts
+        to column i of S^{-1} U^{-1} = V D^{-1}, V[:, i]/d_i, kept as w_i/d_i
+        with the integer w_i = V[:, i] mod d_i.
         """
-        u, d, v = smith_normal_form(self.gram)
-        full = tuple(d[i, i] for i in range(d.nrows))
-        if prod(full) != abs(self.determinant):
-            raise AssertionError("Smith form inconsistent with determinant")
+        u, d, v, sign = smith_normal_form(self.gram, _signed=True)
+        full = tuple(d.num[i][i] for i in range(d.nrows))
+        if not all(full):
+            raise ValueError("Gram matrix must be nondegenerate")
         k = sum(di > 1 for di in full)
         divs = full[len(full) - k:]
         w = tuple(tuple(x % di for x in v.col(i))
                   for i, di in enumerate(divs, len(full) - k))
-        return u, v, full, divs, w
+        return (u, v, full, divs, w), sign * prod(full)
+
+    @cached_property
+    def _smith(self) -> tuple:
+        """The Smith record, set by the constructor; a direct sum, which
+        took its determinant from its summands, eliminates on first use."""
+        record, d = self._eliminate()
+        if d != self.determinant:
+            raise AssertionError("Smith form inconsistent with determinant")
+        return record
+
+    @cached_property
+    def is_positive_definite(self) -> bool:
+        """Sylvester's test, one Bareiss pass on first use; a direct sum asks
+        its summands."""
+        if self._summands:
+            return all(lat.is_positive_definite for lat in self._summands)
+        return _bareiss(self.gram.num)[1]
 
     @cached_property
     def adjugate(self) -> Matrix:
@@ -186,8 +205,7 @@ def direct_sum(*lattices: EvenLattice) -> EvenLattice:
         lat.name for lat in lattices) else ""
     return EvenLattice(
         Matrix._over(tuple(rows)), name=name,
-        _known=(prod(lat.determinant for lat in lattices),
-                all(lat.is_positive_definite for lat in lattices)))
+        _known=(prod(lat.determinant for lat in lattices), lattices))
 
 
 def overlattice_from_glue(lat: EvenLattice, glue: GlueGroup):

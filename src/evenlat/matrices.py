@@ -9,9 +9,12 @@ gcd, so there is one integer path whatever the entries are. The determinant
 and the definiteness test share one fraction-free Bareiss pass, which keeps
 intermediate entries polynomial in size; a determinant already known up to
 sign is read modulo a small prime instead (``_det_mod``). The Smith normal
-form can return the inverse of its column transform as an integer matrix.
-Nothing here inverts over the rationals: callers invert through an integral
-adjugate and one exact division.
+form picks the least pivot in row-major order, stops its scan at the first
+unit, seeks no divisibility witness after a unit pivot, and can return the
+inverse of its column transform as an integer matrix and the sign of
+det U * det V, from which a lattice reads its determinant. Nothing here
+inverts over the rationals: callers invert through an integral adjugate and
+one exact division.
 """
 
 from __future__ import annotations
@@ -232,27 +235,28 @@ def _bareiss(rows) -> tuple:
     pivot or a swap (a zero minor) means "not positive definite"; that answer
     is Sylvester's test when the matrix is symmetric.
     """
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return 1, True
+    # m is the active block: the rows and columns after the pivots so far
     m = [list(r) for r in rows]
     sign = 1
     prev = 1
     pd = True
-    for k in range(n - 1):
-        if m[k][k] <= 0:
+    while len(m) > 1:
+        if m[0][0] <= 0:
             pd = False
-            if m[k][k] == 0:
-                i = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if m[0][0] == 0:
+                i = next((i for i, r in enumerate(m) if r[0]), None)
                 if i is None:
                     return 0, False
-                m[k], m[i] = m[i], m[k]
+                m[0], m[i] = m[i], m[0]
                 sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    d = sign * m[n - 1][n - 1]
+        piv = m[0][0]
+        tail = m[0][1:]
+        m = [[(x * piv - r[0] * y) // prev for x, y in zip(r[1:], tail)] if r[0]
+             else [x * piv // prev for x in r[1:]] for r in m[1:]]
+        prev = piv
+    d = sign * m[0][0]
     return d, pd and d > 0
 
 
@@ -303,98 +307,123 @@ def is_positive_definite(a: Matrix) -> bool:
     return _bareiss(a.num)[1]
 
 
-def smith_normal_form(a: Matrix, *, with_v_inverse: bool = False):
+def _eye(n: int) -> list:
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+
+
+def smith_normal_form(a: Matrix, *, with_v_inverse: bool = False, _signed: bool = False):
     """Smith normal form with transforms.
 
     Returns (U, D, V) with U @ a @ V == D, U and V unimodular, and D diagonal
     with non-negative entries d_1 | d_2 | ... (zeros last). Works for any
     rectangular integral matrix.
 
+    Step t moves a pivot to (t, t): the entry of least |x| in the block of
+    rows and columns >= t, the first in row-major order. Each row gives its
+    least nonzero |x| in one pass, and the scan stops at the first row that
+    holds a unit, since no entry beats it. The pivot clears its column and
+    then its row by integer division; a nonzero remainder is a smaller pivot
+    and the step repeats. Once both are clear, a pivot p that does not divide
+    the whole remaining block gets the first row holding such an entry added
+    to row t, and the step repeats; a unit divides everything, so after a
+    unit pivot no such row is sought.
+
     With ``with_v_inverse=True`` it returns (U, D, V, W) with W @ V == I.
     W is tracked alongside V, not inverted afterwards: V starts as I and only
     changes by column operations, V <- V E, so W <- E^{-1} W is the matching
     row operation on W (col i += q col j on V is row j -= q row i on W, and a
     column swap on V is the same row swap on W).
+
+    The private ``_signed=True`` appends det U * det V (1 or -1) to the
+    result: adding a multiple of one row or column to another keeps both
+    determinants, and each swap and each final row negation flips the sign.
     """
     if not a.is_integral:
         raise ValueError("matrix has non-integer entries")
     m, n = a.nrows, a.ncols
     A = [list(r) for r in a.num]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-    W = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def add_row(i, j, q):  # row i += q * row j
-        A[i] = [x + q * y for x, y in zip(A[i], A[j])]
-        U[i] = [x + q * y for x, y in zip(U[i], U[j])]
-
-    def add_col(i, j, q):  # col i += q * col j
-        for r in A:
-            r[i] += q * r[j]
-        for r in V:
-            r[i] += q * r[j]
-        W[j] = [y - q * x for x, y in zip(W[i], W[j])]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-        W[i], W[j] = W[j], W[i]
+    U, V = _eye(m), _eye(n)
+    W = _eye(n) if with_v_inverse else None
+    sign = 1
 
     for t in range(min(m, n)):
         while True:
-            # smallest nonzero entry of the working submatrix as pivot
-            best = None
+            best, bi = 0, t
             for i in range(t, m):
-                for j in range(t, n):
-                    x = A[i][j]
-                    if x != 0 and (best is None or abs(x) < abs(best[2])):
-                        best = (i, j, x)
-            if best is None:
+                x = min(filter(None, map(abs, A[i][t:])), default=0)
+                if x and (not best or x < best):
+                    best, bi = x, i
+                    if x == 1:
+                        break
+            if not best:
                 break
-            bi, bj, _ = best
+            row = A[bi]
+            bj = next(j for j in range(t, n) if row[j] in (best, -best))
             if bi != t:
-                swap_rows(t, bi)
+                A[t], A[bi] = A[bi], A[t]
+                U[t], U[bi] = U[bi], U[t]
+                sign = -sign
             if bj != t:
-                swap_cols(t, bj)
-            p = A[t][t]
+                # the rows above t are zero off the diagonal
+                for r in A[t:]:
+                    r[t], r[bj] = r[bj], r[t]
+                for r in V:
+                    r[t], r[bj] = r[bj], r[t]
+                if W is not None:
+                    W[t], W[bj] = W[bj], W[t]
+                sign = -sign
+            pa, pu = A[t], U[t]
+            p = pa[t]
+            # row t's nonzeros: a row operation touches only these entries
+            nza = [(j, x) for j, x in enumerate(pa) if x]
+            nzu = [(j, x) for j, x in enumerate(pu) if x]
             dirty = False
             for i in range(t + 1, m):
-                if A[i][t] != 0:
-                    add_row(i, t, -(A[i][t] // p))
-                    if A[i][t] != 0:
+                ri = A[i]
+                if ri[t]:
+                    q = -(ri[t] // p)
+                    for j, x in nza:
+                        ri[j] += q * x
+                    ui = U[i]
+                    for j, x in nzu:
+                        ui[j] += q * x
+                    if ri[t]:
                         dirty = True  # remainder becomes a smaller pivot
-            for j in range(t + 1, n):
-                if A[t][j] != 0:
-                    add_col(j, t, -(A[t][j] // p))
-                    if A[t][j] != 0:
+            cols = [j for j, _ in nza if j > t]
+            if cols:
+                # column t stays fixed while later columns change, so only
+                # the rows where it is nonzero take part
+                ra = [r for r in A[t:] if r[t]]
+                rv = [r for r in V if r[t]]
+                for j in cols:
+                    q = -(pa[j] // p)
+                    for r in ra:
+                        r[j] += q * r[t]
+                    for r in rv:
+                        r[j] += q * r[t]
+                    if W is not None:
+                        W[t] = [y - q * x for x, y in zip(W[j], W[t])]
+                    if pa[j]:
                         dirty = True
             if dirty:
                 continue
-            # pivot must divide the whole remaining block for the chain d_i | d_{i+1}
-            witness = next(
-                (
-                    (i, j)
-                    for i in range(t + 1, m)
-                    for j in range(t + 1, n)
-                    if A[i][j] % p != 0
-                ),
-                None,
-            )
-            if witness is None:
+            if best == 1:
                 break
-            add_row(t, witness[0], 1)
-        if t < m and t < n and A[t][t] == 0:
+            # pivot must divide the whole remaining block for the chain d_i | d_{i+1}
+            wi = next((i for i in range(t + 1, m) if any(map(p.__rmod__, A[i][t + 1:]))),
+                      None)
+            if wi is None:
+                break
+            A[t] = [x + y for x, y in zip(pa, A[wi])]
+            U[t] = [x + y for x, y in zip(pu, U[wi])]
+        if A[t][t] == 0:
             break  # submatrix exhausted, zeros from here on
 
     for i in range(min(m, n)):
         if A[i][i] < 0:
             A[i] = [-x for x in A[i]]
             U[i] = [-x for x in U[i]]
-    out = [U, A, V, W] if with_v_inverse else [U, A, V]
-    return tuple(Matrix._over(tuple(map(tuple, x))) for x in out)
+            sign = -sign
+    out = tuple(Matrix._over(tuple(map(tuple, x)))
+                for x in ((U, A, V, W) if with_v_inverse else (U, A, V)))
+    return out + (sign,) if _signed else out

@@ -26,6 +26,9 @@ from .quadmod import GlueGroup
 
 _NAME_RE = re.compile(r"^(\d*)([ADE])(\d+)(\+?)$")
 
+# largest rank a name may ask for, checked before anything is built
+MAX_RANK = 256
+
 _E_EDGES = {
     6: [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)],
     7: [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)],
@@ -49,33 +52,28 @@ def squarefree(n: int) -> bool:
     return True
 
 
+def _gram(n: int, edges) -> Matrix:
+    """2 on the diagonal and x at (i, j) and (j, i) for each edge (i, j, x)."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 2
+    for i, j, x in edges:
+        rows[i][j] = rows[j][i] = x
+    return Matrix._over(tuple(map(tuple, rows)))
+
+
 def _a_gram(n: int) -> Matrix:
-    return Matrix([
-        [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)]
-        for i in range(n)
-    ])
+    return _gram(n, [(i, i + 1, -1) for i in range(n - 1)])
 
 
 def _d_gram(n: int) -> Matrix:
-    # basis: e1+e2, e1-e2, e2-e3, ..., e_{n-1}-e_n
-    basis = []
-    basis.append([1, 1] + [0] * (n - 2))
-    basis.append([1, -1] + [0] * (n - 2))
-    for i in range(2, n):
-        row = [0] * n
-        row[i - 1] = 1
-        row[i] = -1
-        basis.append(row)
-    b = Matrix(basis)
-    return b @ b.T
+    # basis e1+e2, e1-e2, e2-e3, ..., e_{n-1}-e_n: a chain of differences
+    # from e1-e2 on, which e1+e2 meets in +1 at e2-e3 only
+    return _gram(n, [(0, 2, 1)] * (n > 2) + [(i, i + 1, -1) for i in range(1, n - 1)])
 
 
 def _e_gram(n: int) -> Matrix:
-    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for a, b in _E_EDGES[n]:
-        rows[a - 1][b - 1] = -1
-        rows[b - 1][a - 1] = -1
-    return Matrix(rows)
+    return _gram(n, [(a - 1, b - 1, -1) for a, b in _E_EDGES[n]])
 
 
 def a_generator_class(lat: EvenLattice) -> tuple:
@@ -141,7 +139,11 @@ def parse_name(name: str):
     mult = int(m.group(1)) if m.group(1) else 1
     if mult < 1:
         raise ValueError("multiplicity must be at least 1")
-    return mult, m.group(2), int(m.group(3)), bool(m.group(4))
+    n = int(m.group(3))
+    if mult * n > MAX_RANK:
+        raise ValueError(
+            f"lattice {name.strip()!r} has rank {mult * n}, above the limit {MAX_RANK}")
+    return mult, m.group(2), n, bool(m.group(4))
 
 
 def root_lattice(name: str) -> EvenLattice:

@@ -15,6 +15,7 @@ import evenlat
 import helpers
 from evenlat import ExtendedForm, Matrix, __version__, root_lattice
 from evenlat.cli import build_parser, main
+from evenlat.roots import MAX_RANK
 
 
 def run(capsys, *argv):
@@ -500,6 +501,28 @@ def test_max_order_only_where_a_group_is_scanned(capsys, tmp_path):
     for argv in (["analyze", "--name", "A1"], ["atlas", "--family", "A", "--max", "2"],
                  ["overlattices", "--name", "A1"]):
         assert parser.parse_args(argv + ["--max-order", "5"]).max_order == 5
+
+
+def test_rank_is_bounded_before_anything_is_built(capsys, monkeypatch):
+    # every Matrix, built by Matrix(...) or Matrix._over, goes through _fill
+    built = helpers.record_calls(monkeypatch, "_fill")
+    for argv in (["analyze", "--name", "A100000"],
+                 ["overlattices", "--name", "100000A1"],
+                 ["atlas", "--family", "A", "--max", "100000"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and f"limit {MAX_RANK}" in err
+    assert built == []
+
+
+def test_definiteness_is_one_bareiss_pass_where_it_is_read(capsys, monkeypatch):
+    passes = helpers.record_calls(monkeypatch, "_bareiss")
+    code, out, _ = run(capsys, "overlattices", "--name", "A8", "--format", "json")
+    assert code == 0 and json.loads(out)["count"] == 1
+    assert passes == []
+    code, out, _ = run(capsys, "analyze", "--name", "A8", "--format", "json")
+    assert code == 0 and json.loads(out)["positive_definite"] is True
+    assert len(passes) == 1
 
 
 def test_json_output_is_deterministic(capsys):

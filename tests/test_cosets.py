@@ -240,6 +240,22 @@ def test_double_coset_alpha_equals_entry_gcd():
         assert dc.core.T @ d4.s0 @ dc.core == 9 * d4.s0
 
 
+def test_double_coset_builds_each_probe_column_once(monkeypatch):
+    # the probe columns T*(lam) e0 are fixed ints: one _apply_token each per
+    # reduction, however many passes it takes
+    probes = helpers.count_calls(monkeypatch, "_apply_token")
+    rng = random.Random(79)
+    d4 = ExtendedForm(root_lattice("D4"))
+    y = helpers.corner_scaling(d4.dim, 3)
+    for _ in range(4):
+        w = helpers.random_element(d4, rng, max_len=3)
+        v = helpers.random_element(d4, rng, max_len=3)
+        x = make_scaled(d4, w.matrix @ y @ v.matrix, canonicalize=False)
+        del probes[:]
+        reduce_double_coset(x)
+        assert len(probes) == d4.n + 3
+
+
 def test_double_coset_ratio_one():
     rng = random.Random(83)
     g = helpers.random_element(A2, rng, max_len=5)

@@ -317,18 +317,20 @@ def test_positive_definite_once_and_from_summands(monkeypatch):
     indefinite = direct_sum(root_lattice("A2"), EvenLattice(Matrix([[2, 1], [1, -2]])))
     assert not indefinite.is_positive_definite
     assert not is_positive_definite(indefinite.gram)
-    # one Bareiss pass per summand gives its determinant and definiteness
-    # together; none runs on the block Gram, and none is repeated
+    # building runs no Bareiss pass; reading a direct sum's definiteness
+    # runs one per summand, none on the block Gram, and none is repeated
     passes = helpers.record_calls(monkeypatch, "_bareiss")
     a, b = root_lattice("A3"), root_lattice("D4")
     lat = direct_sum(a, b)
+    assert lat.determinant == a.determinant * b.determinant == 16
+    assert passes == []
     assert lat.is_positive_definite and lat.is_positive_definite
     assert a.is_positive_definite and b.is_positive_definite
-    assert lat.determinant == a.determinant * b.determinant == 16
     assert ExtendedForm(lat).s1_det == 16
-    assert [args[0] for args in passes] == [a.gram.rows, b.gram.rows]
-    # a lattice built from a Gram runs exactly one pass for both facts
+    assert [args[0] for args in passes] == [a.gram.num, b.gram.num]
+    # a lattice built from a Gram runs exactly one pass, when it is read
     passes.clear()
     hyp = EvenLattice(Matrix([[0, 1], [1, 0]]))
-    assert hyp.determinant == -1 and not hyp.is_positive_definite
-    assert [args[0] for args in passes] == [hyp.gram.rows]
+    assert hyp.determinant == -1 and passes == []
+    assert not hyp.is_positive_definite and not hyp.is_positive_definite
+    assert [args[0] for args in passes] == [hyp.gram.num]

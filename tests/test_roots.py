@@ -22,6 +22,7 @@ from evenlat import (
     root_lattice,
     squarefree,
 )
+from evenlat.roots import MAX_RANK
 
 
 # -------------------------------------------------------------------- parsing
@@ -39,6 +40,15 @@ def test_parse_name():
 def test_parse_name_rejects(bad):
     with pytest.raises(ValueError):
         parse_name(bad)
+
+
+def test_parse_name_bounds_the_rank():
+    assert MAX_RANK == 256
+    assert parse_name(f"A{MAX_RANK}") == (1, "A", MAX_RANK, False)
+    assert parse_name(f"{MAX_RANK // 2}A2") == (MAX_RANK // 2, "A", 2, False)
+    for bad in (f"A{MAX_RANK + 1}", f"{MAX_RANK + 1}A1", "2D129", "33D8+"):
+        with pytest.raises(ValueError, match=f"above the limit {MAX_RANK}"):
+            parse_name(bad)
 
 
 @pytest.mark.parametrize("bad", ["A0", "D1", "E5", "E9", "A2+", "E8+", "D7+", "D12+"])
@@ -69,6 +79,12 @@ def test_d_series_gram():
         lat = root_lattice(f"D{n}")
         assert lat.determinant == 4
         assert lat.is_positive_definite
+    # the Gram is B B^T for the basis e1+e2, e1-e2, e2-e3, ..., e_{n-1}-e_n
+    for n in range(2, 40):
+        basis = [[1, 1] + [0] * (n - 2), [1, -1] + [0] * (n - 2)]
+        basis += [[int(j == i - 1) - int(j == i) for j in range(n)] for i in range(2, n)]
+        b = Matrix(basis)
+        assert root_lattice(f"D{n}").gram == b @ b.T
     # D3 and A3 present the same lattice in different bases: same divisors
     assert (
         root_lattice("D3").discriminant_group().divisors
@@ -109,20 +125,25 @@ def test_multiplicity_prefix():
 
 @pytest.mark.parametrize("single,multiple", [("A1", "4A1"), ("D8+", "2D8+")])
 def test_multiplicity_builds_one_summand(monkeypatch, single, multiple):
-    # kX sums k copies of one built X: the same Bareiss passes, Smith forms
-    # and overlattices as X alone
+    # kX sums k copies of one built X: the same Smith forms and overlattices
+    # as X alone, no Bareiss pass while building, and reading definiteness
+    # runs the one pass of X
     def calls(name):
         bareiss = helpers.record_calls(monkeypatch, "_bareiss")
         smith = helpers.record_calls(monkeypatch, "smith_normal_form")
         glued = helpers.record_calls(monkeypatch, "overlattice_from_glue",
                                      owner=evenlat.lattices)
-        root_lattice(name)
+        lat = root_lattice(name)
+        built = len(bareiss)
+        assert lat.is_positive_definite
         monkeypatch.undo()
-        return bareiss, smith, len(glued)
+        return built, bareiss, smith, len(glued)
 
     want = calls(single)
     assert calls(multiple) == want
-    assert want[0] and (single == "A1" or (want[1] and want[2] == 1))
+    built, bareiss, smith, glued = want
+    assert built == 0 and len(bareiss) == 1 and smith
+    assert glued == (single != "A1")
 
 
 # -------------------------------------------------------------- glued D-series
