@@ -24,9 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
+from operator import mul
 
 from .lattices import LatticeEmbedding
-from .matrices import Matrix, det, vec_gcd
+from .matrices import Matrix, _det_mod, _odd_prime_not_dividing, vec_gcd
 from .ogroup import ExtendedForm, GroupElement, Membership
 from .quadmod import MAX_ORDER, is_maximal_even
 
@@ -45,9 +47,10 @@ class ScaledOrthogonal:
     """Integral matrix scaling the extended form by a positive ratio."""
 
     def __init__(self, form: ExtendedForm, matrix: Matrix, ratio: int, *,
-                 _congruence: Matrix | None = None, _trusted: bool = False):
-        # _congruence: R^t S1 R when the caller has computed it already;
-        # _trusted: R is built from a verified scaled matrix (no checks)
+                 _trusted: bool = False):
+        # _trusted: R is built from a verified scaled matrix (no checks).
+        # Once the congruence holds, det(R)^2 = ratio^d, and the sign of
+        # det R is read modulo an odd prime not dividing the ratio.
         if not _trusted:
             if not isinstance(matrix, Matrix):
                 matrix = Matrix(matrix)
@@ -58,11 +61,10 @@ class ScaledOrthogonal:
             ratio = int(ratio)
             if ratio <= 0:
                 raise ValueError("the scaling ratio must be a positive integer")
-            if _congruence is None:
-                _congruence = matrix.T @ form.s1 @ matrix
-            if _congruence != ratio * form.s1:
+            if form._congruence_mismatch(matrix.num, ratio) is not None:
                 raise ValueError("matrix does not scale the form by the given ratio")
-            if det(matrix) <= 0:
+            p = _odd_prime_not_dividing(ratio)
+            if _det_mod(matrix.num, p) != isqrt(ratio**form.dim) % p:
                 raise ValueError("matrix must have positive determinant")
             if form._orientation_value(matrix) <= 0:
                 raise ValueError("matrix must preserve the oriented positive 2-plane")
@@ -120,11 +122,12 @@ def make_scaled(form: ExtendedForm, matrix, ratio: int | None = None,
     """
     if not isinstance(matrix, Matrix):
         matrix = Matrix(matrix)
-    w = None
+    if matrix.shape != (form.dim, form.dim):
+        raise ValueError("matrix has the wrong size for this form")
     if ratio is None:
-        w = matrix.T @ form.s1 @ matrix
-        ratio = w[0, form.dim - 1]
-    out = ScaledOrthogonal(form, matrix, ratio, _congruence=w)
+        # the (0, last) entry of R^t S1 R: column 0 of R against S1 R[:, last]
+        ratio = sum(map(mul, matrix.col(0), form.s1 @ matrix.col(form.dim - 1)))
+    out = ScaledOrthogonal(form, matrix, ratio)
     return out.canonical() if canonicalize else out
 
 

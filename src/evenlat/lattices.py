@@ -9,7 +9,9 @@ whose diagonal is even. Everything downstream is exact:
   in integers; definiteness is one Bareiss pass, run when first asked for;
 * an overlattice is rebuilt from a totally isotropic glue group by saturating
   the integer rows d Z^n + d (lifts of the glue generators), d = exponent;
-* embeddings carry the change of basis and verify Gram transport.
+* embeddings carry the change of basis and verify Gram transport;
+* both congruences, the overlattice Gram B S B^t / d^2 and the transport
+  M^t S' M = S, are formed through the nonzeros, upper triangle only.
 """
 
 from __future__ import annotations
@@ -174,7 +176,8 @@ class LatticeEmbedding:
             raise ValueError("embedding matrix has the wrong shape")
         if not matrix.is_integral:
             raise ValueError("embedding matrix must be integral")
-        if matrix.T @ sup.gram @ matrix != sub.gram:
+        cols = [[(i, x) for i, x in enumerate(c) if x] for c in zip(*matrix.num)]
+        if _congruent(cols, sup.gram.num) != sub.gram.num:
             raise ValueError("embedding does not transport the Gram matrix")
         self.sub = sub
         self.sup = sup
@@ -190,6 +193,29 @@ class LatticeEmbedding:
 
     def __repr__(self):
         return f"LatticeEmbedding(index={self.index})"
+
+
+def _congruent(b, s, den=1):
+    """B S B^t / den as integer rows, or None where den does not divide it.
+
+    B is given by the nonzeros of its rows, (column, value) pairs, and S is
+    symmetric, so only the upper triangle is formed: row i of B S combines
+    the nonzeros of the rows of S that the nonzeros of row i of B pick, and
+    entry (i, l) reads that row at the nonzeros of row l of B.
+    """
+    s_nz = [[(k, y) for k, y in enumerate(r) if y] for r in s]
+    out = [[0] * len(b) for _ in b]
+    for i, bi in enumerate(b):
+        acc = [0] * len(s)
+        for j, x in bi:
+            for k, y in s_nz[j]:
+                acc[k] += x * y
+        for l in range(i, len(b)):
+            t = sum(acc[k] * z for k, z in b[l])
+            if t % den:
+                return None
+            out[i][l] = out[l][i] = t // den
+    return tuple(map(tuple, out))
 
 
 def direct_sum(*lattices: EvenLattice) -> EvenLattice:
@@ -223,18 +249,18 @@ def overlattice_from_glue(lat: EvenLattice, glue: GlueGroup):
         raise ValueError("glue group does not belong to this lattice")
     n = lat.rank
     d = disc.divisors[-1] if disc.divisors else 1
-    rows = [[d * int(i == j) for j in range(n)] for i in range(n)]
-    rows += [lat._lift_numerators(g)[1] for g in glue.generators]
-    _, dm, v, vinv = smith_normal_form(Matrix(rows), with_v_inverse=True)
-    divs = [dm[i, i] for i in range(n)]
-    b = Matrix._over(tuple(tuple(di * x for x in vinv.num[i])
-                           for i, di in enumerate(divs)))
-    # new basis B/d: Gram (B S B^t)/d^2 and embedding (d V diag(d_i)^-1)^t,
-    # the inverse of the basis, transposed; both must divide exactly
-    gram = b @ lat.gram @ b.T * Fraction(1, d * d)
-    if not gram.is_integral:
+    rows = tuple((0,) * i + (d,) + (0,) * (n - 1 - i) for i in range(n))
+    rows += tuple(lat._lift_numerators(g)[1] for g in glue.generators)
+    _, dm, v, vinv = smith_normal_form(Matrix._over(rows), with_v_inverse=True)
+    divs = [dm.num[i][i] for i in range(n)]
+    # new basis B/d, B = diag(d_i) V^{-1}: Gram (B S B^t)/d^2 and embedding
+    # (d V diag(d_i)^-1)^t, the inverse of the basis, transposed; both must
+    # divide exactly
+    b = [[(j, di * x) for j, x in enumerate(r) if x] for r, di in zip(vinv.num, divs)]
+    gram = _congruent(b, lat.gram.num, d * d)
+    if gram is None:
         raise ValueError("glue group is not isotropic for the bilinear form")
-    over = EvenLattice(gram)
+    over = EvenLattice(Matrix._over(gram))
     h = [[d * x for x in v.col(j)] for j in range(n)]
     if any(x % dj for row, dj in zip(h, divs) for x in row):
         raise ValueError("embedding matrix must be integral")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul, neg
 from typing import Iterable, Sequence, Union
 
@@ -226,6 +226,18 @@ def vec_gcd(v: Iterable[int]) -> int:
     return g
 
 
+def _int_vec(v) -> tuple:
+    """v as ints; a bool, float or non-integral entry raises ValueError."""
+    out = []
+    for x in v:
+        if isinstance(x, Fraction) and x.denominator == 1:
+            x = x.numerator
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"vector entries must be integers, got {x!r}")
+        out.append(int(x))
+    return tuple(out)
+
+
 def _bareiss(rows) -> tuple:
     """(determinant, positive definite) of a square integer matrix, in one pass.
 
@@ -285,6 +297,14 @@ def _det_mod(rows, p: int) -> int:
             rest.append([(x - f * y) % p for x, y in zip(r[1:], tail)] if f else r[1:])
         m = rest
     return out % p
+
+
+def _odd_prime_not_dividing(n: int) -> int:
+    """The least odd prime not dividing n."""
+    p = 3
+    while n % p == 0 or any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)):
+        p += 2
+    return p
 
 
 def det(a: Matrix):

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
-from math import isqrt
 from operator import add, mul
 
 from .lattices import EvenLattice
-from .matrices import Matrix, _det_mod, _entry, det, vec_gcd
+from .matrices import (
+    Matrix, _det_mod, _entry, _int_vec, _odd_prime_not_dividing, det, vec_gcd,
+)
 
 _COMPLETION_CAP = 10000
 
@@ -167,25 +168,6 @@ def _act(parts, v: list, row: bool) -> None:
         v[1:last] = [x - sc * y for x, y in zip(v[1:last], shift)]
 
 
-def _int_vec(v) -> tuple:
-    """v as ints; a bool, float or non-integral entry raises ValueError."""
-    out = []
-    for x in v:
-        if isinstance(x, Fraction) and x.denominator == 1:
-            x = x.numerator
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ValueError(f"vector entries must be integers, got {x!r}")
-        out.append(int(x))
-    return tuple(out)
-
-
-def _odd_prime_not_dividing(n: int) -> int:
-    p = 3
-    while n % p == 0 or any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)):
-        p += 2
-    return p
-
-
 def _first_non_integral(a: Matrix) -> tuple:
     return next((i, j) for i, row in enumerate(a.num) for j, x in enumerate(row)
                 if x % a.den)
@@ -306,6 +288,19 @@ class ExtendedForm:
             out.append(acc)
         return out
 
+    def _congruence_mismatch(self, num, scale: int):
+        """(i, j, value) of the first entry, row-major in the upper triangle,
+        where num^t (S1 num) differs from scale * S1; None when they agree.
+        Both sides are symmetric, so the triangle decides."""
+        x_cols = tuple(zip(*self._s1_times(num)))
+        for i, (col, s1_row) in enumerate(zip(zip(*num), self.s1.num)):
+            got = [sum(map(mul, col, c)) for c in x_cols[i:]]
+            want = [scale * x for x in s1_row[i:]]
+            if got != want:
+                j = next(j for j, (a, b) in enumerate(zip(got, want), i) if a != b)
+                return i, j, got[j - i]
+        return None
+
     def identity(self) -> GroupElement:
         return GroupElement(self, Matrix.identity(self.dim), (), _trusted=True)
 
@@ -374,20 +369,16 @@ class ExtendedForm:
         if m.shape != (d, d):
             raise ValueError("matrix has the wrong size for this form")
         num, den = m.num, m.den
-        cols = tuple(zip(*num))
-        x_cols = tuple(zip(*self._s1_times(num)))
         scale = den * den
-        for i, (col, s1_row) in enumerate(zip(cols, self.s1.num)):
-            got = [sum(map(mul, col, c)) for c in x_cols[i:]]
-            want = [scale * x for x in s1_row[i:]]
-            if got != want:
-                j = next(j for j, (a, b) in enumerate(zip(got, want), i) if a != b)
-                return Membership.NOT_ORTHOGONAL, {
-                    "check": "form-congruence",
-                    "entry": (i, j),
-                    "got": _entry(got[j - i], scale),
-                    "expected": s1_row[j],
-                }
+        miss = self._congruence_mismatch(num, scale)
+        if miss is not None:
+            i, j, got = miss
+            return Membership.NOT_ORTHOGONAL, {
+                "check": "form-congruence",
+                "entry": (i, j),
+                "got": _entry(got, scale),
+                "expected": self.s1.num[i][j],
+            }
         # det M = ±1 now, and 1 != -1 modulo an odd prime
         p = _odd_prime_not_dividing(den)
         if _det_mod(num, p) * pow(den, -d, p) % p != 1:

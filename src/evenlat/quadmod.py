@@ -3,7 +3,14 @@
 A module here is a finite abelian group d_1 Z x ... x d_k Z carrying a
 quadratic form q with values in Q/Z, presented by the Gram matrix of lifts
 of its generators into the dual of an even lattice. Elements are coordinate
-tuples taken mod the divisors; q is evaluated exactly. The central predicates:
+tuples taken mod the divisors; q is evaluated exactly. The glue search and
+the span of a glue group work on element codes instead: one int per element,
+coordinate i in a field of b bits under one guard bit (2^b >= d_k),
+coordinate 0 the most significant, so int order is tuple order. Two codes
+add in a few whole-int operations: add; add an offset of 2^b - d_i per
+field, which sets the guard of exactly the fields that reached d_i and
+carries into no other field; mask those fields; subtract d_i there. The
+central predicates:
 
 * anisotropic (q vanishes only at 0), which is equivalent to the source
   lattice having no proper even overlattice;
@@ -20,7 +27,7 @@ from itertools import product
 from math import gcd, prod
 from operator import mul
 
-from .matrices import Matrix
+from .matrices import Matrix, _int_vec
 
 MAX_ORDER = 10**6  # element-scan guard
 MAX_GLUE_ORDER = 4096  # subgroup-enumeration guard
@@ -55,6 +62,16 @@ class FiniteQuadraticModule:
         # integer fast path: with lift_gram = G / N, q(x) = (x^t G x) / (2N) mod 1
         self._den = 2 * lift_gram.den
         self._igram = lift_gram.num
+        # element codes: (b, offsets, guard bits, divisors) by field
+        b = (divisors[-1] - 1).bit_length() if divisors else 0
+        shifts = [(b + 1) * (k - 1 - i) for i in range(k)]
+        self._codec = (
+            b,
+            sum(((1 << b) - d) << t for d, t in zip(divisors, shifts)),
+            sum(1 << b + t for t in shifts),
+            sum(d << t for d, t in zip(divisors, shifts)),
+        )
+        self._shifts = tuple(shifts)
 
     # -- group structure -----------------------------------------------------
 
@@ -166,14 +183,35 @@ class FiniteQuadraticModule:
 
     # -- subgroups ---------------------------------------------------------------
 
-    def _closure_with(self, span: frozenset, g: tuple):
-        # span is a subgroup; returns span + <g>
-        out = set(span)
-        step = set(span)
-        for _ in range(self.element_order(g) - 1):
-            step = {self.add(s, g) for s in step}
-            out |= step
-        return frozenset(out)
+    def _encode(self, x: tuple) -> int:
+        """The code of a reduced element: coordinate i in field i of _codec."""
+        code = 0
+        for a in x:
+            code = (code << self._codec[0] + 1) | a
+        return code
+
+    def _decode(self, code: int) -> tuple:
+        mask = (1 << self._codec[0]) - 1
+        return tuple((code >> t) & mask for t in self._shifts)
+
+    def _coset(self, span, x: int) -> list:
+        """The codes of s + x for the codes s in span; (g << 1) - (g >> b)
+        masks the fields whose guard g the offset set."""
+        b, off, guards, dmask = self._codec
+        out = []
+        for v in span:
+            v += x
+            g = (v + off) & guards
+            out.append(v - (dmask & ((g << 1) - (g >> b))) if g else v)
+        return out
+
+    def _cosets(self, span, x: int):
+        """The cosets x + span, 2x + span, ... that are not span itself, as
+        code lists; span is a set of codes closed under addition."""
+        cur = self._coset(span, x)
+        while cur[0] not in span:
+            yield cur
+            cur = self._coset(cur, x)
 
     def maximal_isotropic_subgroups(self, max_order: int = MAX_GLUE_ORDER) -> list:
         """All maximal totally isotropic subgroups as GlueGroups.
@@ -182,16 +220,27 @@ class FiniteQuadraticModule:
         (repeatedly adjoin the least element outside the current span). For an
         anisotropic module the answer is the trivial subgroup alone.
 
-        For isotropic x, span + <x> is totally isotropic iff b(x, c) = 0 for
-        every chain generator c, since q(s + jx) = q(s) + j b(s, x) for s in
-        the span. So each search node carries the bitmask of isotropic
-        elements outside its span and orthogonal to its chain; a closure is
-        built only for an accepted candidate, and a span is maximal exactly
-        when that mask is empty.
+        The search runs on element codes (``_coset``): ints whose order is
+        the lexicographic order of the tuples. For isotropic x, span + <x>
+        is totally isotropic iff b(x, c) = 0 for every chain generator c,
+        since q(s + jx) = q(s) + j b(s, x) for s in the span. So each search
+        node carries a bitmask of the isotropic elements outside its span
+        and orthogonal to its chain, and a span is maximal exactly when that
+        mask is empty.
+
+        A node first builds only the coset x + span of each candidate x
+        above its floor. If some s + x < x, x is dead in the whole subtree:
+        a larger span' without x has s + x outside it but in span' + <x>,
+        so x is never again the least new element. Dead candidates leave
+        the mask the node hands its children, and the other cosets are built
+        only for the survivors, after the scan. The mask still decides
+        maximality: the least element of a coset y + span' is a candidate
+        whenever y is, and it is never dead.
         """
         self._guard(max_order)
         iso = self.isotropic_elements(max_order)
-        index = {x: i for i, x in enumerate(iso)}
+        codes = [self._encode(x) for x in iso]
+        index = {c: i for i, c in enumerate(codes)}
         n = self._den // 2
         gram = self._igram
         orth = {}
@@ -207,45 +256,68 @@ class FiniteQuadraticModule:
 
         def dfs(chain, span, cand, floor):
             rest = cand >> (floor + 1) << (floor + 1)
+            grown = []
             while rest:
                 low = rest & -rest
                 rest ^= low
                 i = low.bit_length() - 1
-                x = iso[i]
-                new = self._closure_with(span, x)
-                added = new - span
-                if min(added) != x:
-                    continue  # not the canonical chain for that subgroup
-                gone = sum(1 << index[y] for y in added)
-                dfs(chain + [x], new, cand & orth_mask(i) & ~gone, i)
+                x = codes[i]
+                more = self._cosets(span, x)
+                first = next(more)
+                if min(first) != x:
+                    cand ^= low  # dead in the whole subtree
+                else:
+                    grown.append((i, x, first, more))
+            for i, x, first, more in grown:
+                added = list(first)
+                for c in more:
+                    if min(c) < x:
+                        break  # not the canonical chain for that subgroup
+                    added += c
+                else:
+                    keep = orth_mask(i) & ~sum(1 << index[y] for y in added)
+                    dfs(chain + [x], span.union(added), cand & keep, i)
             if not cand:
                 found.append((tuple(chain), span))
 
-        dfs([], frozenset([self.zero]), (1 << len(iso)) - 1, -1)
+        dfs([], frozenset([0]), (1 << len(iso)) - 1, -1)
         found.sort(key=lambda t: (len(t[1]), t[0]))
-        return [GlueGroup(self, gens, span) for gens, span in found]
+        decode = dict(zip(codes, iso))
+        decode[0] = self.zero
+        return [GlueGroup(self, tuple(map(decode.get, chain)),
+                          frozenset(map(decode.get, span)))
+                for chain, span in found]
 
 
 class GlueGroup:
-    """A totally isotropic subgroup of a finite quadratic module."""
+    """A totally isotropic subgroup of a finite quadratic module.
+
+    Each generator must be an integer vector (``_int_vec``) with one entry
+    per divisor; it is reduced modulo the divisors.
+    """
 
     def __init__(self, parent: FiniteQuadraticModule, generators, _span=None):
-        gens = tuple(tuple(int(a) % d for a, d in zip(g, parent.divisors))
-                     for g in generators)
-        span = _span
-        if span is None:
-            span = frozenset([parent.zero])
-            for g in gens:
-                span = parent._closure_with(span, g)
-            for y in span:
+        # _span: the elements, as the search found them with these generators
+        if _span is None:
+            k = len(parent.divisors)
+            span = {0}
+            for g in generators:
+                g = _int_vec(g)
+                if len(g) != k:
+                    raise ValueError(f"glue generator {g!r} must have {k} entries")
+                x = parent._encode(tuple(a % d for a, d in zip(g, parent.divisors)))
+                span = span.union(*parent._cosets(span, x))
+            for y in map(parent._decode, span):
                 if parent._qnum(y) != 0:
                     raise ValueError(
                         f"glue group is not isotropic: q{y!r} != 0"
                     )
-            gens = _canonical_chain(parent, span)
+            gens, _span = _canonical_chain(parent, span)
+        else:
+            gens = tuple(generators)
         self.parent = parent
         self.generators = gens
-        self._span = span
+        self._span = _span
 
     @property
     def order(self) -> int:
@@ -268,17 +340,19 @@ class GlueGroup:
         return f"GlueGroup(order={self.order}, generators={list(self.generators)})"
 
 
-def _canonical_chain(mod: FiniteQuadraticModule, span: frozenset) -> tuple:
-    # greedy: repeatedly take the least element not yet spanned
+def _canonical_chain(mod: FiniteQuadraticModule, span: set) -> tuple:
+    """(chain, elements) of a subgroup given by its codes, both decoded.
+
+    The chain is greedy: repeatedly take the least element not yet spanned.
+    """
     chain = []
-    cur = frozenset([mod.zero])
-    rest = sorted(span - cur)
-    while rest:
-        g = rest[0]
-        chain.append(g)
-        cur = mod._closure_with(cur, g)
-        rest = sorted(span - cur)
-    return tuple(chain)
+    cur = {0}
+    for c in sorted(span):
+        if c not in cur:
+            chain.append(c)
+            cur = cur.union(*mod._cosets(cur, c))
+    decode = mod._decode
+    return tuple(map(decode, chain)), frozenset(map(decode, span))
 
 
 def _prime_divisors(n: int) -> list:

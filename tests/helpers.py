@@ -93,6 +93,21 @@ def record_calls(monkeypatch, name, owner=evenlat.matrices):
     return calls
 
 
+# -- subgroups of a finite quadratic module, on coordinate tuples -----------
+# Written apart from the glue search's integer codes, as the oracle it is
+# checked against.
+
+
+def tuple_closure(mod, span, g):
+    """span + <g> for a subgroup span of mod, on coordinate tuples."""
+    out = set(span)
+    step = set(span)
+    for _ in range(mod.element_order(g) - 1):
+        step = {mod.add(s, g) for s in step}
+        out |= step
+    return frozenset(out)
+
+
 # -- generator tokens from their entry formulas, on plain lists --------------
 # Written apart from evenlat's closed-form action, as the oracle it is
 # checked against.

@@ -43,3 +43,5 @@ def test_retired_names_stay_gone():
     for name in ("_norm", "_dot", "denominator_lcm"):
         assert not hasattr(evenlat.matrices, name), name
     assert not hasattr(evenlat.Matrix, "_from_ints")
+    # the tuple closure of the glue search: spans are closed on integer codes
+    assert not hasattr(evenlat.FiniteQuadraticModule, "_closure_with")

@@ -31,7 +31,7 @@ from evenlat import (
     root_lattice,
 )
 from evenlat.cosets import DoubleCosetForm, RightCosetForm
-from evenlat.matrices import vec_gcd
+from evenlat.matrices import det, vec_gcd
 from evenlat.ogroup import base_reflection
 
 A2 = ExtendedForm(root_lattice("A2"))
@@ -59,6 +59,9 @@ def test_scaled_validation():
         ScaledOrthogonal(A2, X, 0)
     with pytest.raises(ValueError):
         ScaledOrthogonal(A2, Matrix.identity(5), 1)  # wrong size
+    for m in (Matrix.identity(5), Matrix.identity(7), Matrix([[1] * 6] * 5)):
+        with pytest.raises(ValueError, match="wrong size"):
+            make_scaled(A2, m)
     with pytest.raises(ValueError):
         ScaledOrthogonal(A2, Matrix([[Fraction(1, 2)] * 6] * 6), 1)
     # det 1 but reversed orientation of the positive 2-plane
@@ -126,22 +129,72 @@ def test_canonicalization_divides_out_content():
 
 
 def test_make_scaled_verifies_once(monkeypatch):
-    # the ratio is read off R^t S1 R, and that same product, one det and one
-    # orientation check verify R; canonical() divides a verified matrix by
+    # the ratio is read off one entry of R^t S1 R; the congruence triangle,
+    # the sign of det R modulo an odd prime and one orientation check verify
+    # R, with no exact determinant; canonical() divides a verified matrix by
     # its content and checks nothing again
-    import evenlat.cosets
-
-    dets = helpers.count_calls(monkeypatch, "det", owner=evenlat.cosets)
+    exact = helpers.record_calls(monkeypatch, "_bareiss")
+    signs = helpers.record_calls(monkeypatch, "_det_mod")
     w = A2.element_from_word(W_WORD)
     x = make_scaled(A2, helpers.scale_matrix(w.matrix @ X, 6), canonicalize=True)
     assert (x.ratio, x.matrix) == (4, w.matrix @ X)
-    assert len(dets) == 1
+    # ratio 6^2 * 4 = 144: 3 divides it, so the sign is read mod 5
+    assert [p for _, p in signs] == [5]
     # direct construction still verifies; its power is trusted
-    del dets[:]
+    del signs[:]
     ScaledOrthogonal(A2, x.matrix, 4).power(2)
-    assert len(dets) == 1
+    assert [p for _, p in signs] == [3]
+    assert exact == []
     with pytest.raises(ValueError, match="scale the form"):
         ScaledOrthogonal(A2, x.matrix, 2)
+
+
+def _dense_verdict(form, m, ratio):
+    """The message ScaledOrthogonal should raise, or None, by dense products
+    and the exact Bareiss determinant."""
+    if m.T @ form.s1 @ m != form.s1 * ratio:
+        return "scale the form"
+    if det(m) <= 0:
+        return "positive determinant"
+    if form._orientation_value(m) <= 0:
+        return "oriented positive 2-plane"
+    return None
+
+
+@pytest.mark.parametrize("name", ["A2", "A1", "2A1", "D4"])
+def test_scaled_checks_match_dense_oracle(name):
+    # random W diag(s^2, s, .., s, 1) V, times an orientation or determinant
+    # flip or given a wrong ratio, against MᵀS1M, det M and the orientation
+    form = ExtendedForm(root_lattice(name))
+    d = form.dim
+    rng = random.Random(17)
+    # swap a corner pair (det -1, orientation kept); negate-swap one
+    # (det -1, orientation reversed); the two together (det 1, reversed)
+    swap = [[int(i == j) for j in range(d)] for i in range(d)]
+    swap[1][1] = swap[d - 2][d - 2] = 0
+    swap[1][d - 2] = swap[d - 2][1] = 1
+    neg = [[int(i == j) for j in range(d)] for i in range(d)]
+    neg[0][0] = neg[d - 1][d - 1] = 0
+    neg[0][d - 1] = neg[d - 1][0] = -1
+    flips = [Matrix.identity(d), Matrix(swap), Matrix(neg), Matrix(swap) @ Matrix(neg)]
+    seen = set()
+    for trial in range(24):
+        s = rng.randint(1, 4)
+        w = helpers.random_element(form, rng, max_len=3)
+        v = helpers.random_element(form, rng, max_len=3)
+        flip = flips[trial % 4]
+        m = w.matrix @ helpers.corner_scaling(d, s) @ flip @ v.matrix
+        ratio = s * s if trial % 3 else s * s + rng.choice([-1, 1, 3])
+        expect = _dense_verdict(form, m, ratio) if ratio > 0 else "positive integer"
+        seen.add(expect)
+        if expect is None:
+            assert ScaledOrthogonal(form, m, ratio).ratio == ratio
+            assert make_scaled(form, m, canonicalize=False).ratio == ratio
+        else:
+            with pytest.raises(ValueError, match=expect):
+                ScaledOrthogonal(form, m, ratio)
+    assert {None, "scale the form", "positive determinant",
+            "oriented positive 2-plane"} <= seen
 
 
 # ----------------------------------------------------------------- right cosets

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from evenlat import (
     CapExceeded,
     FiniteQuadraticModule,
@@ -186,6 +187,25 @@ def test_glue_group_canonical_chain_and_equality():
     assert hash(GlueGroup(mod, [(3, -1, 1, 5)])) == hash(g)
 
 
+@pytest.mark.parametrize("gen", [
+    (1.9, 1, 1, 1), (Fraction(3, 2), 1, 1, 1), ("1", 1, 1, 1), (True, 1, 1, 1),
+    (1, 1, 1, 1, 0), (1, 1),
+], ids=["float", "fraction", "str", "bool", "length-5", "length-2"])
+def test_glue_group_rejects_non_integer_generators(gen):
+    # each of these was once read as (1, 1, 1, 1), cut to length 4, or
+    # refused as "not isotropic"
+    mod = root_lattice("4A1").discriminant_group()
+    with pytest.raises(ValueError) as err:
+        GlueGroup(mod, [gen])
+    assert "isotropic" not in str(err.value)
+
+
+def test_glue_group_accepts_integral_fractions():
+    mod = root_lattice("4A1").discriminant_group()
+    g = GlueGroup(mod, [(Fraction(3, 1), 1, 1, -1)])
+    assert g.generators == ((1, 1, 1, 1),)
+
+
 def test_maximal_isotropic_subgroups_frozen():
     triv = root_lattice("A2").discriminant_group().maximal_isotropic_subgroups()
     assert len(triv) == 1 and triv[0].order == 1 and triv[0].generators == ()
@@ -204,6 +224,15 @@ def test_maximal_isotropic_subgroups_frozen():
     assert all(s.order == 2 for s in subs8)
 
 
+def test_dead_candidates_are_not_tried_again(monkeypatch):
+    # 8A1: 4332 cosets are built; trying each dead candidate again below
+    # the node that found it dead would build 8037
+    calls = helpers.count_calls(monkeypatch, "_coset", owner=FiniteQuadraticModule)
+    subs = root_lattice("8A1").discriminant_group().maximal_isotropic_subgroups()
+    assert len(subs) == 30
+    assert len(calls) == 4332
+
+
 def test_maximal_subgroups_are_maximal_and_isotropic():
     for name in ("4A1", "5A1", "D8", "6A1"):
         mod = root_lattice(name).discriminant_group()
@@ -213,7 +242,7 @@ def test_maximal_subgroups_are_maximal_and_isotropic():
             assert all(mod.q_value(x) == 0 for x in span)
             # no isotropic element extends the subgroup isotropically
             for x in iso - span:
-                bigger = mod._closure_with(span, x)
+                bigger = helpers.tuple_closure(mod, span, x)
                 assert any(mod.q_value(y) != 0 for y in bigger - span)
 
 

@@ -11,24 +11,34 @@ search:
 * anisotropy: a scan over every element of the module;
 * glue search: the depth-first search that builds the closure of each
   candidate, tests every new element for isotropy, and rescans all
-  isotropic elements to decide maximality.
+  isotropic elements to decide maximality;
+* glue search on integer codes: the orthogonality-pruned search on
+  coordinate tuples that it replaced (``tuple_glue_search``), on modules of
+  order up to 1024, where the first oracle is too slow;
+* overlattices: B S B^t / d^2 and the embedding by dense products, for every
+  glue group of every input.
 
 Inputs: every ADE sum of rank <= 8 whose discriminant order is <= 256, and
-``hypothesis``-drawn even Grams of rank <= 4 with |det| <= 256. The Smith
+``hypothesis``-drawn even Grams of rank <= 4 with |det| <= 256; for the
+tuple search also 9A1, 2D4 + 3A1, 4A3 + 2A1 and Grams of rank <= 5 with
+|det| <= 1024 built around blocks with Z/4, Z/8 and Z/9 parts. The Smith
 normal form, which both layers share, is checked for its identities and
 against ``sympy``'s invariant factors (``sympy`` is a test-only oracle).
 """
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
 from evenlat import (
-    EvenLattice, Matrix, det, direct_sum, root_lattice, smith_normal_form,
+    EvenLattice, Matrix, det, direct_sum, overlattice_from_glue, root_lattice,
+    smith_normal_form,
 )
+from evenlat.quadmod import MAX_GLUE_ORDER
 
 # discriminant order and rank of each irreducible component
 COMPONENTS = {
@@ -94,7 +104,7 @@ def oracle_glue(mod):
     found = []
 
     def extension(span, x):
-        new = mod._closure_with(span, x)
+        new = helpers.tuple_closure(mod, span, x)
         if any(y not in span and mod.q_value(y) != 0 for y in new):
             return None
         return new
@@ -123,6 +133,71 @@ def oracle_glue(mod):
     return found
 
 
+def tuple_glue_search(mod):
+    """(chain, span) of every maximal totally isotropic subgroup.
+
+    The orthogonality-pruned search on coordinate tuples, as it stood before
+    the search moved to integer codes, copied verbatim but for its closure,
+    which is ``helpers.tuple_closure`` (its ``_closure_with`` verbatim).
+    """
+    self = mod
+    max_order = MAX_GLUE_ORDER
+    self._guard(max_order)
+    iso = self.isotropic_elements(max_order)
+    index = {x: i for i, x in enumerate(iso)}
+    n = self._den // 2
+    gram = self._igram
+    orth = {}
+    found = []
+
+    def orth_mask(i):
+        # isotropic y with b(x, y) = x^t (N lift_gram) y / N = 0 mod 1
+        if i not in orth:
+            gx = [sum(map(mul, row, iso[i])) % n for row in gram]
+            orth[i] = sum(1 << j for j, y in enumerate(iso)
+                          if sum(map(mul, gx, y)) % n == 0)
+        return orth[i]
+
+    def dfs(chain, span, cand, floor):
+        rest = cand >> (floor + 1) << (floor + 1)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            x = iso[i]
+            new = helpers.tuple_closure(self, span, x)
+            added = new - span
+            if min(added) != x:
+                continue  # not the canonical chain for that subgroup
+            gone = sum(1 << index[y] for y in added)
+            dfs(chain + [x], new, cand & orth_mask(i) & ~gone, i)
+        if not cand:
+            found.append((tuple(chain), span))
+
+    dfs([], frozenset([self.zero]), (1 << len(iso)) - 1, -1)
+    found.sort(key=lambda t: (len(t[1]), t[0]))
+    return found
+
+
+def oracle_overlattice(lat, glue):
+    """(Gram, embedding) of the glue overlattice by dense products.
+
+    The rows [d I; d lifts] and their Smith form as in the library; then
+    B = diag(d_i) V^{-1}, Gram B S B^t / d^2 and embedding (d V diag(d_i)^-1)^t.
+    """
+    n = lat.rank
+    divisors = lat.discriminant_group().divisors
+    d = divisors[-1] if divisors else 1
+    rows = [[d * int(i == j) for j in range(n)] for i in range(n)]
+    rows += [[int(d * x) for x in lat.lift(g)] for g in glue.generators]
+    _, dm, v, vinv = smith_normal_form(Matrix(rows), with_v_inverse=True)
+    divs = [dm[i, i] for i in range(n)]
+    b = Matrix.diagonal(divs) @ vinv
+    gram = b @ lat.gram @ b.T * Fraction(1, d * d)
+    emb = (v * d @ helpers.inverse(Matrix.diagonal(divs))).T
+    return gram, emb
+
+
 def check_against_oracles(lat):
     mod = lat.discriminant_group()
     lifts, gram = oracle_lifts_and_gram(lat)
@@ -133,8 +208,13 @@ def check_against_oracles(lat):
     # the Smith-form adjugate against the Gauss-Jordan inverse
     assert lat.adjugate == helpers.inverse(lat.gram) * abs(lat.determinant)
     assert mod.is_anisotropic() == oracle_anisotropic(mod)
-    got = [(g.generators, g.elements()) for g in mod.maximal_isotropic_subgroups()]
-    assert got == oracle_glue(mod)
+    glues = mod.maximal_isotropic_subgroups()
+    assert [(g.generators, g.elements()) for g in glues] == oracle_glue(mod)
+    for glue in glues:
+        over, emb = overlattice_from_glue(lat, glue)
+        gram, m = oracle_overlattice(lat, glue)
+        assert (over.gram, emb.matrix) == (gram, m)
+        assert m.T @ gram @ m == lat.gram
 
 
 # ---------------------------------------------------------------------- tests
@@ -169,6 +249,50 @@ def test_random_even_grams_match_oracles(gram):
     d = det(gram)
     assume(d != 0 and abs(d) <= 256)
     check_against_oracles(EvenLattice(gram))
+
+
+@pytest.mark.parametrize("names", [
+    ("9A1",), ("D4", "D4", "A1", "A1", "A1"), ("A3",) * 4 + ("A1", "A1"),
+], ids="+".join)
+def test_glue_search_matches_tuple_search(names):
+    # modules of order 512, 128 and 1024; 9A1 has 270 maximal subgroups
+    mod = direct_sum(*(root_lattice(n) for n in names)).discriminant_group()
+    got = [(g.generators, g.elements()) for g in mod.maximal_isotropic_subgroups()]
+    assert got == tuple_glue_search(mod)
+
+
+# blocks with discriminant Z/4, Z/8, Z/9 (det -9), Z/3 x Z/9 and Z/2 x Z/6
+BLOCKS = ([[4]], [[8]], [[2, 1], [1, -4]], [[6, 3], [3, 6]], [[4, 2], [2, 4]])
+
+
+@st.composite
+def grams_with_blocks(draw, max_rank=5):
+    rows = []
+    for block in draw(st.lists(st.sampled_from(BLOCKS), max_size=2)):
+        rows = _block_sum(rows, block)
+    if len(rows) < max_rank:
+        rows = _block_sum(rows, draw(even_grams(max_rank - len(rows))).rows)
+    return Matrix(rows)
+
+
+def _block_sum(a, b):
+    n, m = len(a), len(b)
+    return [list(r) + [0] * m for r in a] + [[0] * n + list(r) for r in b]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(grams_with_blocks())
+@example(Matrix([[4, 0, 0], [0, 4, 0], [0, 0, 8]]))
+@example(Matrix(_block_sum([[8]], [[2, 1], [1, -4]])))
+@example(Matrix(_block_sum([[2, 1], [1, -4]], [[2, 1], [1, -4]])))
+@example(Matrix(_block_sum(_block_sum([[4]], [[4]]), _block_sum([[4]], [[4]]))))
+def test_random_glue_search_matches_tuple_search(gram):
+    d = det(gram)
+    assume(d != 0 and abs(d) <= 1024)
+    mod = EvenLattice(gram).discriminant_group()
+    got = [(g.generators, g.elements()) for g in mod.maximal_isotropic_subgroups()]
+    assert got == tuple_glue_search(mod)
 
 
 @settings(max_examples=80, deadline=None)
