@@ -40,16 +40,13 @@ from .quadmod import MAX_GLUE_ORDER, MAX_ORDER, CapExceeded
 from .roots import MAX_RANK, maximality_formula, root_lattice
 
 
-def _jsonable(obj):
+def _encode(obj):
+    """json.dumps default: a Matrix as its rows, a Fraction as "p/q"."""
+    if isinstance(obj, Matrix):
+        return obj.rows
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, Matrix):
-        return _jsonable(obj.rows)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _read_json_source(path: str):
@@ -211,19 +208,17 @@ def _table_atlas(p, args) -> list:
 def _cmd_overlattices(args) -> dict:
     lat = _load_lattice(args)
     disc = lat.discriminant_group()
-    glues = disc.maximal_isotropic_subgroups(args.max_glue_order)
     entries = []
-    for glue in glues:
+    for glue in disc.maximal_isotropic_subgroups(args.max_glue_order):
         over, emb = overlattice_from_glue(lat, glue)
         entries.append({
-            "glue_generators": [list(g) for g in glue.generators],
+            "glue_generators": glue.generators,
             "glue_order": glue.order,
             "index": emb.index,
             "overlattice_gram": over.gram,
             "overlattice_determinant": over.determinant,
-            "overlattice_maximal": over.discriminant_group().is_anisotropic(
-                args.max_order
-            ),
+            # derived: each H found is maximal, so H^perp/H is anisotropic (Nikulin)
+            "overlattice_maximal": True,
         })
     return {
         "lattice": lat.name or None,
@@ -401,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overlattices", help="maximal even overlattices")
     _add_lattice_options(p)
-    _add_common_options(p, scans=True)
+    _add_common_options(p)
     p.add_argument(
         "--max-glue-order", type=int, default=MAX_GLUE_ORDER,
         help="cap on discriminant order for glue enumeration",
@@ -442,11 +437,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        # the one place a report is printed: the JSON payload or its table
-        payload = _jsonable(args.func(args))
+        # the one place a report is printed: the payload's JSON, or a table read off it
+        payload = args.func(args)
         if args.format == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(json.dumps(payload, indent=2, sort_keys=True, default=_encode))
         else:
+            payload = json.loads(json.dumps(payload, default=_encode))
             print("\n".join(args.table(payload, args)))
     except HypothesisViolation as exc:
         print(f"error: {exc}", file=sys.stderr)

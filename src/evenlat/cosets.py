@@ -28,7 +28,7 @@ from math import isqrt
 from operator import mul
 
 from .lattices import LatticeEmbedding
-from .matrices import Matrix, _det_mod, _odd_prime_not_dividing, vec_gcd
+from .matrices import Matrix, _det_mod, _int_vec, _odd_prime_not_dividing, vec_gcd
 from .ogroup import ExtendedForm, GroupElement, Membership
 from .quadmod import MAX_ORDER, is_maximal_even
 
@@ -58,7 +58,7 @@ class ScaledOrthogonal:
                 raise ValueError("matrix has the wrong size for this form")
             if not matrix.is_integral:
                 raise ValueError("scaled orthogonal matrices must be integral")
-            ratio = int(ratio)
+            (ratio,) = _int_vec((ratio,))
             if ratio <= 0:
                 raise ValueError("the scaling ratio must be a positive integer")
             if form._congruence_mismatch(matrix.num, ratio) is not None:

@@ -7,8 +7,9 @@ whose diagonal is even. Everything downstream is exact:
   it: the determinant is the product of its divisors with the tracked sign
   of det U * det V, and the discriminant form on dual/lattice is read off it
   in integers; definiteness is one Bareiss pass, run when first asked for;
-* an overlattice is rebuilt from a totally isotropic glue group by saturating
-  the integer rows d Z^n + d (lifts of the glue generators), d = exponent;
+* an overlattice is rebuilt from a totally isotropic glue group H by one
+  Smith elimination of the rows d Z^n + d (lifts of the glue generators),
+  d = exponent; its determinant det L / |H|^2 is checked by the index;
 * embeddings carry the change of basis and verify Gram transport;
 * both congruences, the overlattice Gram B S B^t / d^2 and the transport
   M^t S' M = S, are formed through the nonzeros, upper triangle only.
@@ -29,7 +30,7 @@ class EvenLattice:
     """Z^n with an exact, nondegenerate, even Gram matrix."""
 
     def __init__(self, gram: Matrix, name: str = "", *, _known=None):
-        # _known: (determinant, summands), as direct_sum has them
+        # _known: (determinant, summands) from direct_sum or overlattice_from_glue
         if not isinstance(gram, Matrix):
             gram = Matrix(gram)
         if not gram.is_square:
@@ -80,8 +81,8 @@ class EvenLattice:
 
     @cached_property
     def _smith(self) -> tuple:
-        """The Smith record, set by the constructor; a direct sum, which
-        took its determinant from its summands, eliminates on first use."""
+        """The Smith record, set by the constructor; a lattice given its
+        determinant (direct sum, glue overlattice) eliminates on first use."""
         record, d = self._eliminate()
         if d != self.determinant:
             raise AssertionError("Smith form inconsistent with determinant")
@@ -260,12 +261,14 @@ def overlattice_from_glue(lat: EvenLattice, glue: GlueGroup):
     gram = _congruent(b, lat.gram.num, d * d)
     if gram is None:
         raise ValueError("glue group is not isotropic for the bilinear form")
-    over = EvenLattice(Matrix._over(gram))
+    # the rows span d M, of index prod(d_i) = d^n / [M : Z^n] in Z^n
+    if d**n != prod(divs) * glue.order:
+        raise AssertionError("overlattice index does not match glue order")
+    over = EvenLattice(Matrix._over(gram),
+                       _known=(lat.determinant // glue.order**2, ()))
     h = [[d * x for x in v.col(j)] for j in range(n)]
     if any(x % dj for row, dj in zip(h, divs) for x in row):
         raise ValueError("embedding matrix must be integral")
     emb = LatticeEmbedding(lat, over, Matrix._over(
         tuple(tuple(x // dj for x in row) for row, dj in zip(h, divs))))
-    if over.determinant * glue.order**2 != lat.determinant:
-        raise AssertionError("determinant drop does not match glue order")
     return over, emb

@@ -24,7 +24,8 @@ from .lattices import EvenLattice, direct_sum, overlattice_from_glue
 from .matrices import Matrix
 from .quadmod import GlueGroup
 
-_NAME_RE = re.compile(r"^(\d*)([ADE])(\d+)(\+?)$")
+# no leading zeros: a multiplicity is at least 1, a rank is 0 or has none
+_NAME_RE = re.compile(r"^([1-9]\d*)?([ADE])(0|[1-9]\d*)(\+?)$")
 
 # largest rank a name may ask for, checked before anything is built
 MAX_RANK = 256
@@ -136,9 +137,7 @@ def parse_name(name: str):
         raise ValueError(
             f"cannot parse lattice name {name!r}; expected e.g. A7, D8+, 4A1"
         )
-    mult = int(m.group(1)) if m.group(1) else 1
-    if mult < 1:
-        raise ValueError("multiplicity must be at least 1")
+    mult = int(m.group(1) or 1)
     n = int(m.group(3))
     if mult * n > MAX_RANK:
         raise ValueError(

@@ -489,17 +489,19 @@ def test_no_command_is_usage_error(capsys):
 
 
 def test_max_order_only_where_a_group_is_scanned(capsys, tmp_path):
-    # classify, complete and reduce scan no discriminant group, so they take
-    # no scan cap: the option is a usage error there
+    # classify, complete and reduce scan no discriminant group, and
+    # overlattices reads maximality off its glue search, so none of them
+    # takes a scan cap: the option is a usage error there
     path = str(tmp_path / "unread.json")
-    for cmd in ("classify", "complete", "reduce"):
+    refused = [[cmd, "--name", "A1", "--input", path]
+               for cmd in ("classify", "complete", "reduce")]
+    for argv in refused + [["overlattices", "--name", "A1"]]:
         with pytest.raises(SystemExit) as exc:
-            main([cmd, "--name", "A1", "--input", path, "--max-order", "5"])
+            main(argv + ["--max-order", "5"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --max-order 5" in capsys.readouterr().err
     parser = build_parser()
-    for argv in (["analyze", "--name", "A1"], ["atlas", "--family", "A", "--max", "2"],
-                 ["overlattices", "--name", "A1"]):
+    for argv in (["analyze", "--name", "A1"], ["atlas", "--family", "A", "--max", "2"]):
         assert parser.parse_args(argv + ["--max-order", "5"]).max_order == 5
 
 
@@ -523,6 +525,20 @@ def test_definiteness_is_one_bareiss_pass_where_it_is_read(capsys, monkeypatch):
     code, out, _ = run(capsys, "analyze", "--name", "A8", "--format", "json")
     assert code == 0 and json.loads(out)["positive_definite"] is True
     assert len(passes) == 1
+
+
+def test_overlattices_eliminate_once_per_glue_group(capsys, monkeypatch):
+    # the A1 summand and the 8A1 discriminant form take one elimination
+    # each, and every glue group one more, on [d I; lifts]; the overlattices
+    # build no discriminant form: their maximality comes from the search
+    snf = helpers.record_calls(monkeypatch, "smith_normal_form")
+    forms = helpers.record_calls(monkeypatch, "FiniteQuadraticModule",
+                                 owner=evenlat.quadmod)
+    code, out, _ = run(capsys, "overlattices", "--name", "8A1", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["count"] == 30
+    assert all(e["overlattice_maximal"] for e in data["overlattices"])
+    assert (len(snf), len(forms)) == (32, 1)
 
 
 def test_json_output_is_deterministic(capsys):

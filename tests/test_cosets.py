@@ -57,6 +57,14 @@ def test_scaled_validation():
         ScaledOrthogonal(A2, X, 2)  # wrong ratio
     with pytest.raises(ValueError):
         ScaledOrthogonal(A2, X, 0)
+    # X scales by 4: a ratio that only int() would read as 4 is refused
+    for bad in (4.9, "4", Fraction(9, 2), True):
+        with pytest.raises(ValueError, match="must be integers"):
+            ScaledOrthogonal(A2, X, bad)
+        with pytest.raises(ValueError, match="must be integers"):
+            make_scaled(A2, X, ratio=bad)
+    ratio = ScaledOrthogonal(A2, X, Fraction(4)).ratio
+    assert ratio == 4 and type(ratio) is int
     with pytest.raises(ValueError):
         ScaledOrthogonal(A2, Matrix.identity(5), 1)  # wrong size
     for m in (Matrix.identity(5), Matrix.identity(7), Matrix([[1] * 6] * 5)):

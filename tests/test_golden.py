@@ -13,9 +13,14 @@ cases on 3D4, 8A1, 4A2, 2D4 and D24+ and the ``analyze`` cases on
 ``[[510510]]`` (seven primes), 12A2, 16A1 and a Gram with 2-, 3- and
 5-parts were written by the ``Fraction`` discriminant-form layer, before
 the integer lift Gram, per-prime anisotropy scan and orthogonality-pruned
-glue search replaced it. The ``analyze`` cases on an indefinite Gram and on
+glue search replaced it, and while every overlattice still ran its own
+Smith elimination and anisotropy scan: they pin that the determinant taken
+from the parent and the maximality read off the search are the same values.
+The ``analyze`` cases on an indefinite Gram and on
 E8 (trivial discriminant group) and the ``atlas`` case on the E family were
 written by the CLI before each table was rendered from its JSON payload.
+The payload test builds that JSON form with ``cli._encode``, the encoder
+``main`` uses.
 The integrality gate of ``classify`` has no case: the CLI reads integer
 matrices only.
 """
@@ -25,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from evenlat.cli import _jsonable, build_parser, main
+from evenlat.cli import _encode, build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -118,7 +123,7 @@ def test_table_is_rendered_from_the_json_payload(case):
     # the command computes the payload once; the table reads only its JSON
     # form and the parsed options
     args = build_parser().parse_args(argv_for(case))
-    payload = _jsonable(args.func(args))
+    payload = json.loads(json.dumps(args.func(args), default=_encode))
     assert payload == json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
     text = "\n".join(args.table(payload, args)) + "\n"
     assert text == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")

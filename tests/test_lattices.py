@@ -232,6 +232,22 @@ def test_index_is_read_off_the_determinants(monkeypatch):
         LatticeEmbedding(a1, d4, Matrix([[1], [0], [0], [0]])).index
 
 
+def test_non_maximal_glue_gives_a_non_maximal_overlattice():
+    # an order-2 subgroup of a maximal 8A1 glue group: the overlattice takes
+    # its determinant from the parent and eliminates only when asked
+    lat = root_lattice("8A1")
+    glue = lat.discriminant_group().maximal_isotropic_subgroups()[0]
+    assert glue.order > 2
+    half = GlueGroup(lat.discriminant_group(), glue.generators[:1])
+    assert half.order == 2
+    over, emb = overlattice_from_glue(lat, half)
+    assert "_smith" not in vars(over)
+    assert over.determinant == 64 == det(over.gram)
+    assert emb.index == 2
+    assert over.discriminant_group().is_anisotropic() is False
+    assert "_smith" in vars(over)
+
+
 def test_overlattice_wrong_parent_rejected():
     lat4, lat5 = root_lattice("4A1"), root_lattice("5A1")
     (glue,) = lat4.discriminant_group().maximal_isotropic_subgroups()

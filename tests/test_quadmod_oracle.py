@@ -16,7 +16,8 @@ search:
   coordinate tuples that it replaced (``tuple_glue_search``), on modules of
   order up to 1024, where the first oracle is too slow;
 * overlattices: B S B^t / d^2 and the embedding by dense products, for every
-  glue group of every input.
+  glue group of every input; each overlattice's own discriminant form must
+  be anisotropic and its determinant the Bareiss determinant of its Gram.
 
 Inputs: every ADE sum of rank <= 8 whose discriminant order is <= 256, and
 ``hypothesis``-drawn even Grams of rank <= 4 with |det| <= 256; for the
@@ -215,6 +216,10 @@ def check_against_oracles(lat):
         gram, m = oracle_overlattice(lat, glue)
         assert (over.gram, emb.matrix) == (gram, m)
         assert m.T @ gram @ m == lat.gram
+        # what the CLI reports without a scan: a maximal glue group gives a
+        # maximal even overlattice, of determinant det L / |H|^2
+        assert over.discriminant_group().is_anisotropic()
+        assert over.determinant == det(gram)
 
 
 # ---------------------------------------------------------------------- tests
