@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from operator import mul
 
@@ -58,7 +59,7 @@ class ScaledOrthogonal:
                 raise ValueError("matrix has the wrong size for this form")
             if not matrix.is_integral:
                 raise ValueError("scaled orthogonal matrices must be integral")
-            (ratio,) = _int_vec((ratio,))
+            (ratio,) = _int_vec((ratio,), "the scaling ratio")
             if ratio <= 0:
                 raise ValueError("the scaling ratio must be a positive integer")
             if form._congruence_mismatch(matrix.num, ratio) is not None:
@@ -68,9 +69,19 @@ class ScaledOrthogonal:
                 raise ValueError("matrix must have positive determinant")
             if form._orientation_value(matrix) <= 0:
                 raise ValueError("matrix must preserve the oriented positive 2-plane")
-        self.form = form
-        self.matrix = matrix
-        self.ratio = ratio
+        # immutable, so the cached reductions below cannot go stale
+        vars(self).update(form=form, matrix=matrix, ratio=ratio)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ScaledOrthogonal is immutable; cannot set {name!r}")
+
+    @cached_property
+    def _right_coset(self) -> "RightCosetForm":
+        return _right_coset_form(self)
+
+    @cached_property
+    def _double_coset(self) -> "DoubleCosetForm":
+        return _double_coset_form(self)
 
     @property
     def content(self) -> int:
@@ -176,7 +187,13 @@ def reduce_right_coset(x: ScaledOrthogonal) -> RightCosetForm:
 
     The last row automatically becomes (ratio/alpha) * e_last. The
     transformer inverts a classified completion and is not classified again.
+    The form is computed once per object and cached on it: later calls, and
+    the double-coset reduction of the same object, return it as it is.
     """
+    return x._right_coset
+
+
+def _right_coset_form(x: ScaledOrthogonal) -> RightCosetForm:
     form = x.form
     d = form.dim
     alpha, h = _primitive_part(form, x.matrix.col(0), "first column")
@@ -222,20 +239,42 @@ class DoubleCosetForm:
         return self.source.ratio
 
 
+def _probes(form: ExtendedForm) -> list:
+    """(lam, first column of T*(lam)) of the transvections that probe whether
+    alpha divides core and corner: lam runs over the unit vectors and
+    e_0 + e_{n+1}. The column is e0 + (0, lam, 0) - q(lam) e_last, kept as
+    its nonzeros (index, value)."""
+    n, last = form.n, form.dim - 1
+    s0 = form.s0.num
+    out = []
+    for idx in [(i,) for i in range(n + 2)] + [(0, n + 1)]:
+        q = sum(s0[a][b] for a in idx for b in idx) // 2
+        col = [(0, 1)] + [(1 + i, 1) for i in idx] + ([(last, -q)] if q else [])
+        out.append((tuple(int(j in idx) for j in range(n + 2)), tuple(col)))
+    return out
+
+
 def reduce_double_coset(x: ScaledOrthogonal) -> DoubleCosetForm:
     """Two-sided reduction to diag(alpha, core, delta).
 
     At exit alpha divides every entry of the reduced matrix and equals the
     gcd of the entries of the input; the core scales the middle form of one
     hyperbolic plane less by the same ratio. Both transformers are products
-    of classified completions and generators, not classified again.
+    of classified completions and generators, not classified again. The
+    reduction starts from the right-coset form of the same object, and both
+    forms are computed once per object and cached on it.
     """
+    return x._double_coset
+
+
+def _double_coset_form(x: ScaledOrthogonal) -> DoubleCosetForm:
     form = x.form
     d = form.dim
     n = form.n
     r = x.ratio
-    t = x.matrix
-    left = form.identity()
+    # the first left cleaning is the right-coset reduction
+    rc = reduce_right_coset(x)
+    t, left, alpha = rc.reduced, rc.transformer, rc.alpha
     right = form.identity()
     e0 = tuple(int(i == 0) for i in range(d))
 
@@ -248,11 +287,7 @@ def reduce_double_coset(x: ScaledOrthogonal) -> DoubleCosetForm:
             t = m.matrix @ t
         return alpha
 
-    # transvections probing divisibility of core and corner, each with its
-    # first column T*(lam) @ e0, which is all a probe reads
-    probes = [("T*", tuple(int(i == j) for j in range(n + 2))) for i in range(n + 2)]
-    probes.append(("T*", (1,) + (0,) * n + (1,)))
-    probes = [(tok, form._apply_token(tok, e0)) for tok in probes]
+    probes = _probes(form)
 
     def apply_right(tok):
         nonlocal t, right
@@ -261,7 +296,6 @@ def reduce_double_coset(x: ScaledOrthogonal) -> DoubleCosetForm:
 
     finished = False
     for _ in range(_REDUCTION_CAP):
-        alpha = left_clean()
         z = t.row(0)
         k = form.s1_adj @ z
         if any(v % form.s1_det for v in k):
@@ -274,13 +308,16 @@ def reduce_double_coset(x: ScaledOrthogonal) -> DoubleCosetForm:
         beta = vec_gcd(z)
         if beta == alpha and all(v % alpha == 0 for v in k):
             apply_right(("T", tuple(k[1 + j] // alpha for j in range(n + 2))))
-            # t is now block diagonal; probe whether alpha divides everything
-            failing = next((tok for tok, c0 in probes
-                            if vec_gcd(form.s1 @ (t @ c0)) != alpha), None)
+            # t is now block diagonal; probe whether alpha divides everything,
+            # each probe's pairings S1 t c0 combining a few columns of S1 t
+            st = form._s1_times(t.num)
+            failing = next((lam for lam, c0 in probes
+                            if vec_gcd(sum(c * row[j] for j, c in c0) for row in st)
+                            != alpha), None)
             if failing is None:
                 finished = True
                 break
-            apply_right(failing)
+            apply_right(("T*", failing))
         else:
             beta2, hp = _primitive_part(form, tuple(-v for v in k), "first row")
             if beta2 != beta:
@@ -290,6 +327,7 @@ def reduce_double_coset(x: ScaledOrthogonal) -> DoubleCosetForm:
             t = t @ m.matrix
             if t.row(0) != tuple(beta if i == 0 else 0 for i in range(d)):
                 raise AssertionError("right reduction failed to clean the first row")
+        alpha = left_clean()
     if not finished:
         raise AssertionError("double-coset reduction did not stabilize")
 
@@ -303,7 +341,13 @@ def reduce_double_coset(x: ScaledOrthogonal) -> DoubleCosetForm:
             if not inner and (i, j) not in ((0, 0), (d - 1, d - 1)) and t[i, j]:
                 raise AssertionError("reduced matrix is not block diagonal")
             if t[i, j] % alpha:
-                raise AssertionError("corner gcd does not divide the reduction")
+                # the probes read pairing contents, which bound the entry
+                # content only under the hypothesis
+                raise HypothesisViolation(
+                    f"the reduced core is not divisible by the corner gcd {alpha}; "
+                    "guaranteed only over a maximal even base or for a ratio "
+                    "coprime to the base determinant"
+                )
     core = t.submatrix(range(1, d - 1), range(1, d - 1))
     if core.T @ form.s0 @ core != r * form.s0:
         raise AssertionError("core does not scale the middle form")
@@ -421,6 +465,9 @@ def normalizer_certificate(x: ScaledOrthogonal, exponents=(1, 2, 3),
     Requires a maximal even base lattice when the canonical ratio exceeds 1;
     raises ValueError otherwise, since the invariant argument needs it.
     """
+    exponents = tuple(sorted(set(_int_vec(exponents, "exponents"))))
+    if not exponents or exponents[0] < 1:
+        raise ValueError("exponents must be positive integers")
     canon = x.canonical()
     if canon.ratio == 1:
         GroupElement(canon.form, canon.matrix)  # classifies; raises if not a member
@@ -432,9 +479,6 @@ def normalizer_certificate(x: ScaledOrthogonal, exponents=(1, 2, 3),
             "normalizer certificates with ratio > 1 need a maximal even base "
             "lattice; enlarge the base via its glue groups first"
         )
-    exponents = tuple(sorted(set(int(m) for m in exponents)))
-    if not exponents or exponents[0] < 1:
-        raise ValueError("exponents must be positive integers")
 
     def measure(mat: Matrix):
         # one running product over the sorted exponents: the m-th power of

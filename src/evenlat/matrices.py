@@ -226,14 +226,15 @@ def vec_gcd(v: Iterable[int]) -> int:
     return g
 
 
-def _int_vec(v) -> tuple:
-    """v as ints; a bool, float or non-integral entry raises ValueError."""
+def _int_vec(v, what: str = "vector entries") -> tuple:
+    """v as ints; a bool, float or non-integral entry raises ValueError,
+    whose message names what v is."""
     out = []
     for x in v:
         if isinstance(x, Fraction) and x.denominator == 1:
             x = x.numerator
         if isinstance(x, bool) or not isinstance(x, int):
-            raise ValueError(f"vector entries must be integers, got {x!r}")
+            raise ValueError(f"{what} must be integral, got {x!r}")
         out.append(int(x))
     return tuple(out)
 

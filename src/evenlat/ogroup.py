@@ -258,12 +258,6 @@ class ExtendedForm:
         slam = [sum(map(mul, r, lam)) for r in self.s0.num]
         return (kind, lam, slam, sum(map(mul, lam, slam)) // 2)
 
-    def _apply_token(self, tok, v) -> list:
-        """tok @ v for an integral column vector, in O(d)."""
-        out = list(v)
-        _act(self._token_parts(self._token(tok)), out, row=False)
-        return out
-
     def _times_tokens(self, m: Matrix, word) -> Matrix:
         """m @ t_1 @ ... @ t_k for an integral m and checked tokens, in O(k d^2)."""
         return self._times_parts(m, map(self._token_parts, word))

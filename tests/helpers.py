@@ -55,6 +55,23 @@ HYPOTHESIS_VIOLATOR_4A1 = [
 ]
 
 
+# A matrix over the 4A1 extended form that scales it by 4, found by the same
+# pull-down from the glued overlattice. Its right reduction succeeds, but the
+# double reduction stops with corner 2 while the core has odd entries: the
+# probes read pairing contents, which bound the entries only under the
+# hypothesis.
+CORE_VIOLATOR_4A1 = [
+    [2, 2, 0, 4, 0, 0, 0, 2],
+    [0, 2, 0, 0, 0, 0, 0, 0],
+    [0, 0, 1, 1, -1, -1, 0, 1],
+    [2, 0, -1, 3, -1, -1, 0, 1],
+    [0, 0, -1, 1, 1, -1, 0, 1],
+    [0, 0, -1, 1, -1, 1, 0, 1],
+    [-2, 0, 2, -2, 2, 2, 2, -2],
+    [2, 0, -2, 2, -2, -2, 0, 2],
+]
+
+
 def count_calls(monkeypatch, name, owner=ExtendedForm):
     """List that grows by one per call of owner.<name>.
 

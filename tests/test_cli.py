@@ -455,6 +455,11 @@ EXIT_CODE_CASES = [
     ("reduce-violation-double", 3, "not divisible by its pairing content",
      ["reduce", "--name", "4A1", "--mode", "double", "--no-canonicalize"], None,
      {"R": helpers.HYPOTHESIS_VIOLATOR_4A1}),
+    ("reduce-core-violation-right", 0, "", ["reduce", "--name", "4A1", "--mode", "right"],
+     None, {"R": helpers.CORE_VIOLATOR_4A1}),
+    ("reduce-core-violation-double", 3, "reduced core is not divisible",
+     ["reduce", "--name", "4A1", "--mode", "double"], None,
+     {"R": helpers.CORE_VIOLATOR_4A1}),
 ]
 
 

@@ -8,9 +8,13 @@ that the reductions refuse rather than divide inexactly.
 """
 
 import random
+import re
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from evenlat import (
@@ -22,6 +26,7 @@ from evenlat import (
     Matrix,
     Membership,
     ScaledOrthogonal,
+    is_maximal_even,
     make_scaled,
     max_extension_member,
     normalizer_certificate,
@@ -30,9 +35,9 @@ from evenlat import (
     reduce_right_coset,
     root_lattice,
 )
-from evenlat.cosets import DoubleCosetForm, RightCosetForm
+from evenlat.cosets import DoubleCosetForm, RightCosetForm, _probes
 from evenlat.matrices import det, vec_gcd
-from evenlat.ogroup import base_reflection
+from evenlat.ogroup import _act, base_reflection
 
 A2 = ExtendedForm(root_lattice("A2"))
 X = helpers.corner_scaling(6, 2)  # diag(4, 2, 2, 2, 2, 1) over the A2 form
@@ -59,9 +64,9 @@ def test_scaled_validation():
         ScaledOrthogonal(A2, X, 0)
     # X scales by 4: a ratio that only int() would read as 4 is refused
     for bad in (4.9, "4", Fraction(9, 2), True):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="scaling ratio must be integral"):
             ScaledOrthogonal(A2, X, bad)
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="scaling ratio must be integral"):
             make_scaled(A2, X, ratio=bad)
     ratio = ScaledOrthogonal(A2, X, Fraction(4)).ratio
     assert ratio == 4 and type(ratio) is int
@@ -91,6 +96,20 @@ def test_scaled_power():
     assert p.matrix == X @ X
     with pytest.raises(ValueError):
         x.power(0)
+
+
+def test_scaled_is_immutable():
+    # the reductions are cached on the object, so its fields cannot change
+    x = make_scaled(A2, X)
+    d4 = ExtendedForm(root_lattice("D4"))
+    for name, value in (("form", d4), ("matrix", X @ X), ("ratio", 16)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, name, value)
+    assert x.form is A2 and x.matrix == X and x.ratio == 4
+    p = x.power(2)
+    assert (p.ratio, p.matrix) == (16, X @ X)
+    raw = make_scaled(A2, helpers.scale_matrix(X, 3), canonicalize=False)
+    assert raw.canonical() == x and raw.ratio == 36
 
 
 def test_content_squared_divides_ratio():
@@ -301,20 +320,22 @@ def test_double_coset_alpha_equals_entry_gcd():
         assert dc.core.T @ d4.s0 @ dc.core == 9 * d4.s0
 
 
-def test_double_coset_builds_each_probe_column_once(monkeypatch):
-    # the probe columns T*(lam) e0 are fixed ints: one _apply_token each per
-    # reduction, however many passes it takes
-    probes = helpers.count_calls(monkeypatch, "_apply_token")
-    rng = random.Random(79)
-    d4 = ExtendedForm(root_lattice("D4"))
-    y = helpers.corner_scaling(d4.dim, 3)
-    for _ in range(4):
-        w = helpers.random_element(d4, rng, max_len=3)
-        v = helpers.random_element(d4, rng, max_len=3)
-        x = make_scaled(d4, w.matrix @ y @ v.matrix, canonicalize=False)
-        del probes[:]
-        reduce_double_coset(x)
-        assert len(probes) == d4.n + 3
+def test_probe_columns_match_token_action():
+    # each probe column is T*(lam) e0 in closed form, e0 + (0, lam, 0) -
+    # q(lam) e_last, against the token applied to e0
+    for name in ("A2", "D4", "E8", "4A1"):
+        form = ExtendedForm(root_lattice(name))
+        d, n = form.dim, form.n
+        probes = _probes(form)
+        units = [tuple(int(i == j) for j in range(n + 2)) for i in range(n + 2)]
+        assert [lam for lam, _ in probes] == units + [(1,) + (0,) * n + (1,)]
+        for lam, col in probes:
+            dense = [0] * d
+            for j, c in col:
+                dense[j] += c
+            e0 = [int(i == 0) for i in range(d)]
+            _act(form._token_parts(("T*", lam)), e0, row=False)
+            assert dense == e0, (name, lam)
 
 
 def test_double_coset_ratio_one():
@@ -415,6 +436,54 @@ def test_reduction_checks_hold_by_oracle(form, seed):
         assert all(double.values()), double
 
 
+def test_reductions_are_cached_and_reused(monkeypatch):
+    # right -> double -> certificate on one canonical object: the double
+    # starts from the cached right-coset form, one completion fewer than a
+    # double on a freshly built equal object, and the certificate reads the
+    # cached double; each form is computed once and passes the oracles
+    completed = helpers.count_calls(monkeypatch, "complete_isotropic")
+    rng = random.Random(139)
+    # the first raw-power invariants collide, so its certificate falls back
+    # to the double coset (test_certificate_diagonal_fallback)
+    inputs = [make_scaled(A2, A2.involution().matrix @ X
+                          @ A2.transvection((1, 0, 0, 0)).matrix)]
+    for form in (A2, D4):
+        for _ in range(3):
+            w = helpers.random_element(form, rng, max_len=3)
+            v = helpers.random_element(form, rng, max_len=3)
+            s = rng.randint(2, 3)
+            inputs.append(make_scaled(
+                form, w.matrix @ helpers.corner_scaling(form.dim, s) @ v.matrix))
+    fallbacks = 0
+    for x in inputs:
+        form = x.form
+        fresh = ScaledOrthogonal(form, x.matrix, x.ratio)
+        assert fresh == x and fresh is not x
+        del completed[:]
+        fresh_dc = reduce_double_coset(fresh)
+        fresh_count = len(completed)
+        del completed[:]
+        rc = reduce_right_coset(x)
+        assert len(completed) == 1
+        del completed[:]
+        dc = reduce_double_coset(x)
+        assert len(completed) == fresh_count - 1
+        del completed[:]
+        cert = normalizer_certificate(x)
+        assert completed == []
+        assert reduce_right_coset(x) is rc and reduce_double_coset(x) is dc
+        if cert.witness_matrix is not x.matrix:
+            fallbacks += 1
+            assert cert.witness_matrix is dc.reduced
+        assert all(right_oracle(form, x, rc).values())
+        assert all(double_oracle(form, x, dc).values())
+        fresh_rc = reduce_right_coset(fresh)
+        assert rc == fresh_rc and rc.transformer.word == fresh_rc.transformer.word
+        assert dc == fresh_dc
+        assert (dc.left.word, dc.right.word) == (fresh_dc.left.word, fresh_dc.right.word)
+    assert fallbacks >= 1
+
+
 @pytest.mark.parametrize("form,seed", [(A2, 107), (D4, 109)])
 def test_certificate_invariants_match_verified_powers(form, seed):
     # the running product in the certificate against powers verified from
@@ -481,6 +550,76 @@ def test_violation_message_names_the_guarantee():
         reduce_right_coset(x)
 
 
+def test_core_violation_frozen_matrix():
+    # the right reduction succeeds; the double ends with corner 2 over a core
+    # with odd entries and refuses instead of failing an internal assertion
+    form = ExtendedForm(root_lattice("4A1"))
+    x = make_scaled(form, Matrix(helpers.CORE_VIOLATOR_4A1))
+    assert (x.ratio, x.content) == (4, 1)
+    assert all(right_oracle(form, x, reduce_right_coset(x)).values())
+    with pytest.raises(HypothesisViolation, match="core is not divisible"):
+        reduce_double_coset(x)
+
+
+@cache
+def glued_4a1():
+    lat = root_lattice("4A1")
+    (glue,) = lat.discriminant_group().maximal_isotropic_subgroups()
+    return HatEmbedding(overlattice_from_glue(lat, glue)[1])
+
+
+PROPERTY_FORMS = {name: ExtendedForm(root_lattice(name)) for name in ("A2", "D4", "E6")}
+
+
+def tokens(n):
+    lam = st.tuples(*[st.integers(-2, 2)] * (n + 2))
+    return st.one_of(st.just(("J",)), st.tuples(st.sampled_from(["T", "T*"]), lam))
+
+
+@st.composite
+def scaled_matrices(draw):
+    """(form, c W diag(s^2, s, .., s, 1) V) over A2, D4, E6 or 4A1. Over 4A1
+    the product is also drawn over the glued overlattice D4, pulled down and
+    cleared of its denominator, which can break the reduction hypothesis."""
+    name = draw(st.sampled_from(["A2", "D4", "E6", "4A1"]))
+    pulled = name == "4A1" and draw(st.booleans())
+    form = glued_4a1().sub_form if name == "4A1" else PROPERTY_FORMS[name]
+    over = glued_4a1().sup_form if pulled else form
+    w, v = (over.element_from_word(draw(st.lists(tokens(over.n), min_size=1, max_size=3)))
+            for _ in range(2))
+    s, c = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    m = w.matrix @ helpers.corner_scaling(over.dim, s) @ v.matrix
+    if pulled:
+        m = glued_4a1().pull(m)
+        m = m * m.den
+    return form, helpers.scale_matrix(m, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_matrices())
+def test_reductions_pass_oracles_or_violate_hypothesis(case):
+    # each reduction passes its oracle or raises HypothesisViolation; the
+    # double starts from the right coset, so it never passes where the right
+    # refused; over the maximal bases A2, D4 and E6 both always pass
+    form, m = case
+    x = make_scaled(form, m, canonicalize=False)
+    passed = []
+    for reduce, oracle in ((reduce_right_coset, right_oracle),
+                           (reduce_double_coset, double_oracle)):
+        try:
+            red = reduce(x)
+        except HypothesisViolation:
+            passed.append(False)
+            continue
+        checks = oracle(form, x, red)
+        assert all(checks.values()), checks
+        passed.append(True)
+    right_ok, double_ok = passed
+    assert right_ok or not double_ok
+    if is_maximal_even(form.base):
+        assert right_ok and double_ok
+
+
 def test_reductions_fine_over_non_maximal_base_when_divisible():
     # non-maximal bases are fine as long as every division is exact:
     # the corner scaling over 4A1 reduces without complaint
@@ -497,10 +636,7 @@ def test_reductions_fine_over_non_maximal_base_when_divisible():
 
 @pytest.fixture(scope="module")
 def glued():
-    lat = root_lattice("4A1")
-    (glue,) = lat.discriminant_group().maximal_isotropic_subgroups()
-    over, emb = overlattice_from_glue(lat, glue)
-    return HatEmbedding(emb)
+    return glued_4a1()
 
 
 def test_hat_embedding_frozen_matrix(glued):
@@ -694,6 +830,22 @@ def test_certificate_exponent_validation():
         normalizer_certificate(x, exponents=())
     with pytest.raises(ValueError):
         normalizer_certificate(x, exponents=(0, 1))
+
+
+def test_certificate_exponents_are_strict_integers():
+    # exponents are read through the strict integer check: nothing is
+    # truncated or parsed, and the message names the argument
+    x = make_scaled(A2, X)
+    member = make_scaled(A2, A2.element_from_word(W_WORD).matrix)
+    for bad in (1.5, "2", True):
+        for y in (x, member):
+            with pytest.raises(ValueError,
+                               match=f"exponents must be integral, got {re.escape(repr(bad))}"):
+                normalizer_certificate(y, exponents=(1, bad))
+    with pytest.raises(ValueError, match="exponents must be integral"):
+        normalizer_certificate(x, exponents=(1.5, "2", True))
+    cert = normalizer_certificate(x, exponents=(Fraction(2), 1, 2))
+    assert cert.exponents == (1, 2) and cert.corner_gcds == (4, 16)
 
 
 def test_certificate_scaling_stable():

@@ -21,6 +21,7 @@ from evenlat import (
     ExtendedForm, GroupElement, Matrix, Membership, det, direct_sum, root_lattice,
 )
 from evenlat.cosets import make_scaled, normalizer_certificate
+from evenlat.ogroup import _act
 
 FORMS = {name: ExtendedForm(root_lattice(name))
          for name in ("A1", "A2", "D4", "E8", "A15", "2D4")}
@@ -229,7 +230,8 @@ def test_token_action_matches_dense_products(name):
             v = [rng.randint(-9, 9) for _ in range(d)]
             col = [r[0] for r in helpers.list_matmul(helpers.token_rows(form, tok),
                                                      [[x] for x in v])]
-            assert form._apply_token(tok, v) == col
+            _act(form._token_parts(form._token(tok)), v, row=False)
+            assert v == col
         # from the right, on a whole matrix and so on each row vector
         got = form._times_tokens(Matrix(m), word)
         assert [list(r) for r in got.rows] == helpers.word_rows(form, word, start=m)
@@ -259,4 +261,4 @@ def test_tokens_validated_on_use():
         with pytest.raises(ValueError):
             form.element_from_word((("J",), bad))
         with pytest.raises(ValueError):
-            form._apply_token(bad, [0] * form.dim)
+            form._token(bad)
