@@ -1,8 +1,10 @@
 """Reduction of scaled orthogonal matrices and normalizer certificates.
 
 A scaled orthogonal matrix is an integral R with R^t S1 R = r S1 for a
-positive integer ratio r, positively oriented. Left and right multiplication
-by the integral special-plus group leaves r fixed, and this module computes:
+positive integer ratio r, positively oriented; a matrix from outside passes
+the gate of ``classify`` with ratio r, and each quantity of the immutable
+object is computed once. Left and right multiplication by the integral
+special-plus group leaves r fixed, and this module computes:
 
 * a right-coset normal form: first column alpha * e0 and last row
   delta * e_last with alpha * delta = r, via completion of the primitive
@@ -12,8 +14,8 @@ by the integral special-plus group leaves r fixed, and this module computes:
 * compatibility with a finite-index change of base lattice (hat embedding);
 * normalizer certificates: either the matrix is, after dividing out the
   content, an element of the integral group, or a strictly growing
-  right-coset invariant on its powers witnesses that no rational rescaling
-  of it normalizes the group.
+  right-coset invariant on its powers, read off their first columns,
+  witnesses that no rational rescaling of it normalizes the group.
 
 Each exact division the reduction needs is guaranteed when the base lattice
 is maximal even or when the ratio is coprime to the base determinant; a
@@ -25,13 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from itertools import chain
 from operator import mul
 
 from .lattices import LatticeEmbedding
-from .matrices import Matrix, _det_mod, _int_vec, _odd_prime_not_dividing, vec_gcd
-from .ogroup import ExtendedForm, GroupElement, Membership
-from .quadmod import MAX_ORDER, is_maximal_even
+from .matrices import Matrix, _int_vec, vec_gcd
+from .ogroup import ExtendedForm, GroupElement, Membership, _identity_corners
+from .quadmod import is_maximal_even
 
 _REDUCTION_CAP = 10000
 
@@ -44,32 +46,32 @@ class HypothesisViolation(RuntimeError):
     """
 
 
+# the refusal for each check of the membership gate, ExtendedForm._gate
+_GATE_MESSAGES = {
+    "form-congruence": "matrix does not scale the form by the given ratio",
+    "determinant": "matrix must have positive determinant",
+    "orientation": "matrix must preserve the oriented positive 2-plane",
+}
+
+
 class ScaledOrthogonal:
     """Integral matrix scaling the extended form by a positive ratio."""
 
     def __init__(self, form: ExtendedForm, matrix: Matrix, ratio: int, *,
                  _trusted: bool = False):
         # _trusted: R is built from a verified scaled matrix (no checks).
-        # Once the congruence holds, det(R)^2 = ratio^d, and the sign of
-        # det R is read modulo an odd prime not dividing the ratio.
+        # Otherwise R passes the gate classify runs, with this ratio.
         if not _trusted:
-            if not isinstance(matrix, Matrix):
-                matrix = Matrix(matrix)
-            if matrix.shape != (form.dim, form.dim):
-                raise ValueError("matrix has the wrong size for this form")
+            matrix = form._read(matrix)
             if not matrix.is_integral:
                 raise ValueError("scaled orthogonal matrices must be integral")
             (ratio,) = _int_vec((ratio,), "the scaling ratio")
             if ratio <= 0:
                 raise ValueError("the scaling ratio must be a positive integer")
-            if form._congruence_mismatch(matrix.num, ratio) is not None:
-                raise ValueError("matrix does not scale the form by the given ratio")
-            p = _odd_prime_not_dividing(ratio)
-            if _det_mod(matrix.num, p) != isqrt(ratio**form.dim) % p:
-                raise ValueError("matrix must have positive determinant")
-            if form._orientation_value(matrix) <= 0:
-                raise ValueError("matrix must preserve the oriented positive 2-plane")
-        # immutable, so the cached reductions below cannot go stale
+            failed = form._gate(matrix, ratio)
+            if failed is not None:
+                raise ValueError(_GATE_MESSAGES[failed[1]["check"]])
+        # immutable, so the cached reductions below and content cannot go stale
         vars(self).update(form=form, matrix=matrix, ratio=ratio)
 
     def __setattr__(self, name, value):
@@ -83,10 +85,10 @@ class ScaledOrthogonal:
     def _double_coset(self) -> "DoubleCosetForm":
         return _double_coset_form(self)
 
-    @property
+    @cached_property
     def content(self) -> int:
         """gcd of all matrix entries."""
-        return vec_gcd(x for row in self.matrix.num for x in row)
+        return vec_gcd(chain.from_iterable(self.matrix.num))
 
     def is_canonical(self) -> bool:
         return self.content == 1
@@ -131,10 +133,7 @@ def make_scaled(form: ExtendedForm, matrix, ratio: int | None = None,
     from the ratio, is divided out first, giving the canonical
     representative of the rational ray of the matrix.
     """
-    if not isinstance(matrix, Matrix):
-        matrix = Matrix(matrix)
-    if matrix.shape != (form.dim, form.dim):
-        raise ValueError("matrix has the wrong size for this form")
+    matrix = form._read(matrix)
     if ratio is None:
         # the (0, last) entry of R^t S1 R: column 0 of R against S1 R[:, last]
         ratio = sum(map(mul, matrix.col(0), form.s1 @ matrix.col(form.dim - 1)))
@@ -348,14 +347,15 @@ def _double_coset_form(x: ScaledOrthogonal) -> DoubleCosetForm:
                     "guaranteed only over a maximal even base or for a ratio "
                     "coprime to the base determinant"
                 )
-    core = t.submatrix(range(1, d - 1), range(1, d - 1))
-    if core.T @ form.s0 @ core != r * form.s0:
+    # t = diag(alpha, core, delta) with alpha * delta = r, so tᵀS1t = r·S1
+    # says exactly that coreᵀS0core = r·S0
+    if form._congruence_mismatch(t.num, r) is not None:
         raise AssertionError("core does not scale the middle form")
-    src_gcd = vec_gcd(v for row in x.matrix.num for v in row)
-    if alpha != src_gcd:
+    if alpha != x.content:
         raise AssertionError("corner gcd must equal the gcd of the input entries")
     if left.matrix @ x.matrix @ right.matrix != t:
         raise AssertionError("transformers do not reproduce the reduction")
+    core = t.submatrix(range(1, d - 1), range(1, d - 1))
     return DoubleCosetForm(x, left, right, t, core, alpha, delta)
 
 
@@ -378,13 +378,7 @@ class HatEmbedding:
         self.base_embedding = emb
         self.sub_form = ExtendedForm(emb.sub)
         self.sup_form = ExtendedForm(emb.sup)
-        d = self.sub_form.dim
-        n = emb.sub.rank
-        rows = [[int(i == j) for j in range(d)] for i in range(d)]
-        for i in range(n):
-            for j in range(n):
-                rows[2 + i][2 + j] = emb.matrix[i, j]
-        self.matrix = Matrix(rows)
+        self.matrix = _identity_corners(emb.matrix)
         sub, sup = self.sub_form, self.sup_form
         if self.matrix.T @ sup.s1 @ self.matrix != sub.s1:
             raise AssertionError("hat embedding fails to transport the form")
@@ -458,8 +452,8 @@ class NormalizerCertificate:
         )
 
 
-def normalizer_certificate(x: ScaledOrthogonal, exponents=(1, 2, 3),
-                           max_order: int = MAX_ORDER) -> NormalizerCertificate:
+def normalizer_certificate(x: ScaledOrthogonal,
+                           exponents=(1, 2, 3)) -> NormalizerCertificate:
     """Decide whether any rational rescaling of the matrix normalizes the group.
 
     Requires a maximal even base lattice when the canonical ratio exceeds 1;
@@ -474,23 +468,24 @@ def normalizer_certificate(x: ScaledOrthogonal, exponents=(1, 2, 3),
         return NormalizerCertificate(
             x, canon.matrix, 1, True, "integral-member"
         )
-    if not is_maximal_even(x.form.base, max_order):
+    if not is_maximal_even(x.form.base):
         raise ValueError(
             "normalizer certificates with ratio > 1 need a maximal even base "
             "lattice; enlarge the base via its glue groups first"
         )
 
     def measure(mat: Matrix):
-        # one running product over the sorted exponents: the m-th power of
-        # a matrix that scales the form by r scales it by r^m
+        # the first column of mat^m, walked as col <- mat @ col over the
+        # sorted exponents: the m-th power of a matrix that scales the form
+        # by r scales it by r^m
         alphas = []
         invariants = []
-        p, k = mat, 1
+        col, k = mat.col(0), 1
         for m in exponents:
             for _ in range(m - k):
-                p = p @ mat
+                col = mat @ col
             k = m
-            alpha = vec_gcd(x.form.s1 @ p.col(0))
+            alpha = vec_gcd(x.form.s1 @ col)
             alphas.append(alpha)
             invariants.append(Fraction(alpha * alpha, canon.ratio**m))
         conclusive = len(set(invariants)) == len(invariants) and all(

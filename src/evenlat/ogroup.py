@@ -12,7 +12,8 @@ The module provides:
   integral adjugate of that matrix;
 * ``Membership``/``classify``: where a given rational matrix sits in the
   chain orthogonal < special < special-plus < integral special-plus <
-  discriminant kernel (each level includes all later ones);
+  discriminant kernel (each level includes all later ones); the first three
+  links are one gate, also run by ``embed_rotation`` and scaled matrices;
 * the standard generators: the corner-swapping involution and the two
   families of unipotent transvections indexed by base-extension vectors;
 * ``complete_isotropic``: writes down, as an explicit word in those
@@ -28,12 +29,11 @@ from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
+from math import isqrt
 from operator import add, mul
 
 from .lattices import EvenLattice
-from .matrices import (
-    Matrix, _det_mod, _entry, _int_vec, _odd_prime_not_dividing, det, vec_gcd,
-)
+from .matrices import Matrix, _det_mod, _entry, _int_vec, _odd_prime_not_dividing, vec_gcd
 
 _COMPLETION_CAP = 10000
 
@@ -107,14 +107,8 @@ class GroupElement:
     def __pow__(self, k: int) -> "GroupElement":
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.form.identity()
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
-        return out
+        word = self.word * k if self.word is not None else (None if k else ())
+        return GroupElement(self.form, self.matrix**k, word, _trusted=True)
 
     def __eq__(self, other):
         return (
@@ -171,6 +165,13 @@ def _act(parts, v: list, row: bool) -> None:
 def _first_non_integral(a: Matrix) -> tuple:
     return next((i, j) for i, row in enumerate(a.num) for j, x in enumerate(row)
                 if x % a.den)
+
+
+def _identity_corners(inner: Matrix) -> Matrix:
+    """diag(1, 1, inner, 1, 1) for an integral square inner."""
+    eye = Matrix.identity(inner.nrows + 4).num
+    return Matrix._over(eye[:2] + tuple((0, 0) + r + (0, 0) for r in inner.num)
+                        + eye[-2:])
 
 
 class ExtendedForm:
@@ -318,20 +319,18 @@ class ExtendedForm:
         """Extend a special isometry of the base lattice by identity corners."""
         if not isinstance(q, Matrix):
             q = Matrix(q)
-        s = self.base.gram
         if q.shape != (self.n, self.n) or not q.is_integral:
             raise ValueError("rotation must be an integral base-sized matrix")
-        if q.T @ s @ q != s:
-            raise ValueError("rotation must preserve the base form")
-        if det(q) != 1:
-            raise ValueError("rotation must have determinant one")
-        # a special base isometry between identity corners is a member by
-        # construction: it preserves S1, has det 1 and fixes the 2-plane
-        rows = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
-        for i, row in enumerate(q.num):
-            rows[2 + i][2:2 + self.n] = row
-        return GroupElement(self, Matrix._over(tuple(map(tuple, rows))),
-                            _trusted=True)
+        # between identity corners, q preserves S1 iff it preserves the base
+        # form, det is det q, and the 2-plane is fixed: the gate with ratio 1
+        # decides membership, and its orientation check always passes
+        m = _identity_corners(q)
+        failed = self._gate(m, 1)
+        if failed is not None:
+            raise ValueError({"form-congruence": "rotation must preserve the base form",
+                              "determinant": "rotation must have determinant one",
+                              }[failed[1]["check"]])
+        return GroupElement(self, m, _trusted=True)
 
     # -- membership ----------------------------------------------------------------
 
@@ -348,38 +347,17 @@ class ExtendedForm:
         of (M - I)·S1^{-1} showing nontrivial discriminant action. Kernel
         members get an empty witness.
 
-        Each gate is exact and uses the form's structure. The congruence
-        forms S1·M from the nonzeros of S1 and compares only the upper
-        triangle of Mᵀ(S1·M), which is symmetric, so its first mismatch in
-        row-major order lies there. Once it holds, det M = ±1, and the sign
-        is read from det(num) modulo the least odd prime p not dividing den.
-        The kernel gate asks, for integral M, whether M - I maps each
-        generator g_i of L*/Z^d into Z^d: k mat-vecs modulo d_i; on failure
-        only the first failing row of (M - I)·S1^{-1} is formed.
+        Each gate is exact and uses the form's structure. The first three
+        are ``_gate`` with ratio den², since M = num/den preserves S1 iff num
+        scales it by den². The kernel gate asks, for integral M, whether
+        M - I maps each generator g_i of L*/Z^d into Z^d: k mat-vecs modulo
+        d_i; on failure only the first failing row of (M - I)·S1^{-1} is
+        formed.
         """
-        if not isinstance(m, Matrix):
-            m = Matrix(m)
-        d = self.dim
-        if m.shape != (d, d):
-            raise ValueError("matrix has the wrong size for this form")
-        num, den = m.num, m.den
-        scale = den * den
-        miss = self._congruence_mismatch(num, scale)
-        if miss is not None:
-            i, j, got = miss
-            return Membership.NOT_ORTHOGONAL, {
-                "check": "form-congruence",
-                "entry": (i, j),
-                "got": _entry(got, scale),
-                "expected": self.s1.num[i][j],
-            }
-        # det M = ±1 now, and 1 != -1 modulo an odd prime
-        p = _odd_prime_not_dividing(den)
-        if _det_mod(num, p) * pow(den, -d, p) % p != 1:
-            return Membership.ORTHOGONAL, {"check": "determinant", "value": -1}
-        orient = self._orientation_value(m)
-        if orient <= 0:
-            return Membership.SPECIAL, {"check": "orientation", "value": orient}
+        m = self._read(m)
+        failed = self._gate(m, m.den * m.den)
+        if failed is not None:
+            return failed
         if not m.is_integral:
             i, j = _first_non_integral(m)
             return Membership.SPECIAL_PLUS, {
@@ -389,7 +367,7 @@ class ExtendedForm:
             }
         # row r of (M - I)·S1^{-1} is integral iff row r of M - I pairs
         # integrally with every g_i, that is v · w_i = 0 mod d_i
-        for r, row in enumerate(num):
+        for r, row in enumerate(m.num):
             v = list(row)
             v[r] -= 1
             if any(sum(map(mul, map(v.__getitem__, js), xs)) % di
@@ -404,6 +382,44 @@ class ExtendedForm:
             "entry": (r, j),
             "value": Fraction(delta[j], self.s1_det),
         }
+
+    def _read(self, m) -> Matrix:
+        """A matrix from outside as a Matrix of this form's size."""
+        if not isinstance(m, Matrix):
+            m = Matrix(m)
+        if m.shape != (self.dim, self.dim):
+            raise ValueError("matrix has the wrong size for this form")
+        return m
+
+    def _gate(self, m: Matrix, ratio: int):
+        """(level, witness) of the first of three checks that the integer
+        rows num of m fail, or None: num scales the form by ratio, has a
+        positive determinant and a positive orientation value.
+
+        The congruence forms S1·num from the nonzeros of S1 and compares only
+        the upper triangle of numᵀ(S1·num) with ratio·S1: both are
+        symmetric, so the first mismatch in row-major order lies there.
+        Once it holds, det(num)² = ratio^d, and the sign is read modulo the
+        least odd prime p not dividing the ratio, where ±ratio^{d/2} differ.
+        The orientation value is read off m itself.
+        """
+        num = m.num
+        miss = self._congruence_mismatch(num, ratio)
+        if miss is not None:
+            i, j, got = miss
+            return Membership.NOT_ORTHOGONAL, {
+                "check": "form-congruence",
+                "entry": (i, j),
+                "got": _entry(got, ratio),
+                "expected": self.s1.num[i][j],
+            }
+        p = _odd_prime_not_dividing(ratio)
+        if _det_mod(num, p) != isqrt(ratio**self.dim) % p:
+            return Membership.ORTHOGONAL, {"check": "determinant", "value": -1}
+        orient = self._orientation_value(m)
+        if orient <= 0:
+            return Membership.SPECIAL, {"check": "orientation", "value": orient}
+        return None
 
     def _orientation_value(self, m):
         # orientation of the positive 2-plane, read off the corner blocks
@@ -424,11 +440,8 @@ class ExtendedForm:
         and only the base block -adj(S) is dense. The result over s1_det is
         reduced once by a gcd, so integral input stays in integers throughout.
         """
-        if not isinstance(m, Matrix):
-            m = Matrix(m)
+        m = self._read(m)
         d, n, sd = self.dim, self.n, self.s1_det
-        if m.shape != (d, d):
-            raise ValueError("matrix has the wrong size for this form")
         z = tuple(zip(*self._s1_times(m.num)))  # rows of m^t S1
         base_cols = tuple(zip(*z[2:n + 2]))
         rows = [[sd * x for x in z[d - 1]], [sd * x for x in z[d - 2]]]

@@ -48,7 +48,7 @@ class FiniteQuadraticModule:
     """
 
     def __init__(self, divisors, lift_gram: Matrix):
-        divisors = tuple(int(d) for d in divisors)
+        divisors = _int_vec(divisors, "divisors")
         if any(d <= 1 for d in divisors):
             raise ValueError("divisors must all exceed 1")
         for a, b in zip(divisors, divisors[1:]):
@@ -356,8 +356,8 @@ def _canonical_chain(mod: FiniteQuadraticModule, span: set) -> tuple:
 
 
 def _prime_divisors(n: int) -> list:
-    # trial division; n is the exponent of a module whose order the scan cap
-    # already bounds, so this costs at most sqrt(cap) steps
+    # trial division in at most sqrt(n) steps; n is the exponent of a module
+    # whose order the scan cap already bounds, or a number squarefree tests
     out = []
     p = 2
     while p * p <= n:

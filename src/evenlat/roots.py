@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .lattices import EvenLattice, direct_sum, overlattice_from_glue
 from .matrices import Matrix
-from .quadmod import GlueGroup
+from .quadmod import GlueGroup, _prime_divisors
 
 # no leading zeros: a multiplicity is at least 1, a rank is 0 or has none
 _NAME_RE = re.compile(r"^([1-9]\d*)?([ADE])(0|[1-9]\d*)(\+?)$")
@@ -43,14 +43,7 @@ def squarefree(n: int) -> bool:
     """True iff no square > 1 divides n (n >= 1)."""
     if n < 1:
         raise ValueError("need a positive integer")
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        while n % d == 0:
-            n //= d
-        d += 1
-    return True
+    return all(n % (p * p) for p in _prime_divisors(n))
 
 
 def _gram(n: int, edges) -> Matrix:
@@ -97,16 +90,26 @@ def _d_plus_glue_class(lat: EvenLattice) -> tuple:
     return lat.element_from_dual(coords)
 
 
+def _check_exists(family: str, n: int) -> None:
+    """Raise ValueError unless family and rank name an ADE root lattice."""
+    if family == "E":
+        if n not in _E_EDGES:
+            raise ValueError("E-series exists for ranks 6, 7, 8")
+    elif family in ("A", "D"):
+        least = 1 if family == "A" else 2
+        if n < least:
+            raise ValueError(f"{family}-series needs rank >= {least}")
+    else:
+        raise ValueError(f"unknown family {family!r}")
+
+
 def _single(family: str, n: int, plus: bool) -> EvenLattice:
+    _check_exists(family, n)
+    if plus and family != "D":
+        raise ValueError("a plus suffix applies only to the D series")
     if family == "A":
-        if n < 1:
-            raise ValueError("A-series needs rank >= 1")
-        if plus:
-            raise ValueError("a plus suffix applies only to the D series")
         return EvenLattice(_a_gram(n), name=f"A{n}")
     if family == "D":
-        if n < 2:
-            raise ValueError("D-series needs rank >= 2")
         lat = EvenLattice(_d_gram(n), name=f"D{n}")
         if not plus:
             return lat
@@ -118,16 +121,10 @@ def _single(family: str, n: int, plus: bool) -> EvenLattice:
         over, _ = overlattice_from_glue(lat, glue)
         over.name = f"D{n}+"
         return over
-    if family == "E":
-        if n not in _E_EDGES:
-            raise ValueError("E-series exists for ranks 6, 7, 8")
-        if plus:
-            raise ValueError("a plus suffix applies only to the D series")
-        lat = EvenLattice(_e_gram(n), name=f"E{n}")
-        if lat.determinant != _E_DETS[n]:
-            raise AssertionError("E-series determinant check failed")
-        return lat
-    raise ValueError(f"unknown family {family!r}")
+    lat = EvenLattice(_e_gram(n), name=f"E{n}")
+    if lat.determinant != _E_DETS[n]:
+        raise AssertionError("E-series determinant check failed")
+    return lat
 
 
 def parse_name(name: str):
@@ -162,16 +159,9 @@ def maximality_formula(family: str, n: int) -> bool:
     A_n: yes iff n+1 is squarefree (n even) or (n+1)/2 is squarefree (n odd).
     D_n: yes iff n is not divisible by 8. E6, E7, E8: always.
     """
+    _check_exists(family, n)
     if family == "A":
-        if n < 1:
-            raise ValueError("A-series needs rank >= 1")
         return squarefree(n + 1) if n % 2 == 0 else squarefree((n + 1) // 2)
     if family == "D":
-        if n < 2:
-            raise ValueError("D-series needs rank >= 2")
         return n % 8 != 0
-    if family == "E":
-        if n not in (6, 7, 8):
-            raise ValueError("E-series exists for ranks 6, 7, 8")
-        return True
-    raise ValueError(f"unknown family {family!r}")
+    return True

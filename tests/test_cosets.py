@@ -10,7 +10,7 @@ that the reductions refuse rather than divide inexactly.
 import random
 import re
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -796,6 +796,35 @@ def test_certificate_diagonal_fallback():
     assert cert.corner_gcds == (1, 1, 1)
     assert cert.invariants == (Fraction(1, 4), Fraction(1, 16), Fraction(1, 64))
     assert cert.witness_matrix.T @ A2.s1 @ cert.witness_matrix == 4 * A2.s1
+
+
+def test_certificate_walks_columns_and_content_once(monkeypatch):
+    # a conclusive certificate walks the first column of each power by
+    # mat-vec products and forms no matrix-by-matrix product; the content of
+    # each object is walked once, however often it is read, also by the
+    # double reduction of a certificate that falls back to it
+    products = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(
+        Matrix, "__matmul__",
+        lambda a, b: (isinstance(b, Matrix) and products.append(b)) or matmul(a, b))
+    walks = []
+    content = ScaledOrthogonal.content.func
+    counted = cached_property(lambda x: walks.append(x) or content(x))
+    counted.__set_name__(ScaledOrthogonal, "content")
+    monkeypatch.setattr(ScaledOrthogonal, "content", counted)
+    x = make_scaled(A2, helpers.scale_matrix(X, 3))
+    for exponents in ((1, 2, 3), (1, 2, 5)):
+        cert = normalizer_certificate(x, exponents)
+        assert cert.witness_matrix is x.matrix and products == []
+        assert cert.corner_gcds == tuple(4**m for m in exponents)
+    y = make_scaled(
+        A2, A2.involution().matrix @ X @ A2.transvection((1, 0, 0, 0)).matrix)
+    cert = normalizer_certificate(y)  # falls back to the double reduction
+    assert cert.witness_matrix is reduce_double_coset(y).reduced
+    assert (x.content, y.content) == (1, 1)
+    # 3X, its canonical form x, and y, which is canonical already
+    assert len(walks) == len({id(w) for w in walks}) == 3
 
 
 def test_certificate_custom_exponents():

@@ -178,6 +178,20 @@ def test_group_element_operations():
         g @ A2.involution()  # different forms
 
 
+def test_power_matches_repeated_products():
+    # words and matrices of g**k against k-fold products of g (of its
+    # inverse for k < 0), for an element with a word and one without
+    rng = random.Random(23)
+    for g in (helpers.random_element(A2, rng), A2.embed_rotation(-Matrix.identity(2))):
+        for k in range(-2, 6):
+            step = g if k >= 0 else g.inverse()
+            expect = A2.identity()
+            for _ in range(abs(k)):
+                expect = expect @ step
+            got = g**k
+            assert got.matrix == expect.matrix and got.word == expect.word, k
+
+
 def test_group_element_validation():
     from evenlat import GroupElement
 
@@ -277,24 +291,27 @@ def test_classify_membership_is_monotone_data():
         assert g.in_discriminant_kernel()
 
 
-def test_embed_rotation():
-    neg = -Matrix.identity(2)
-    g = A2.embed_rotation(neg)
-    assert g.classify() == Membership.INTEGRAL_SPECIAL_PLUS
-    assert not g.in_discriminant_kernel()
+def test_embed_rotation(monkeypatch):
     # product of the two simple reflections: a rotation of order 3
     r1 = base_reflection(A2.base, (1, 0))
     r2 = base_reflection(A2.base, (0, 1))
     rot = r1 @ r2
     assert det(rot) == 1
+    # the membership gate decides, with no exact determinant
+    exact = helpers.record_calls(monkeypatch, "_bareiss")
+    neg = -Matrix.identity(2)
+    g = A2.embed_rotation(neg)
+    assert g.classify() == Membership.INTEGRAL_SPECIAL_PLUS
+    assert not g.in_discriminant_kernel()
     g3 = A2.embed_rotation(rot)
     assert (g3 @ g3 @ g3).matrix == Matrix.identity(A2.dim)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rotation must have determinant one"):
         A2.embed_rotation(r1)  # det -1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rotation must preserve the base form"):
         A2.embed_rotation(Matrix([[1, 1], [0, 1]]))  # not an isometry
     with pytest.raises(ValueError):
         A2.embed_rotation(Matrix.identity(3))  # wrong size
+    assert exact == []
 
 
 def test_orthogonal_inverse_formula_sweep():

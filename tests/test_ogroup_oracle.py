@@ -18,7 +18,8 @@ import pytest
 
 import helpers
 from evenlat import (
-    ExtendedForm, GroupElement, Matrix, Membership, det, direct_sum, root_lattice,
+    ExtendedForm, GroupElement, Matrix, Membership, ScaledOrthogonal, det, direct_sum,
+    root_lattice,
 )
 from evenlat.cosets import make_scaled, normalizer_certificate
 from evenlat.ogroup import _act
@@ -111,6 +112,34 @@ def test_classify_witness_matches_fraction_oracle(name):
     # trivial: D = 0 for E8 and D = Z/2 for A1
     trivial = {"kernel-congruence"} if name in ("A1", "E8") else set()
     assert seen == {""} | set(GATES) - trivial
+
+
+# the ScaledOrthogonal refusal for each check that stops classify below
+# the integral group
+REFUSALS = {"form-congruence": "scale the form", "determinant": "positive determinant",
+            "orientation": "oriented positive 2-plane", "integrality": "must be integral"}
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_scaled_at_ratio_one_refuses_where_classify_stops(name):
+    # one membership gate: at ratio 1 a matrix is refused exactly when
+    # classify stops below the integral group, and the message names the
+    # check that stopped it
+    form = FORMS[name]
+    rng = random.Random(61 + len(name))
+    seen = set()
+    for _ in range(3):
+        m = helpers.random_element(form, rng, max_len=4, spread=1).matrix
+        for gate in ("",) + GATES:
+            x = perturb(name, m, gate, rng) if gate else m
+            level, witness = form.classify_witness(x)
+            if level >= Membership.INTEGRAL_SPECIAL_PLUS:
+                assert ScaledOrthogonal(form, x, 1).matrix == x
+                continue
+            seen.add(witness["check"])
+            with pytest.raises(ValueError, match=REFUSALS[witness["check"]]):
+                ScaledOrthogonal(form, x, 1)
+    assert seen == set(REFUSALS)
 
 
 def test_determinant_sign_read_modulo_an_odd_prime(monkeypatch):

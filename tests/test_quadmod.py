@@ -7,6 +7,7 @@ path never touches), and the isotropic sets below were counted by hand
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,11 @@ def test_divisor_chain_enforced():
         FiniteQuadraticModule((1,), Matrix([[1]]))
     with pytest.raises(ValueError):  # one lift Gram row per divisor
         FiniteQuadraticModule((2,), Matrix.zeros(0, 0))
+    # divisors are read strictly: nothing is truncated or parsed
+    for bad in (2.5, "3", True):
+        with pytest.raises(ValueError,
+                           match=f"divisors must be integral, got {re.escape(repr(bad))}"):
+            FiniteQuadraticModule((bad,), Matrix([[Fraction(1, 2)]]))
 
 
 def test_element_validation():
