@@ -31,7 +31,7 @@ from itertools import chain
 from operator import mul
 
 from .lattices import LatticeEmbedding
-from .matrices import Matrix, _int_vec, vec_gcd
+from .matrices import Matrix, _congruent, _int_vec, _nonzeros, vec_gcd
 from .ogroup import ExtendedForm, GroupElement, Membership, _identity_corners
 from .quadmod import is_maximal_even
 
@@ -330,16 +330,15 @@ def _double_coset_form(x: ScaledOrthogonal) -> DoubleCosetForm:
     if not finished:
         raise AssertionError("double-coset reduction did not stabilize")
 
-    alpha = t[0, 0]
-    delta = t[d - 1, d - 1]
+    alpha, delta = t.num[0][0], t.num[d - 1][d - 1]
     if alpha * delta != r or delta % alpha:
         raise AssertionError("corner entries inconsistent with the ratio")
-    for i in range(d):
-        for j in range(d):
+    for i, row in enumerate(t.num):
+        for j, e in enumerate(row):
             inner = 1 <= i <= d - 2 and 1 <= j <= d - 2
-            if not inner and (i, j) not in ((0, 0), (d - 1, d - 1)) and t[i, j]:
+            if not inner and (i, j) not in ((0, 0), (d - 1, d - 1)) and e:
                 raise AssertionError("reduced matrix is not block diagonal")
-            if t[i, j] % alpha:
+            if e % alpha:
                 # the probes read pairing contents, which bound the entry
                 # content only under the hypothesis
                 raise HypothesisViolation(
@@ -380,7 +379,7 @@ class HatEmbedding:
         self.sup_form = ExtendedForm(emb.sup)
         self.matrix = _identity_corners(emb.matrix)
         sub, sup = self.sub_form, self.sup_form
-        if self.matrix.T @ sup.s1 @ self.matrix != sub.s1:
+        if _congruent(_nonzeros(zip(*self.matrix.num)), sup._s1_nz) != sub.s1.num:
             raise AssertionError("hat embedding fails to transport the form")
         # the transport identity inverts the matrix: S1_sub^{-1} H^t S1_sup
         self._inv = sub.s1_adj @ self.matrix.T @ sup.s1 * Fraction(1, sub.s1_det)

@@ -8,11 +8,11 @@ whose diagonal is even. Everything downstream is exact:
   of det U * det V, and the discriminant form on dual/lattice is read off it
   in integers; definiteness is one Bareiss pass, run when first asked for;
 * an overlattice is rebuilt from a totally isotropic glue group H by one
-  Smith elimination of the rows d Z^n + d (lifts of the glue generators),
-  d = exponent; its determinant det L / |H|^2 is checked by the index;
+  Smith elimination U A V = D of A = [d I; d lifts], d = exponent: its basis
+  is read off U A, its determinant det L / |H|^2 checked by the index;
 * embeddings carry the change of basis and verify Gram transport;
-* both congruences, the overlattice Gram B S B^t / d^2 and the transport
-  M^t S' M = S, are formed through the nonzeros, upper triangle only.
+* the lift Gram, the overlattice Gram B S B^t / d^2 and the transport
+  M^t S' M = S are one congruence, ``matrices._congruent``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cached_property
 from math import isqrt, prod
 from operator import mul
 
-from .matrices import Matrix, _bareiss, smith_normal_form
+from .matrices import Matrix, _bareiss, _congruent, _nonzeros, smith_normal_form
 from .quadmod import FiniteQuadraticModule, GlueGroup
 
 
@@ -55,7 +55,8 @@ class EvenLattice:
         return self.gram.nrows
 
     def inner(self, u, v) -> int:
-        return sum(a * b for a, b in zip(self.gram @ tuple(v), u))
+        # u is read as a product reads v: int or Fraction entries, n of them
+        return (Matrix([u]) @ self.gram @ tuple(v))[0]
 
     def norm(self, u) -> int:
         return self.inner(u, u)
@@ -109,15 +110,11 @@ class EvenLattice:
         """The finite quadratic module on dual/lattice, built once and cached."""
         if self._disc is None:
             _, _, _, divs, w = self._smith
-            # lift_gram[a][b] = (w_a^t S w_b) / (d_a d_b), in integers over
-            # d_k^2; the products run over the nonzero entries of each w_i only
+            # lift_gram[a][b] = (w_a^t S w_b) / (d_a d_b): the congruence of
+            # the rows (d_k/d_a) w_a, over d_k^2
             dk = divs[-1] if divs else 1
-            nz = [[(j, x) for j, x in enumerate(wi) if x] for wi in w]
-            sw = [[sum(x * row[j] for j, x in nzb) for row in self.gram.num]
-                  for nzb in nz]
-            lg = tuple(tuple(sum(x * swb[j] for j, x in nza) * (dk // da) * (dk // db)
-                             for swb, db in zip(sw, divs))
-                       for nza, da in zip(nz, divs))
+            rows = ([dk // da * x for x in wa] for wa, da in zip(w, divs))
+            lg = _congruent(_nonzeros(rows), _nonzeros(self.gram.num))
             self._disc = FiniteQuadraticModule(divs, Matrix._over(lg, dk * dk))
         return self._disc
 
@@ -147,13 +144,14 @@ class EvenLattice:
         dual means the Gram matrix times it is integral).
         """
         u, _, _, divs, _ = self._smith
-        w = self.gram @ tuple(Fraction(x) for x in v)
+        v = tuple(v)
+        w = self.gram @ v
         if any(x.denominator != 1 for x in map(Fraction, w)):
             raise ValueError("vector is not in the dual lattice")
         xfull = u @ tuple(int(x) for x in w)
         cls = tuple(x % d for x, d in zip(xfull[len(xfull) - len(divs):], divs))
         # consistency: the class lift must agree with v modulo the lattice
-        diff = [a - Fraction(b) for a, b in zip(self.lift(cls), v)]
+        diff = [a - b for a, b in zip(self.lift(cls), v)]
         if any(x.denominator != 1 for x in diff):
             raise AssertionError("dual-class lift mismatch")
         return cls
@@ -177,8 +175,8 @@ class LatticeEmbedding:
             raise ValueError("embedding matrix has the wrong shape")
         if not matrix.is_integral:
             raise ValueError("embedding matrix must be integral")
-        cols = [[(i, x) for i, x in enumerate(c) if x] for c in zip(*matrix.num)]
-        if _congruent(cols, sup.gram.num) != sub.gram.num:
+        cols = _nonzeros(zip(*matrix.num))
+        if _congruent(cols, _nonzeros(sup.gram.num)) != sub.gram.num:
             raise ValueError("embedding does not transport the Gram matrix")
         self.sub = sub
         self.sup = sup
@@ -194,29 +192,6 @@ class LatticeEmbedding:
 
     def __repr__(self):
         return f"LatticeEmbedding(index={self.index})"
-
-
-def _congruent(b, s, den=1):
-    """B S B^t / den as integer rows, or None where den does not divide it.
-
-    B is given by the nonzeros of its rows, (column, value) pairs, and S is
-    symmetric, so only the upper triangle is formed: row i of B S combines
-    the nonzeros of the rows of S that the nonzeros of row i of B pick, and
-    entry (i, l) reads that row at the nonzeros of row l of B.
-    """
-    s_nz = [[(k, y) for k, y in enumerate(r) if y] for r in s]
-    out = [[0] * len(b) for _ in b]
-    for i, bi in enumerate(b):
-        acc = [0] * len(s)
-        for j, x in bi:
-            for k, y in s_nz[j]:
-                acc[k] += x * y
-        for l in range(i, len(b)):
-            t = sum(acc[k] * z for k, z in b[l])
-            if t % den:
-                return None
-            out[i][l] = out[l][i] = t // den
-    return tuple(map(tuple, out))
 
 
 def direct_sum(*lattices: EvenLattice) -> EvenLattice:
@@ -242,7 +217,8 @@ def overlattice_from_glue(lat: EvenLattice, glue: GlueGroup):
     preimage of the glue group in the dual; its Gram matrix is rebuilt in a
     new basis, and the embedding has index equal to the glue order. With
     U A V = D the Smith form of the integer rows A = [d I; d lifts], d = d_k,
-    the rows B = diag(d_i) V^{-1} are a basis of d times the overlattice.
+    the rows B = diag(d_i) V^{-1} are a basis of d times the overlattice;
+    U A = D V^{-1}, so B is the first n rows of U A.
     """
     disc = lat.discriminant_group()
     mod = glue.parent
@@ -250,15 +226,21 @@ def overlattice_from_glue(lat: EvenLattice, glue: GlueGroup):
         raise ValueError("glue group does not belong to this lattice")
     n = lat.rank
     d = disc.divisors[-1] if disc.divisors else 1
-    rows = tuple((0,) * i + (d,) + (0,) * (n - 1 - i) for i in range(n))
-    rows += tuple(lat._lift_numerators(g)[1] for g in glue.generators)
-    _, dm, v, vinv = smith_normal_form(Matrix._over(rows), with_v_inverse=True)
+    lifts = tuple(lat._lift_numerators(g)[1] for g in glue.generators)
+    rows = tuple((0,) * i + (d,) + (0,) * (n - 1 - i) for i in range(n)) + lifts
+    u, dm, v = smith_normal_form(Matrix._over(rows))
     divs = [dm.num[i][i] for i in range(n)]
-    # new basis B/d, B = diag(d_i) V^{-1}: Gram (B S B^t)/d^2 and embedding
-    # (d V diag(d_i)^-1)^t, the inverse of the basis, transposed; both must
-    # divide exactly
-    b = [[(j, di * x) for j, x in enumerate(r) if x] for r, di in zip(vinv.num, divs)]
-    gram = _congruent(b, lat.gram.num, d * d)
+    # new basis B/d: row i of U A is d U[i][:n] + sum_g U[i][n+g] lift_g.
+    # Gram (B S B^t)/d^2 and embedding (d V diag(d_i)^-1)^t, the inverse of
+    # the basis, transposed; both must divide exactly
+    b = []
+    for ui in u.num[:n]:
+        acc = [d * x for x in ui[:n]]
+        for c, lift in zip(ui[n:], lifts):
+            if c:
+                acc = [a + c * y for a, y in zip(acc, lift)]
+        b.append(acc)
+    gram = _congruent(_nonzeros(b), _nonzeros(lat.gram.num), d * d)
     if gram is None:
         raise ValueError("glue group is not isotropic for the bilinear form")
     # the rows span d M, of index prod(d_i) = d^n / [M : Z^n] in Z^n

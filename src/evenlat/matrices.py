@@ -11,10 +11,10 @@ intermediate entries polynomial in size; a determinant already known up to
 sign is read modulo a small prime instead (``_det_mod``). The Smith normal
 form picks the least pivot in row-major order, stops its scan at the first
 unit, seeks no divisibility witness after a unit pivot, and can return the
-inverse of its column transform as an integer matrix and the sign of
-det U * det V, from which a lattice reads its determinant. Nothing here
-inverts over the rationals: callers invert through an integral adjugate and
-one exact division.
+sign of det U * det V, from which a lattice reads its determinant. Every
+congruence B S B^t of the library is one sparse kernel, ``_congruent``.
+Nothing here inverts over the rationals: callers invert through an integral
+adjugate and one exact division.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ class Matrix:
         rws = tuple(map(tuple, rows))
         if rws and any(len(r) != len(rws[0]) for r in rws):
             raise ValueError("ragged rows")
-        # bool is an int subclass, but a truth value is no matrix entry
-        if any(type(x) is bool for r in rws for x in r):
-            raise TypeError("matrix entries must be int or Fraction, got bool")
         split = [_split(r) for r in rws]
         den = lcm(*(d for _, d in split))
         _fill(self, tuple(r if d == den else tuple(x * (den // d) for x in r)
@@ -198,7 +195,8 @@ def _split(xs: tuple) -> tuple:
     if all(type(x) is int for x in xs):
         return xs, 1
     for x in xs:
-        if not isinstance(x, (int, Fraction)):
+        # bool is an int subclass, but a truth value is no entry
+        if type(x) is bool or not isinstance(x, (int, Fraction)):
             raise TypeError(
                 f"matrix entries must be int or Fraction, got {type(x).__name__}")
     den = lcm(*(x.denominator for x in xs))
@@ -332,7 +330,7 @@ def _eye(n: int) -> list:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
-def smith_normal_form(a: Matrix, *, with_v_inverse: bool = False, _signed: bool = False):
+def smith_normal_form(a: Matrix, *, _signed: bool = False):
     """Smith normal form with transforms.
 
     Returns (U, D, V) with U @ a @ V == D, U and V unimodular, and D diagonal
@@ -349,12 +347,6 @@ def smith_normal_form(a: Matrix, *, with_v_inverse: bool = False, _signed: bool 
     to row t, and the step repeats; a unit divides everything, so after a
     unit pivot no such row is sought.
 
-    With ``with_v_inverse=True`` it returns (U, D, V, W) with W @ V == I.
-    W is tracked alongside V, not inverted afterwards: V starts as I and only
-    changes by column operations, V <- V E, so W <- E^{-1} W is the matching
-    row operation on W (col i += q col j on V is row j -= q row i on W, and a
-    column swap on V is the same row swap on W).
-
     The private ``_signed=True`` appends det U * det V (1 or -1) to the
     result: adding a multiple of one row or column to another keeps both
     determinants, and each swap and each final row negation flips the sign.
@@ -364,7 +356,6 @@ def smith_normal_form(a: Matrix, *, with_v_inverse: bool = False, _signed: bool 
     m, n = a.nrows, a.ncols
     A = [list(r) for r in a.num]
     U, V = _eye(m), _eye(n)
-    W = _eye(n) if with_v_inverse else None
     sign = 1
 
     for t in range(min(m, n)):
@@ -390,8 +381,6 @@ def smith_normal_form(a: Matrix, *, with_v_inverse: bool = False, _signed: bool 
                     r[t], r[bj] = r[bj], r[t]
                 for r in V:
                     r[t], r[bj] = r[bj], r[t]
-                if W is not None:
-                    W[t], W[bj] = W[bj], W[t]
                 sign = -sign
             pa, pu = A[t], U[t]
             p = pa[t]
@@ -422,8 +411,6 @@ def smith_normal_form(a: Matrix, *, with_v_inverse: bool = False, _signed: bool 
                         r[j] += q * r[t]
                     for r in rv:
                         r[j] += q * r[t]
-                    if W is not None:
-                        W[t] = [y - q * x for x, y in zip(W[j], W[t])]
                     if pa[j]:
                         dirty = True
             if dirty:
@@ -445,6 +432,32 @@ def smith_normal_form(a: Matrix, *, with_v_inverse: bool = False, _signed: bool 
             A[i] = [-x for x in A[i]]
             U[i] = [-x for x in U[i]]
             sign = -sign
-    out = tuple(Matrix._over(tuple(map(tuple, x)))
-                for x in ((U, A, V, W) if with_v_inverse else (U, A, V)))
+    out = tuple(Matrix._over(tuple(map(tuple, x))) for x in (U, A, V))
     return out + (sign,) if _signed else out
+
+
+def _nonzeros(rows) -> list:
+    """The nonzeros of each row, as (column, value) pairs."""
+    return [[(j, x) for j, x in enumerate(r) if x] for r in rows]
+
+
+def _congruent(b, s, den: int = 1):
+    """B S B^t / den as integer rows, or None where den does not divide it.
+
+    B and the symmetric S are given by the nonzeros of their rows
+    (``_nonzeros``), so only the upper triangle is formed: row i of B S
+    combines the rows of S that the nonzeros of row i of B pick, and entry
+    (i, l) reads that row at the nonzeros of row l of B.
+    """
+    out = [[0] * len(b) for _ in b]
+    for i, bi in enumerate(b):
+        acc = [0] * len(s)
+        for j, x in bi:
+            for k, y in s[j]:
+                acc[k] += x * y
+        for l in range(i, len(b)):
+            t = sum(acc[k] * z for k, z in b[l])
+            if t % den:
+                return None
+            out[i][l] = out[l][i] = t // den
+    return tuple(map(tuple, out))

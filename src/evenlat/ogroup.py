@@ -22,7 +22,8 @@ The module provides:
 
 Everything is exact integer/rational arithmetic. A matrix from outside is
 classified once, when it becomes a ``GroupElement``; generators, products,
-inverses and powers of members are members by construction.
+inverses and powers of members are members by construction. Every form
+congruence is the one sparse kernel ``matrices._congruent``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from math import isqrt
 from operator import add, mul
 
 from .lattices import EvenLattice
-from .matrices import Matrix, _det_mod, _entry, _int_vec, _odd_prime_not_dividing, vec_gcd
+from .matrices import (Matrix, _congruent, _det_mod, _entry, _int_vec, _nonzeros,
+                       _odd_prime_not_dividing, vec_gcd)
 
 _COMPLETION_CAP = 10000
 
@@ -195,10 +197,9 @@ class ExtendedForm:
         # corners |D|, and the kernel gate and inverse stay integral
         self.s1_det = d = abs(base.determinant)
         self.s1_adj = self._nest(self._nest(-base.adjugate, d), d)
-        # the nonzeros of each row of S1, as (columns, values): one corner
-        # entry, or the nonzeros of a row of the base Gram
-        self._s1_nz = tuple((tuple(j for j, x in enumerate(r) if x),
-                             tuple(x for x in r if x)) for r in self.s1.num)
+        # the nonzeros of each row of S1: one corner entry, or the nonzeros
+        # of a row of the base Gram
+        self._s1_nz = _nonzeros(self.s1.num)
         # L* = Z^d + sum_i Z g_i with g_i = (0, 0, w_i/d_i, 0, 0), from the
         # base's Smith record: each generator as (d_i, columns, values of w_i)
         _, _, _, divs, w = base._smith
@@ -276,24 +277,22 @@ class ExtendedForm:
         """S1 @ num for integer rows num: each row of the product combines
         the few rows of num that the nonzeros of that row of S1 pick."""
         out = []
-        for js, xs in self._s1_nz:
-            acc = list(map(xs[0].__mul__, num[js[0]]))
-            for j, x in zip(js[1:], xs[1:]):
+        for (j, x), *rest in self._s1_nz:
+            acc = list(map(x.__mul__, num[j]))
+            for j, x in rest:
                 acc = list(map(add, acc, map(x.__mul__, num[j])))
             out.append(acc)
         return out
 
     def _congruence_mismatch(self, num, scale: int):
         """(i, j, value) of the first entry, row-major in the upper triangle,
-        where num^t (S1 num) differs from scale * S1; None when they agree.
+        where num^t S1 num differs from scale * S1; None when they agree.
         Both sides are symmetric, so the triangle decides."""
-        x_cols = tuple(zip(*self._s1_times(num)))
-        for i, (col, s1_row) in enumerate(zip(zip(*num), self.s1.num)):
-            got = [sum(map(mul, col, c)) for c in x_cols[i:]]
-            want = [scale * x for x in s1_row[i:]]
-            if got != want:
-                j = next(j for j, (a, b) in enumerate(zip(got, want), i) if a != b)
-                return i, j, got[j - i]
+        got = _congruent(_nonzeros(zip(*num)), self._s1_nz)
+        for i, (row, s1_row) in enumerate(zip(got, self.s1.num)):
+            for j in range(i, len(row)):
+                if row[j] != scale * s1_row[j]:
+                    return i, j, row[j]
         return None
 
     def identity(self) -> GroupElement:
@@ -396,8 +395,8 @@ class ExtendedForm:
         rows num of m fail, or None: num scales the form by ratio, has a
         positive determinant and a positive orientation value.
 
-        The congruence forms S1·num from the nonzeros of S1 and compares only
-        the upper triangle of numᵀ(S1·num) with ratio·S1: both are
+        The congruence numᵀS1·num, formed on the nonzeros of S1 and num, is
+        compared with ratio·S1 in the upper triangle only: both are
         symmetric, so the first mismatch in row-major order lies there.
         Once it holds, det(num)² = ratio^d, and the sign is read modulo the
         least odd prime p not dividing the ratio, where ±ratio^{d/2} differ.
@@ -605,11 +604,7 @@ def base_reflection(lat: EvenLattice, v) -> Matrix:
     n = lat.rank
     sv = s @ v
     sign = 1 if norm == 2 else -1
-    rows = [
-        [int(i == j) - sign * v[i] * sv[j] for j in range(n)]
-        for i in range(n)
-    ]
-    m = Matrix(rows)
-    if m.T @ s @ m != s:
+    m = Matrix([[int(i == j) - sign * v[i] * sv[j] for j in range(n)] for i in range(n)])
+    if _congruent(_nonzeros(zip(*m.num)), _nonzeros(s.num)) != s.num:
         raise AssertionError("reflection must preserve the form")
     return m

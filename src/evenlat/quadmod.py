@@ -88,15 +88,19 @@ class FiniteQuadraticModule:
         return product(*(range(d) for d in self.divisors))
 
     def add(self, x: tuple, y: tuple) -> tuple:
+        self._check_element(x, y)
         return tuple((a + b) % d for a, b, d in zip(x, y, self.divisors))
 
     def neg(self, x: tuple) -> tuple:
+        self._check_element(x)
         return tuple((-a) % d for a, d in zip(x, self.divisors))
 
     def scale(self, j: int, x: tuple) -> tuple:
+        self._check_element(x)
         return tuple((j * a) % d for a, d in zip(x, self.divisors))
 
     def element_order(self, x: tuple) -> int:
+        self._check_element(x)
         out = 1
         for a, d in zip(x, self.divisors):
             o = d // gcd(a, d)
@@ -124,14 +128,16 @@ class FiniteQuadraticModule:
 
     def bilinear(self, x: tuple, y: tuple) -> Fraction:
         """b(x, y) = q(x+y) - q(x) - q(y) mod 1, in [0, 1)."""
+        self._check_element(x, y)
         s = self._qnum(self.add(x, y)) - self._qnum(x) - self._qnum(y)
         return Fraction(s % self._den, self._den)
 
-    def _check_element(self, x: tuple):
-        if len(x) != len(self.divisors) or any(
-            not (0 <= a < d) for a, d in zip(x, self.divisors)
-        ):
-            raise ValueError(f"{x!r} is not a reduced element of this module")
+    def _check_element(self, *xs: tuple):
+        for x in xs:
+            if len(x) != len(self.divisors) or any(
+                not (0 <= a < d) for a, d in zip(x, self.divisors)
+            ):
+                raise ValueError(f"{x!r} is not a reduced element of this module")
 
     def q_table(self) -> dict:
         """Full element -> q(x) map. Only sensible for small modules."""

@@ -41,7 +41,7 @@ _E_DETS = {6: 3, 7: 2, 8: 1}
 
 def squarefree(n: int) -> bool:
     """True iff no square > 1 divides n (n >= 1)."""
-    if n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("need a positive integer")
     return all(n % (p * p) for p in _prime_divisors(n))
 
@@ -92,6 +92,8 @@ def _d_plus_glue_class(lat: EvenLattice) -> tuple:
 
 def _check_exists(family: str, n: int) -> None:
     """Raise ValueError unless family and rank name an ADE root lattice."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"rank must be an integer, got {n!r}")
     if family == "E":
         if n not in _E_EDGES:
             raise ValueError("E-series exists for ranks 6, 7, 8")

@@ -743,6 +743,22 @@ def test_hat_identity_embedding():
     assert max_extension_member(hat, g) == Membership.DISCRIMINANT_KERNEL
 
 
+def test_transport_checks_run_the_congruence_kernel(monkeypatch):
+    # the hat embedding's transport HᵀS1'H = S1 and a base reflection's
+    # mᵀSm = S are each one call of the sparse kernel, not dense products
+    lat = root_lattice("D8")
+    glue = lat.discriminant_group().maximal_isotropic_subgroups()[0]
+    _, emb = overlattice_from_glue(lat, glue)
+    calls = helpers.record_calls(monkeypatch, "_congruent")
+    hat = HatEmbedding(emb)
+    assert len(calls) == 1
+    h = hat.matrix
+    assert h.T @ hat.sup_form.s1 @ h == hat.sub_form.s1
+    r = base_reflection(lat, (0, 1, 0, 0, 0, 0, 0, 0))
+    assert len(calls) == 2
+    assert r.T @ lat.gram @ r == lat.gram
+
+
 def test_hat_rejects_rank_change():
     a1, d4 = root_lattice("A1"), root_lattice("D4")
     emb = LatticeEmbedding(a1, d4, Matrix([[1], [0], [0], [0]]))

@@ -52,6 +52,15 @@ def test_basic_accessors():
     assert lat.norm((1, 0)) == 2
     assert lat.inner((1, 0), (0, 1)) == -1
     assert lat.norm((1, 1)) == 2
+    # both vectors are read as a product reads them: the right length, and
+    # entries int or Fraction
+    for u, v in (((1,), (1, 0)), ((1, 0, 7), (1, 0)), ((1, 0), (1,)),
+                 ((1, 0), (1, 0, 7))):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            lat.inner(u, v)
+    for u, v in (((True, 0), (1, 0)), ((1, 0), (0, False)), ((1.0, 0), (1, 0))):
+        with pytest.raises(TypeError):
+            lat.inner(u, v)
     # indefinite even lattices are accepted
     hyp = EvenLattice(Matrix([[0, 1], [1, 0]]))
     assert not hyp.is_positive_definite
@@ -82,6 +91,9 @@ def test_element_from_dual_rejects_non_dual():
     lat = root_lattice("A2")
     with pytest.raises(ValueError):
         lat.element_from_dual((Fraction(1, 2), 0))  # S v not integral
+    # entries are int or Fraction, not strings parsed by Fraction
+    with pytest.raises(TypeError):
+        lat.element_from_dual(["2/3", "1/3"])
 
 
 def test_element_from_dual_is_additive():

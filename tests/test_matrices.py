@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import SingularMatrixError, inverse, signature
 from evenlat import Matrix, det, is_positive_definite, smith_normal_form
-from evenlat.matrices import _bareiss, _det_mod, vec_gcd
+from evenlat.matrices import _bareiss, _congruent, _det_mod, _nonzeros, vec_gcd
 
 A2 = Matrix([[2, -1], [-1, 2]])
 
@@ -237,11 +237,12 @@ def test_is_integral_after_arithmetic():
         assert integral == all(type(x) is int for r in out.rows for x in r)
     assert (m.T).rows == ((1, 3), (-2, 4))
     assert (-m).rows == ((-1, 2), (-3, -4))
-    # bool stays out of every path: refused as an entry, and a bool vector
-    # or scalar produces plain ints
-    with pytest.raises(TypeError, match="got bool"):
-        Matrix([[1, True]])
-    assert all(type(x) is int for x in m @ (True, False))
+    # bool stays out of every path: refused as an entry of a matrix or a
+    # vector, and a bool scalar produces plain ints
+    for bad in (lambda: Matrix([[1, True]]), lambda: m @ (True, False),
+                lambda: (1, False) @ m):
+        with pytest.raises(TypeError, match="got bool"):
+            bad()
     assert all(type(x) is int for r in (m * True).rows for x in r)
 
 
@@ -298,10 +299,9 @@ def test_num_over_den_matches_fraction_oracle(data):
     _check_form(t * ma, scaled)
     _check_form(ma @ mb, _ref_product(a, b))
     _check_form(ma.submatrix(range(n - 1, -1, -1), range(k)), _ref_rows(a[::-1]))
-    for w in (v, [bool(x) for x in v]):
-        want = tuple(r[0] for r in _ref_product(a, [[x] for x in w]))
-        for got in (ma @ w, tuple(w) @ ma.T):
-            _same(got, want)
+    want = tuple(r[0] for r in _ref_product(a, [[x] for x in v]))
+    for got in (ma @ v, tuple(v) @ ma.T):
+        _same(got, want)
     for i in range(n):
         _same(ma.row(i), ref[i])
         _same(tuple(ma[i, j] for j in range(k)), ref[i])
@@ -313,10 +313,12 @@ def test_num_over_den_matches_fraction_oracle(data):
         for _ in range(e):
             want = _ref_product(want, sq)
         _check_form(Matrix(sq) ** e, want)
-    # a bool is no entry, but a bool vector or scalar gives ints; a float
-    # is refused everywhere
-    with pytest.raises(TypeError, match="got bool"):
-        Matrix([list(r[:-1]) + [True] for r in a])
+    # a bool is no entry of a matrix or a vector, but a bool scalar gives
+    # ints; a float is refused everywhere
+    for bad in (lambda: Matrix([list(r[:-1]) + [True] for r in a]),
+                lambda: ma @ ([True] * k), lambda: ([False] * n) @ ma):
+        with pytest.raises(TypeError, match="got bool"):
+            bad()
     _check_form(ma * True, _ref_rows(a))
     for bad in (lambda: Matrix([[1.0] * k]), lambda: ma @ ([0.5] * k),
                 lambda: ([0.5] * n) @ ma, lambda: ma * 0.5, lambda: 0.5 * ma):
@@ -451,6 +453,30 @@ def test_snf_property_sweep():
             for x in diag:
                 prod *= x
             assert prod == abs(det(a))
+
+
+# ----------------------------------------------------------------- congruence
+
+_SPARSE = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_congruent_matches_dense_product(data):
+    # B S B^t / den on row nonzeros against the dense product: equal where
+    # den divides every entry, None exactly where it does not
+    k, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    b = data.draw(st.lists(st.lists(_SPARSE, min_size=n, max_size=n),
+                           min_size=k, max_size=k))
+    upper = data.draw(st.lists(_SPARSE, min_size=n * n, max_size=n * n))
+    s = [[upper[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    den = data.draw(st.integers(1, 6))
+    dense = (Matrix(b) @ Matrix(s) @ Matrix(b).T).num
+    got = _congruent(_nonzeros(b), _nonzeros(s), den)
+    if any(x % den for r in dense for x in r):
+        assert got is None
+    else:
+        assert got == tuple(tuple(x // den for x in r) for r in dense)
 
 
 # -------------------------------------------------------------------- helpers

@@ -58,6 +58,17 @@ def test_element_validation():
         mod.q_value((2,))  # not reduced
     with pytest.raises(ValueError):
         mod.q_value((0, 0))  # wrong length
+    # every element method checks every element it is given
+    a2 = root_lattice("A2").discriminant_group()
+    for bad in (lambda: a2.bilinear((), (1,)), lambda: a2.bilinear((1, 5), (1,)),
+                lambda: a2.bilinear((1,), (3,)), lambda: a2.add((), (1,)),
+                lambda: a2.add((1,), (0, 0)), lambda: a2.neg((3,)),
+                lambda: a2.scale(2, (1, 1)), lambda: a2.element_order(())):
+        with pytest.raises(ValueError, match="not a reduced element"):
+            bad()
+    assert a2.bilinear((1,), (1,)) == Fraction(2, 3)
+    assert a2.add((1,), (2,)) == (0,) and a2.neg((1,)) == (2,)
+    assert a2.scale(2, (2,)) == (1,) and a2.element_order((1,)) == 3
 
 
 # ------------------------------------------------------------------- q values

@@ -191,9 +191,9 @@ def oracle_overlattice(lat, glue):
     d = divisors[-1] if divisors else 1
     rows = [[d * int(i == j) for j in range(n)] for i in range(n)]
     rows += [[int(d * x) for x in lat.lift(g)] for g in glue.generators]
-    _, dm, v, vinv = smith_normal_form(Matrix(rows), with_v_inverse=True)
+    _, dm, v = smith_normal_form(Matrix(rows))
     divs = [dm[i, i] for i in range(n)]
-    b = Matrix.diagonal(divs) @ vinv
+    b = Matrix.diagonal(divs) @ helpers.inverse(v)
     gram = b @ lat.gram @ b.T * Fraction(1, d * d)
     emb = (v * d @ helpers.inverse(Matrix.diagonal(divs))).T
     return gram, emb
@@ -308,11 +308,8 @@ def test_smith_normal_form_identities_and_divisors(rows):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors
     a = Matrix(rows)
-    u, d, v, w = smith_normal_form(a, with_v_inverse=True)
+    u, d, v = smith_normal_form(a)
     assert u @ a @ v == d
-    assert w @ v == Matrix.identity(a.ncols)
-    assert v @ w == Matrix.identity(a.ncols)
-    assert smith_normal_form(a) == (u, d, v)
     diag = [d[i, i] for i in range(min(a.shape))]
     assert all(d[i, j] == 0 for i in range(d.nrows) for j in range(d.ncols)
                if i != j)

@@ -182,8 +182,9 @@ def test_squarefree_frozen_and_brute():
         assert squarefree(n) == brute(n)
     assert squarefree(1) and squarefree(30)
     assert not squarefree(4) and not squarefree(12)
-    with pytest.raises(ValueError):
-        squarefree(0)
+    for bad in (0, 2.5, True, Fraction(4)):
+        with pytest.raises(ValueError, match="need a positive integer"):
+            squarefree(bad)
 
 
 # ------------------------------------------------------- generator class of A_n
@@ -226,6 +227,7 @@ def test_maximality_formula_matches_scan():
 
 
 def test_maximality_formula_rejects():
-    for family, n in [("A", 0), ("D", 1), ("E", 5), ("F", 4)]:
+    for family, n in [("A", 0), ("D", 1), ("E", 5), ("F", 4), ("A", 2.5),
+                      ("A", True), ("D", 8.0), ("E", "6")]:
         with pytest.raises(ValueError):
             maximality_formula(family, n)
