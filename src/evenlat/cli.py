@@ -25,6 +25,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .cosets import (
@@ -47,6 +48,57 @@ def _encode(obj):
     if isinstance(obj, Fraction):
         return str(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True, default=_encode), byte for byte.
+
+    json's indented output runs its pure-Python encoder; this writer encodes
+    strings with the C ``encode_basestring_ascii`` and writes each all-int
+    list, such as a Gram row, in one join.
+    """
+    out = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, nl: str, out: list) -> None:
+    # nl is a newline and the indent of the line obj starts on
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if all(type(x) is int for x in obj):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
+            return
+        sep = "[" + inner
+        for x in obj:
+            out.append(sep)
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        _write(_encode(obj), nl, out)
 
 
 def _read_json_source(path: str):
@@ -440,7 +492,7 @@ def main(argv=None) -> int:
         # the one place a report is printed: the payload's JSON, or a table read off it
         payload = args.func(args)
         if args.format == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True, default=_encode))
+            print(_dumps(payload))
         else:
             payload = json.loads(json.dumps(payload, default=_encode))
             print("\n".join(args.table(payload, args)))

@@ -44,6 +44,7 @@ class EvenLattice:
         self.gram = gram
         self.name = name
         self._disc = None
+        self._lifts = {}  # lift numerators by class, filled by overlattice_from_glue
         if _known is None:
             self._smith, self.determinant = self._eliminate()
             self._summands = ()
@@ -226,7 +227,12 @@ def overlattice_from_glue(lat: EvenLattice, glue: GlueGroup):
         raise ValueError("glue group does not belong to this lattice")
     n = lat.rank
     d = disc.divisors[-1] if disc.divisors else 1
-    lifts = tuple(lat._lift_numerators(g)[1] for g in glue.generators)
+    # the glue groups of one lattice share generators: each is lifted once
+    known = lat._lifts
+    for g in glue.generators:
+        if g not in known:
+            known[g] = lat._lift_numerators(g)[1]
+    lifts = tuple(known[g] for g in glue.generators)
     rows = tuple((0,) * i + (d,) + (0,) * (n - 1 - i) for i in range(n)) + lifts
     u, dm, v = smith_normal_form(Matrix._over(rows))
     divs = [dm.num[i][i] for i in range(n)]

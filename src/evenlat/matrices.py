@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers and rationals.
 
 Everything here is pure Python on int and fractions.Fraction, so results are
 exact by construction. A matrix is an immutable integer matrix ``num`` over
@@ -6,13 +6,15 @@ one positive denominator ``den``, reduced so that den and the entries of num
 have no common factor; an integral matrix is the case den == 1. Every
 operation computes on num, multiplies the denominators and reduces once by a
 gcd, so there is one integer path whatever the entries are. The determinant
-and the definiteness test share one fraction-free Bareiss pass, which keeps
-intermediate entries polynomial in size; a determinant already known up to
-sign is read modulo a small prime instead (``_det_mod``). The Smith normal
-form picks the least pivot in row-major order, stops its scan at the first
-unit, seeks no divisibility witness after a unit pivot, and can return the
-sign of det U * det V, from which a lattice reads its determinant. Every
-congruence B S B^t of the library is one sparse kernel, ``_congruent``.
+and the definiteness test share one fraction-free Bareiss pass on dense
+rows, which keeps intermediate entries polynomial in size; a determinant
+already known up to sign is read modulo a small prime instead
+(``_det_mod``). The Smith normal form eliminates on sparse rows, the
+nonzeros of each row held in a dict: it picks the least pivot in row-major
+order, stops its scan at the first unit, seeks no divisibility witness after
+a unit pivot, and can return the sign of det U * det V, from which a lattice
+reads its determinant. Every congruence B S B^t of the library is one sparse
+kernel, ``_congruent``.
 Nothing here inverts over the rationals: callers invert through an integral
 adjugate and one exact division.
 """
@@ -326,8 +328,25 @@ def is_positive_definite(a: Matrix) -> bool:
     return _bareiss(a.num)[1]
 
 
-def _eye(n: int) -> list:
-    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+def _axpy(r: dict, q: int, nz) -> None:
+    """r += q * (the (column, value) pairs nz), on a row of nonzeros; q != 0."""
+    for j, x in nz:
+        y = r.get(j, 0) + q * x
+        if y:
+            r[j] = y
+        else:
+            del r[j]
+
+
+def _dense(rows, n: int) -> tuple:
+    """Rows of nonzeros as a tuple of n-tuples."""
+    out = []
+    for r in rows:
+        row = [0] * n
+        for j, x in r.items():
+            row[j] = x
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def smith_normal_form(a: Matrix, *, _signed: bool = False):
@@ -337,15 +356,21 @@ def smith_normal_form(a: Matrix, *, _signed: bool = False):
     with non-negative entries d_1 | d_2 | ... (zeros last). Works for any
     rectangular integral matrix.
 
-    Step t moves a pivot to (t, t): the entry of least |x| in the block of
-    rows and columns >= t, the first in row-major order. Each row gives its
-    least nonzero |x| in one pass, and the scan stops at the first row that
-    holds a unit, since no entry beats it. The pivot clears its column and
-    then its row by integer division; a nonzero remainder is a smaller pivot
-    and the step repeats. Once both are clear, a pivot p that does not divide
-    the whole remaining block gets the first row holding such an entry added
-    to row t, and the step repeats; a unit divides everything, so after a
-    unit pivot no such row is sought.
+    The elimination holds the nonzeros only: each row of A and of U is a
+    {column: value} dict, and V is held by its columns, each a {row: value}
+    dict. Step t keeps the invariant that rows >= t hold no entry in a
+    column < t, so the block of rows and columns >= t is the rows A[t:] and
+    a row's least |x| in the block is the least of its values.
+
+    Step t moves a pivot to (t, t): the entry of least |x| in the block, the
+    first in row-major order. The scan stops at the first row that holds a
+    unit, since no entry beats it. The pivot clears its column and then its
+    row by integer division; a nonzero remainder is a smaller pivot and the
+    step repeats. Once both are clear, a pivot p that does not divide the
+    whole remaining block gets the first row holding such an entry added to
+    row t, and the step repeats; a unit divides everything, so after a unit
+    pivot no such row is sought. The pivot search, the row and column
+    operations, the column swaps and this witness scan read only nonzeros.
 
     The private ``_signed=True`` appends det U * det V (1 or -1) to the
     result: adding a multiple of one row or column to another keeps both
@@ -354,85 +379,88 @@ def smith_normal_form(a: Matrix, *, _signed: bool = False):
     if not a.is_integral:
         raise ValueError("matrix has non-integer entries")
     m, n = a.nrows, a.ncols
-    A = [list(r) for r in a.num]
-    U, V = _eye(m), _eye(n)
+    A = [{j: x for j, x in enumerate(r) if x} for r in a.num]
+    U = [{i: 1} for i in range(m)]
+    V = [{j: 1} for j in range(n)]
     sign = 1
 
     for t in range(min(m, n)):
         while True:
             best, bi = 0, t
             for i in range(t, m):
-                x = min(filter(None, map(abs, A[i][t:])), default=0)
+                x = min(map(abs, A[i].values()), default=0)
                 if x and (not best or x < best):
                     best, bi = x, i
                     if x == 1:
                         break
             if not best:
                 break
-            row = A[bi]
-            bj = next(j for j in range(t, n) if row[j] in (best, -best))
+            bj = min(j for j, x in A[bi].items() if x in (best, -best))
             if bi != t:
                 A[t], A[bi] = A[bi], A[t]
                 U[t], U[bi] = U[bi], U[t]
                 sign = -sign
             if bj != t:
-                # the rows above t are zero off the diagonal
+                # the rows above t are zero in both columns
                 for r in A[t:]:
-                    r[t], r[bj] = r[bj], r[t]
-                for r in V:
-                    r[t], r[bj] = r[bj], r[t]
+                    x, y = r.pop(t, 0), r.pop(bj, 0)
+                    if y:
+                        r[t] = y
+                    if x:
+                        r[bj] = x
+                V[t], V[bj] = V[bj], V[t]
                 sign = -sign
-            pa, pu = A[t], U[t]
+            pa = A[t]
             p = pa[t]
-            # row t's nonzeros: a row operation touches only these entries
-            nza = [(j, x) for j, x in enumerate(pa) if x]
-            nzu = [(j, x) for j, x in enumerate(pu) if x]
-            dirty = False
+            # |p| is least in the block, so every quotient below is nonzero
+            nza, nzu = list(pa.items()), list(U[t].items())
+            ra = [pa]  # the rows still nonzero in column t once it is cleared
             for i in range(t + 1, m):
                 ri = A[i]
-                if ri[t]:
-                    q = -(ri[t] // p)
-                    for j, x in nza:
-                        ri[j] += q * x
-                    ui = U[i]
-                    for j, x in nzu:
-                        ui[j] += q * x
-                    if ri[t]:
-                        dirty = True  # remainder becomes a smaller pivot
-            cols = [j for j, _ in nza if j > t]
-            if cols:
-                # column t stays fixed while later columns change, so only
-                # the rows where it is nonzero take part
-                ra = [r for r in A[t:] if r[t]]
-                rv = [r for r in V if r[t]]
-                for j in cols:
-                    q = -(pa[j] // p)
+                x = ri.get(t)
+                if x:
+                    q = -(x // p)
+                    _axpy(ri, q, nza)
+                    _axpy(U[i], q, nzu)
+                    if t in ri:
+                        ra.append(ri)  # remainder becomes a smaller pivot
+            dirty = len(ra) > 1
+            vt = list(V[t].items())
+            for j, x in nza:
+                if j != t:
+                    # column t stays fixed while column j changes, so only
+                    # the rows in ra take part
+                    q = -(x // p)
                     for r in ra:
-                        r[j] += q * r[t]
-                    for r in rv:
-                        r[j] += q * r[t]
-                    if pa[j]:
+                        y = r.get(j, 0) + q * r[t]
+                        if y:
+                            r[j] = y
+                        else:
+                            del r[j]
+                    _axpy(V[j], q, vt)
+                    if j in pa:
                         dirty = True
             if dirty:
                 continue
             if best == 1:
                 break
             # pivot must divide the whole remaining block for the chain d_i | d_{i+1}
-            wi = next((i for i in range(t + 1, m) if any(map(p.__rmod__, A[i][t + 1:]))),
+            wi = next((i for i in range(t + 1, m) if any(map(p.__rmod__, A[i].values()))),
                       None)
             if wi is None:
                 break
-            A[t] = [x + y for x, y in zip(pa, A[wi])]
-            U[t] = [x + y for x, y in zip(pu, U[wi])]
-        if A[t][t] == 0:
+            _axpy(pa, 1, A[wi].items())
+            _axpy(U[t], 1, U[wi].items())
+        if t not in A[t]:
             break  # submatrix exhausted, zeros from here on
 
     for i in range(min(m, n)):
-        if A[i][i] < 0:
-            A[i] = [-x for x in A[i]]
-            U[i] = [-x for x in U[i]]
+        if A[i].get(i, 0) < 0:
+            A[i] = {j: -x for j, x in A[i].items()}
+            U[i] = {j: -x for j, x in U[i].items()}
             sign = -sign
-    out = tuple(Matrix._over(tuple(map(tuple, x))) for x in (U, A, V))
+    out = (Matrix._over(_dense(U, m)), Matrix._over(_dense(A, n)),
+           Matrix._over(tuple(zip(*_dense(V, n)))))
     return out + (sign,) if _signed else out
 
 

@@ -134,8 +134,9 @@ class FiniteQuadraticModule:
 
     def _check_element(self, *xs: tuple):
         for x in xs:
+            # a bool or a float is no coordinate, even where it compares as one
             if len(x) != len(self.divisors) or any(
-                not (0 <= a < d) for a, d in zip(x, self.divisors)
+                type(a) is not int or not 0 <= a < d for a, d in zip(x, self.divisors)
             ):
                 raise ValueError(f"{x!r} is not a reduced element of this module")
 

@@ -93,9 +93,10 @@ def count_calls(monkeypatch, name, owner=ExtendedForm):
 def record_calls(monkeypatch, name, owner=evenlat.matrices):
     """List of the argument tuples of every call of <owner>.<name>.
 
-    owner is an evenlat module, matrices by default. The function is
-    re-pointed in every evenlat module that imported it by name, so a call
-    from any layer is recorded.
+    owner is an evenlat module, matrices by default, or a class. A module's
+    function is re-pointed in every evenlat module that imported it by name,
+    so a call from any layer is recorded; a method is re-pointed on its
+    class, and its argument tuples start with self.
     """
     calls = []
     inner = getattr(owner, name)
@@ -104,6 +105,9 @@ def record_calls(monkeypatch, name, owner=evenlat.matrices):
         calls.append(args)
         return inner(*args, **kwargs)
 
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, recording)
+        return calls
     for key, mod in list(sys.modules.items()):
         if key.split(".")[0] == "evenlat" and getattr(mod, name, None) is inner:
             monkeypatch.setattr(mod, name, recording)
@@ -254,3 +258,119 @@ def signature(a: Matrix) -> tuple:
                     m[k][i] -= f * m[k][t]
         t += 1
     return (pos, neg, n - pos - neg)
+
+
+# -- the Smith elimination on dense rows, kept as the oracle of the sparse one --
+# The same pivot rule and the same row and column operations, on lists of
+# every entry; smith_normal_form must agree with it in U, D, V and sign.
+
+
+def _eye(n: int) -> list:
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+
+
+def dense_smith_normal_form(a: Matrix, *, _signed: bool = False):
+    """Smith normal form with transforms, on dense rows: the oracle of
+    evenlat.smith_normal_form, which must return the same U, D, V and sign.
+
+    Returns (U, D, V) with U @ a @ V == D, U and V unimodular, and D diagonal
+    with non-negative entries d_1 | d_2 | ... (zeros last). Works for any
+    rectangular integral matrix.
+
+    Step t moves a pivot to (t, t): the entry of least |x| in the block of
+    rows and columns >= t, the first in row-major order. Each row gives its
+    least nonzero |x| in one pass, and the scan stops at the first row that
+    holds a unit, since no entry beats it. The pivot clears its column and
+    then its row by integer division; a nonzero remainder is a smaller pivot
+    and the step repeats. Once both are clear, a pivot p that does not divide
+    the whole remaining block gets the first row holding such an entry added
+    to row t, and the step repeats; a unit divides everything, so after a
+    unit pivot no such row is sought.
+
+    The private ``_signed=True`` appends det U * det V (1 or -1) to the
+    result: adding a multiple of one row or column to another keeps both
+    determinants, and each swap and each final row negation flips the sign.
+    """
+    if not a.is_integral:
+        raise ValueError("matrix has non-integer entries")
+    m, n = a.nrows, a.ncols
+    A = [list(r) for r in a.num]
+    U, V = _eye(m), _eye(n)
+    sign = 1
+
+    for t in range(min(m, n)):
+        while True:
+            best, bi = 0, t
+            for i in range(t, m):
+                x = min(filter(None, map(abs, A[i][t:])), default=0)
+                if x and (not best or x < best):
+                    best, bi = x, i
+                    if x == 1:
+                        break
+            if not best:
+                break
+            row = A[bi]
+            bj = next(j for j in range(t, n) if row[j] in (best, -best))
+            if bi != t:
+                A[t], A[bi] = A[bi], A[t]
+                U[t], U[bi] = U[bi], U[t]
+                sign = -sign
+            if bj != t:
+                # the rows above t are zero off the diagonal
+                for r in A[t:]:
+                    r[t], r[bj] = r[bj], r[t]
+                for r in V:
+                    r[t], r[bj] = r[bj], r[t]
+                sign = -sign
+            pa, pu = A[t], U[t]
+            p = pa[t]
+            # row t's nonzeros: a row operation touches only these entries
+            nza = [(j, x) for j, x in enumerate(pa) if x]
+            nzu = [(j, x) for j, x in enumerate(pu) if x]
+            dirty = False
+            for i in range(t + 1, m):
+                ri = A[i]
+                if ri[t]:
+                    q = -(ri[t] // p)
+                    for j, x in nza:
+                        ri[j] += q * x
+                    ui = U[i]
+                    for j, x in nzu:
+                        ui[j] += q * x
+                    if ri[t]:
+                        dirty = True  # remainder becomes a smaller pivot
+            cols = [j for j, _ in nza if j > t]
+            if cols:
+                # column t stays fixed while later columns change, so only
+                # the rows where it is nonzero take part
+                ra = [r for r in A[t:] if r[t]]
+                rv = [r for r in V if r[t]]
+                for j in cols:
+                    q = -(pa[j] // p)
+                    for r in ra:
+                        r[j] += q * r[t]
+                    for r in rv:
+                        r[j] += q * r[t]
+                    if pa[j]:
+                        dirty = True
+            if dirty:
+                continue
+            if best == 1:
+                break
+            # pivot must divide the whole remaining block for the chain d_i | d_{i+1}
+            wi = next((i for i in range(t + 1, m) if any(map(p.__rmod__, A[i][t + 1:]))),
+                      None)
+            if wi is None:
+                break
+            A[t] = [x + y for x, y in zip(pa, A[wi])]
+            U[t] = [x + y for x, y in zip(pu, U[wi])]
+        if A[t][t] == 0:
+            break  # submatrix exhausted, zeros from here on
+
+    for i in range(min(m, n)):
+        if A[i][i] < 0:
+            A[i] = [-x for x in A[i]]
+            U[i] = [-x for x in U[i]]
+            sign = -sign
+    out = tuple(Matrix._over(tuple(map(tuple, x))) for x in (U, A, V))
+    return out + (sign,) if _signed else out

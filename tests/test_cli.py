@@ -10,11 +10,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evenlat
 import helpers
 from evenlat import ExtendedForm, Matrix, __version__, root_lattice
-from evenlat.cli import build_parser, main
+from evenlat.cli import _dumps, _encode, build_parser, main
 from evenlat.roots import MAX_RANK
 
 
@@ -560,6 +562,38 @@ def test_json_output_is_deterministic(capsys):
                            "--format", "json")
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+_INTS = st.one_of(st.integers(-5, 5), st.integers(-10**30, 10**30))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), _INTS,
+    # non-ASCII text and the characters that need escapes
+    st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),
+                      st.characters()), max_size=6),
+    st.fractions(max_denominator=50),
+    st.integers(0, 3).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(_INTS, st.fractions(max_denominator=6)),
+                 min_size=n, max_size=n), max_size=3)).map(Matrix),
+)
+_PAYLOADS = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.lists(_INTS, max_size=4), st.dictionaries(st.text(max_size=4), kids, max_size=4),
+), max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PAYLOADS)
+def test_json_writer_matches_indented_dumps(payload):
+    assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True, default=_encode)
+
+
+def test_json_writer_refuses_what_dumps_refuses():
+    for bad in (object(), {"a": [1, {2, 3}]}, (b"x",)):
+        with pytest.raises(TypeError) as want:
+            json.dumps(bad, indent=2, sort_keys=True, default=_encode)
+        with pytest.raises(TypeError) as got:
+            _dumps(bad)
+        assert str(got.value) == str(want.value)
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -308,6 +308,20 @@ def test_one_smith_form_serves_every_map(monkeypatch):
     assert [args[0] for args in snf] == [lat.gram]
 
 
+def test_glue_generators_lift_once_per_lattice(monkeypatch):
+    # the 30 glue groups of 8A1 share their generators: each distinct class
+    # is lifted once, and every overlattice is the one its own lifts give
+    lifts = helpers.record_calls(monkeypatch, "_lift_numerators", owner=EvenLattice)
+    lat = root_lattice("8A1")
+    groups = lat.discriminant_group().maximal_isotropic_subgroups()
+    overs = [overlattice_from_glue(lat, glue)[0].gram for glue in groups]
+    gens = {g for glue in groups for g in glue.generators}
+    assert len(groups) == 30 and sum(len(glue.generators) for glue in groups) > len(gens)
+    assert sorted(x for _, x in lifts) == sorted(gens)
+    fresh = root_lattice("8A1")
+    assert overs == [overlattice_from_glue(fresh, glue)[0].gram for glue in groups]
+
+
 def test_extended_form_takes_no_rational_inverse():
     # no module of the library defines a Gauss-Jordan inverse or a rational
     # congruence to call; the form inverts S1 through its integral adjugate

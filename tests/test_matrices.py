@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SingularMatrixError, inverse, signature
-from evenlat import Matrix, det, is_positive_definite, smith_normal_form
+from helpers import SingularMatrixError, dense_smith_normal_form, inverse, signature
+from evenlat import Matrix, det, is_positive_definite, root_lattice, smith_normal_form
 from evenlat.matrices import _bareiss, _congruent, _det_mod, _nonzeros, vec_gcd
 
 A2 = Matrix([[2, -1], [-1, 2]])
@@ -453,6 +453,46 @@ def test_snf_property_sweep():
             for x in diag:
                 prod *= x
             assert prod == abs(det(a))
+
+
+_ENTRY = st.one_of(st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 4, 6, -9)),
+                   st.integers(-10**40, 10**40))
+
+
+@st.composite
+def _rectangular(draw):
+    # sparse, dense and huge entries, with a zero row and a zero column drawn in
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=1)):
+        rows[i] = [0] * n
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=1)):
+        for r in rows:
+            r[j] = 0
+    return Matrix(rows)
+
+
+@st.composite
+def _glue_rows(draw):
+    # [d I; lifts] as overlattice_from_glue forms it, over an ADE discriminant
+    # form, for classes that need not span an isotropic group
+    lat = root_lattice(draw(st.sampled_from(("A1", "A3", "A7", "3A1", "5A1", "2A2",
+                                              "3A3", "D4", "2D4", "D6", "E6", "E7"))))
+    divs = lat.discriminant_group().divisors
+    d, n = divs[-1], lat.rank
+    classes = draw(st.lists(st.tuples(*(st.integers(0, di - 1) for di in divs)),
+                            min_size=1, max_size=3))
+    lifts = [lat._lift_numerators(x)[1] for x in classes]
+    return Matrix([[d * (i == j) for j in range(n)] for i in range(n)] + lifts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_rectangular(), _glue_rows()))
+def test_snf_matches_dense_oracle(a):
+    # the sparse elimination takes the dense one's pivots: U, D, V and the
+    # tracked sign all agree
+    assert smith_normal_form(a, _signed=True) == dense_smith_normal_form(a, _signed=True)
 
 
 # ----------------------------------------------------------------- congruence

@@ -63,7 +63,10 @@ def test_element_validation():
     for bad in (lambda: a2.bilinear((), (1,)), lambda: a2.bilinear((1, 5), (1,)),
                 lambda: a2.bilinear((1,), (3,)), lambda: a2.add((), (1,)),
                 lambda: a2.add((1,), (0, 0)), lambda: a2.neg((3,)),
-                lambda: a2.scale(2, (1, 1)), lambda: a2.element_order(())):
+                lambda: a2.scale(2, (1, 1)), lambda: a2.element_order(()),
+                lambda: a2.q_value((True,)), lambda: a2.q_value((1.5,)),
+                lambda: a2.q_value((2.0,)), lambda: a2.bilinear((1,), (Fraction(1),)),
+                lambda: a2.add((True,), (1,)), lambda: a2.element_order(("1",))):
         with pytest.raises(ValueError, match="not a reduced element"):
             bad()
     assert a2.bilinear((1,), (1,)) == Fraction(2, 3)
