@@ -489,6 +489,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        # a cap below 1 admits no module, not even the trivial one
+        for option in ("max_order", "max_glue_order"):
+            cap = getattr(args, option, 1)
+            if cap <= 0:
+                raise ValueError(f"--{option.replace('_', '-')} must be positive, got {cap}")
         # the one place a report is printed: the payload's JSON, or a table read off it
         payload = args.func(args)
         if args.format == "json":

@@ -3,10 +3,10 @@
 An even lattice is Z^n with a nondegenerate integral symmetric Gram matrix
 whose diagonal is even. Everything downstream is exact:
 
-* the constructor runs one Smith elimination of the Gram matrix and keeps
-  it: the determinant is the product of its divisors with the tracked sign
-  of det U * det V, and the discriminant form on dual/lattice is read off it
-  in integers; definiteness is one Bareiss pass, run when first asked for;
+* one Smith elimination of the Gram matrix, the record ``_smith``, gives the
+  determinant (the divisors' product with the tracked sign of det U * det V)
+  and the discriminant form on dual/lattice in integers; definiteness is one
+  Bareiss pass on first use, derived for direct sums and glue overlattices;
 * an overlattice is rebuilt from a totally isotropic glue group H by one
   Smith elimination U A V = D of A = [d I; d lifts], d = exponent: its basis
   is read off U A, its determinant det L / |H|^2 checked by the index;
@@ -21,16 +21,34 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt, prod
 from operator import mul
+from typing import NamedTuple
 
 from .matrices import Matrix, _bareiss, _congruent, _nonzeros, smith_normal_form
 from .quadmod import FiniteQuadraticModule, GlueGroup
+
+
+class _Smith(NamedTuple):
+    """The Smith elimination U S V = D of a Gram matrix S.
+
+    det S = det U * det V * prod d_i; the divisors d_i > 1 are the last k of
+    the chain, and the generator of Z/d_i lifts to column i of
+    S^{-1} U^{-1} = V D^{-1}, V[:, i]/d_i, kept as w_i/d_i with the integer
+    w_i = V[:, i] mod d_i.
+    """
+
+    u: Matrix
+    v: Matrix
+    full: tuple  # every diagonal entry of D
+    divs: tuple  # the kept divisors d_i > 1
+    w: tuple  # the numerators w_i, one per kept divisor
+    det: int
 
 
 class EvenLattice:
     """Z^n with an exact, nondegenerate, even Gram matrix."""
 
     def __init__(self, gram: Matrix, name: str = "", *, _known=None):
-        # _known: (determinant, summands) from direct_sum or overlattice_from_glue
+        # _known: (determinant, summands or glue parent), from its builder
         if not isinstance(gram, Matrix):
             gram = Matrix(gram)
         if not gram.is_square:
@@ -43,13 +61,10 @@ class EvenLattice:
             raise ValueError("Gram diagonal must be even")
         self.gram = gram
         self.name = name
-        self._disc = None
-        self._lifts = {}  # lift numerators by class, filled by overlattice_from_glue
+        self._lifts = {}  # lift numerators by class, filled by _lift_numerators
+        self.determinant, self._sources = _known or (None, ())
         if _known is None:
-            self._smith, self.determinant = self._eliminate()
-            self._summands = ()
-        else:
-            self.determinant, self._summands = _known
+            self.determinant = self._smith.det
 
     @property
     def rank(self) -> int:
@@ -62,15 +77,10 @@ class EvenLattice:
     def norm(self, u) -> int:
         return self.inner(u, u)
 
-    def _eliminate(self) -> tuple:
-        """(Smith record, determinant) from the one Smith elimination of S.
-
-        The record is (U, V, full divisors, kept divisors d_i > 1, numerators
-        w_i). From U S V = D: det S = det U * det V * prod d_i, the divisors
-        d_i > 1 are the last k of the chain, and the generator of Z/d_i lifts
-        to column i of S^{-1} U^{-1} = V D^{-1}, V[:, i]/d_i, kept as w_i/d_i
-        with the integer w_i = V[:, i] mod d_i.
-        """
+    @cached_property
+    def _smith(self) -> _Smith:
+        """The one Smith record: read by the constructor of a lattice given its
+        Gram; first read later for one given its determinant, which it checks."""
         u, d, v, sign = smith_normal_form(self.gram, _signed=True)
         full = tuple(d.num[i][i] for i in range(d.nrows))
         if not all(full):
@@ -79,63 +89,63 @@ class EvenLattice:
         divs = full[len(full) - k:]
         w = tuple(tuple(x % di for x in v.col(i))
                   for i, di in enumerate(divs, len(full) - k))
-        return (u, v, full, divs, w), sign * prod(full)
-
-    @cached_property
-    def _smith(self) -> tuple:
-        """The Smith record, set by the constructor; a lattice given its
-        determinant (direct sum, glue overlattice) eliminates on first use."""
-        record, d = self._eliminate()
-        if d != self.determinant:
+        record = _Smith(u, v, full, divs, w, sign * prod(full))
+        if self.determinant not in (None, record.det):
             raise AssertionError("Smith form inconsistent with determinant")
         return record
 
     @cached_property
     def is_positive_definite(self) -> bool:
-        """Sylvester's test, one Bareiss pass on first use; a direct sum asks
-        its summands."""
-        if self._summands:
-            return all(lat.is_positive_definite for lat in self._summands)
+        """Sylvester's test, one Bareiss pass on first use. Derived for a
+        direct sum from its summands, and for a glue overlattice from its
+        parent: it spans the parent's rational space, so shares its signature."""
+        if self._sources:
+            return all(lat.is_positive_definite for lat in self._sources)
         return _bareiss(self.gram.num)[1]
 
     @cached_property
     def adjugate(self) -> Matrix:
         """|det S| S^{-1} as an integer matrix: V diag(|det S|/d_i) U."""
-        u, v, full, _, _ = self._smith
+        s = self._smith
         dabs = abs(self.determinant)
-        scale = [dabs // di for di in full]
+        scale = [dabs // di for di in s.full]
         return Matrix._over(tuple(tuple(map(mul, row, scale))
-                                  for row in v.num)) @ u
+                                  for row in s.v.num)) @ s.u
+
+    @cached_property
+    def _discriminant_group(self) -> FiniteQuadraticModule:
+        s = self._smith
+        # lift_gram[a][b] = (w_a^t S w_b) / (d_a d_b): the congruence of
+        # the rows (d_k/d_a) w_a, over d_k^2
+        dk = s.divs[-1] if s.divs else 1
+        rows = ([dk // da * x for x in wa] for wa, da in zip(s.w, s.divs))
+        lg = _congruent(_nonzeros(rows), _nonzeros(self.gram.num))
+        return FiniteQuadraticModule(s.divs, Matrix._over(lg, dk * dk))
 
     def discriminant_group(self) -> FiniteQuadraticModule:
         """The finite quadratic module on dual/lattice, built once and cached."""
-        if self._disc is None:
-            _, _, _, divs, w = self._smith
-            # lift_gram[a][b] = (w_a^t S w_b) / (d_a d_b): the congruence of
-            # the rows (d_k/d_a) w_a, over d_k^2
-            dk = divs[-1] if divs else 1
-            rows = ([dk // da * x for x in wa] for wa, da in zip(w, divs))
-            lg = _congruent(_nonzeros(rows), _nonzeros(self.gram.num))
-            self._disc = FiniteQuadraticModule(divs, Matrix._over(lg, dk * dk))
-        return self._disc
+        return self._discriminant_group
 
-    def _lift_numerators(self, x) -> tuple:
-        # with d = d_k, the class x lifts to (sum_i x_i (d/d_i) w_i mod d) / d
-        _, _, _, divs, w = self._smith
-        d = divs[-1] if divs else 1
-        acc = [0] * self.rank
-        for c, di, wi in zip(x, divs, w):
-            f = c * (d // di)
-            acc = [a + f * b for a, b in zip(acc, wi)]
-        return d, tuple(a % d for a in acc)
+    def _lift_numerators(self, x: tuple) -> tuple:
+        """(d, a): x lifts to a/d, d = d_k, a = sum_i x_i (d/d_i) w_i mod d. Kept
+        per class, since the glue groups of one lattice share generators."""
+        if x not in self._lifts:
+            s = self._smith
+            d = s.divs[-1] if s.divs else 1
+            acc = [0] * self.rank
+            for c, di, wi in zip(x, s.divs, s.w):
+                f = c * (d // di)
+                acc = [a + f * b for a, b in zip(acc, wi)]
+            self._lifts[x] = d, tuple(a % d for a in acc)
+        return self._lifts[x]
 
     def lift(self, x) -> tuple:
         """A rational dual vector representing the class x, entries in [0, 1)."""
-        divs = self._smith[3]
+        divs = self._smith.divs
         if len(x) != len(divs) or not all(
                 type(c) is int and 0 <= c < di for c, di in zip(x, divs)):
             raise ValueError(f"{x!r} is not a reduced element of dual/lattice")
-        d, num = self._lift_numerators(x)
+        d, num = self._lift_numerators(tuple(x))
         return tuple(Fraction(a, d) for a in num)
 
     def element_from_dual(self, v) -> tuple:
@@ -144,13 +154,13 @@ class EvenLattice:
         The vector is given in Gram-matrix coordinates (so membership in the
         dual means the Gram matrix times it is integral).
         """
-        u, _, _, divs, _ = self._smith
+        s = self._smith
         v = tuple(v)
         w = self.gram @ v
         if any(x.denominator != 1 for x in map(Fraction, w)):
             raise ValueError("vector is not in the dual lattice")
-        xfull = u @ tuple(int(x) for x in w)
-        cls = tuple(x % d for x, d in zip(xfull[len(xfull) - len(divs):], divs))
+        xfull = s.u @ tuple(int(x) for x in w)
+        cls = tuple(x % d for x, d in zip(xfull[len(xfull) - len(s.divs):], s.divs))
         # consistency: the class lift must agree with v modulo the lattice
         diff = [a - b for a, b in zip(self.lift(cls), v)]
         if any(x.denominator != 1 for x in diff):
@@ -227,12 +237,7 @@ def overlattice_from_glue(lat: EvenLattice, glue: GlueGroup):
         raise ValueError("glue group does not belong to this lattice")
     n = lat.rank
     d = disc.divisors[-1] if disc.divisors else 1
-    # the glue groups of one lattice share generators: each is lifted once
-    known = lat._lifts
-    for g in glue.generators:
-        if g not in known:
-            known[g] = lat._lift_numerators(g)[1]
-    lifts = tuple(known[g] for g in glue.generators)
+    lifts = tuple(lat._lift_numerators(g)[1] for g in glue.generators)
     rows = tuple((0,) * i + (d,) + (0,) * (n - 1 - i) for i in range(n)) + lifts
     u, dm, v = smith_normal_form(Matrix._over(rows))
     divs = [dm.num[i][i] for i in range(n)]
@@ -253,7 +258,7 @@ def overlattice_from_glue(lat: EvenLattice, glue: GlueGroup):
     if d**n != prod(divs) * glue.order:
         raise AssertionError("overlattice index does not match glue order")
     over = EvenLattice(Matrix._over(gram),
-                       _known=(lat.determinant // glue.order**2, ()))
+                       _known=(lat.determinant // glue.order**2, (lat,)))
     h = [[d * x for x in v.col(j)] for j in range(n)]
     if any(x % dj for row, dj in zip(h, divs) for x in row):
         raise ValueError("embedding matrix must be integral")

@@ -218,12 +218,10 @@ def _values(xs: Iterable[int], den: int) -> tuple:
 
 def vec_gcd(v: Iterable[int]) -> int:
     """gcd of the absolute values; 0 for an all-zero (or empty) vector."""
-    g = 0
-    for x in v:
-        if not isinstance(x, int):
-            raise ValueError("gcd needs integer entries")
-        g = gcd(g, abs(x))
-    return g
+    try:
+        return gcd(*v)
+    except TypeError:
+        raise ValueError("gcd needs integer entries") from None
 
 
 def _int_vec(v, what: str = "vector entries") -> tuple:

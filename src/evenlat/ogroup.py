@@ -202,10 +202,9 @@ class ExtendedForm:
         self._s1_nz = _nonzeros(self.s1.num)
         # L* = Z^d + sum_i Z g_i with g_i = (0, 0, w_i/d_i, 0, 0), from the
         # base's Smith record: each generator as (d_i, columns, values of w_i)
-        _, _, _, divs, w = base._smith
         self._kernel_gens = tuple(
             (di, tuple(2 + j for j, x in enumerate(wi) if x), tuple(x for x in wi if x))
-            for di, wi in zip(divs, w))
+            for di, wi in zip(base._smith.divs, base._smith.w))
 
     @staticmethod
     def _nest(inner: Matrix, corner: int) -> Matrix:
@@ -494,9 +493,6 @@ class ExtendedForm:
             v[i] = t
             return tuple(v)
 
-        def s_times_y():
-            return self.base.gram @ tuple(hv[2:2 + n])
-
         # bootstrap: make the leading entry nonzero
         if hv[0] == 0:
             if hv[i3] != 0:
@@ -505,10 +501,7 @@ class ExtendedForm:
                 do(("T", mid(n + 1)))
             elif hv[i2] != 0:
                 do(("T", mid(0)))
-            else:
-                sy = s_times_y()
-                j = next(i for i in range(n) if sy[i] != 0)
-                do(("T", mid(1 + j)))
+        # no other case: four zero corners give q(h) = -y^t S y < 0 for h != 0
         if hv[0] == 0:
             raise AssertionError("bootstrap failed to produce a nonzero corner")
 
@@ -547,7 +540,7 @@ class ExtendedForm:
             if hv[i3] % hv[0]:
                 do(("T", mid(0)))  # feeds the last entry into position 1
                 continue
-            sy = s_times_y()
+            sy = self.base.gram @ tuple(hv[2:2 + n])
             bad = [i for i in range(n) if sy[i] % hv[0]]
             if bad:
                 do(("T*", mid(1 + bad[0])))  # feeds the base obstruction downward

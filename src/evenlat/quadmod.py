@@ -4,13 +4,13 @@ A module here is a finite abelian group d_1 Z x ... x d_k Z carrying a
 quadratic form q with values in Q/Z, presented by the Gram matrix of lifts
 of its generators into the dual of an even lattice. Elements are coordinate
 tuples taken mod the divisors; q is evaluated exactly. The glue search and
-the span of a glue group work on element codes instead: one int per element,
-coordinate i in a field of b bits under one guard bit (2^b >= d_k),
-coordinate 0 the most significant, so int order is tuple order. Two codes
-add in a few whole-int operations: add; add an offset of 2^b - d_i per
-field, which sets the guard of exactly the fields that reached d_i and
-carries into no other field; mask those fields; subtract d_i there. The
-central predicates:
+a glue group hold element codes instead, decoded only at the API: one int
+per element, coordinate i in a field of b bits under one guard bit
+(2^b >= d_k), coordinate 0 the most significant, so int order is tuple
+order. Two codes add in a few whole-int operations: add; add an offset of
+2^b - d_i per field, which sets the guard of exactly the fields that reached
+d_i and carries into no other field; mask those fields; subtract d_i there.
+The central predicates:
 
 * anisotropic (q vanishes only at 0), which is equivalent to the source
   lattice having no proper even overlattice;
@@ -244,7 +244,6 @@ class FiniteQuadraticModule:
         maximality: the least element of a coset y + span' is a candidate
         whenever y is, and it is never dead.
         """
-        self._guard(max_order)
         iso = self.isotropic_elements(max_order)
         codes = [self._encode(x) for x in iso]
         index = {c: i for i, c in enumerate(codes)}
@@ -289,10 +288,7 @@ class FiniteQuadraticModule:
 
         dfs([], frozenset([0]), (1 << len(iso)) - 1, -1)
         found.sort(key=lambda t: (len(t[1]), t[0]))
-        decode = dict(zip(codes, iso))
-        decode[0] = self.zero
-        return [GlueGroup(self, tuple(map(decode.get, chain)),
-                          frozenset(map(decode.get, span)))
+        return [GlueGroup(self, tuple(map(self._decode, chain)), span)
                 for chain, span in found]
 
 
@@ -303,9 +299,9 @@ class GlueGroup:
     per divisor; it is reduced modulo the divisors.
     """
 
-    def __init__(self, parent: FiniteQuadraticModule, generators, _span=None):
-        # _span: the elements, as the search found them with these generators
-        if _span is None:
+    def __init__(self, parent: FiniteQuadraticModule, generators, _codes=None):
+        # _codes: the element codes, as the search found them with these generators
+        if _codes is None:
             k = len(parent.divisors)
             span = {0}
             for g in generators:
@@ -319,36 +315,37 @@ class GlueGroup:
                     raise ValueError(
                         f"glue group is not isotropic: q{y!r} != 0"
                     )
-            gens, _span = _canonical_chain(parent, span)
+            gens, _codes = _canonical_chain(parent, span), frozenset(span)
         else:
             gens = tuple(generators)
         self.parent = parent
         self.generators = gens
-        self._span = _span
+        self._codes = _codes
 
     @property
     def order(self) -> int:
-        return len(self._span)
+        return len(self._codes)
 
     def elements(self) -> frozenset:
-        return self._span
+        return frozenset(map(self.parent._decode, self._codes))
 
     def __eq__(self, other):
+        # one shared parent fixes the codec, so equal codes are equal elements
         return (
             isinstance(other, GlueGroup)
             and self.parent is other.parent
-            and self._span == other._span
+            and self._codes == other._codes
         )
 
     def __hash__(self):
-        return hash(self._span)
+        return hash(self._codes)
 
     def __repr__(self):
         return f"GlueGroup(order={self.order}, generators={list(self.generators)})"
 
 
 def _canonical_chain(mod: FiniteQuadraticModule, span: set) -> tuple:
-    """(chain, elements) of a subgroup given by its codes, both decoded.
+    """The decoded generator chain of a subgroup given by its codes.
 
     The chain is greedy: repeatedly take the least element not yet spanned.
     """
@@ -358,8 +355,7 @@ def _canonical_chain(mod: FiniteQuadraticModule, span: set) -> tuple:
         if c not in cur:
             chain.append(c)
             cur = cur.union(*mod._cosets(cur, c))
-    decode = mod._decode
-    return tuple(map(decode, chain)), frozenset(map(decode, span))
+    return tuple(map(mod._decode, chain))
 
 
 def _prime_divisors(n: int) -> list:

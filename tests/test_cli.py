@@ -462,6 +462,16 @@ EXIT_CODE_CASES = [
     ("reduce-core-violation-double", 3, "reduced core is not divisible",
      ["reduce", "--name", "4A1", "--mode", "double"], None,
      {"R": helpers.CORE_VIOLATOR_4A1}),
+    ("complete-no-h", 2, "needs an 'h' vector field", ["complete", "--name", "A1"],
+     None, {"R": IDENTITY6}),
+    ("reduce-no-R", 2, "needs an 'R' matrix field", ["reduce", "--name", "A2"],
+     None, {"r": 4}),
+    ("cap-analyze-negative", 2, "--max-order must be positive, got -1",
+     ["analyze", "--name", "A2", "--max-order", "-1"], None, None),
+    ("cap-atlas-zero", 2, "--max-order must be positive, got 0",
+     ["atlas", "--family", "A", "--max", "3", "--max-order", "0"], None, None),
+    ("cap-overlattices-negative", 2, "--max-glue-order must be positive, got -1",
+     ["overlattices", "--name", "4A1", "--max-glue-order", "-1"], None, None),
 ]
 
 
@@ -521,6 +531,15 @@ def test_rank_is_bounded_before_anything_is_built(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and f"limit {MAX_RANK}" in err
+    assert built == []
+
+
+def test_caps_below_one_are_refused_before_any_matrix_is_built(capsys, monkeypatch):
+    built = helpers.record_calls(monkeypatch, "_fill")
+    refused = [case[3] for case in EXIT_CODE_CASES if case[0].startswith("cap-")]
+    assert len(refused) == 3
+    for argv in refused:
+        assert run(capsys, *argv)[:2] == (2, "")
     assert built == []
 
 

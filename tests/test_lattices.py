@@ -5,9 +5,11 @@ hand in the comments; direct-sum discriminant values are recombined
 arithmetically from the summands rather than through the module under test.
 """
 
+import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,8 @@ from evenlat import (
     overlattice_from_glue,
     root_lattice,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # ----------------------------------------------------------------- validation
@@ -308,18 +312,19 @@ def test_one_smith_form_serves_every_map(monkeypatch):
     assert [args[0] for args in snf] == [lat.gram]
 
 
-def test_glue_generators_lift_once_per_lattice(monkeypatch):
-    # the 30 glue groups of 8A1 share their generators: each distinct class
-    # is lifted once, and every overlattice is the one its own lifts give
-    lifts = helpers.record_calls(monkeypatch, "_lift_numerators", owner=EvenLattice)
+def test_glue_generators_lift_once_per_lattice():
+    # the 30 glue groups of 8A1 share their generators: the lattice's lift
+    # memo holds one lift per distinct class, each a lift of its class, and
+    # the overlattices built from it are the golden ones
     lat = root_lattice("8A1")
     groups = lat.discriminant_group().maximal_isotropic_subgroups()
     overs = [overlattice_from_glue(lat, glue)[0].gram for glue in groups]
     gens = {g for glue in groups for g in glue.generators}
     assert len(groups) == 30 and sum(len(glue.generators) for glue in groups) > len(gens)
-    assert sorted(x for _, x in lifts) == sorted(gens)
-    fresh = root_lattice("8A1")
-    assert overs == [overlattice_from_glue(fresh, glue)[0].gram for glue in groups]
+    assert set(lat._lifts) == gens
+    assert all(lat.element_from_dual(lat.lift(g)) == g for g in gens)
+    golden = json.loads((GOLDEN / "overlattices-8a1.json").read_text(encoding="utf-8"))
+    assert overs == [Matrix(e["overlattice_gram"]) for e in golden["overlattices"]]
 
 
 def test_extended_form_takes_no_rational_inverse():
@@ -376,3 +381,17 @@ def test_positive_definite_once_and_from_summands(monkeypatch):
     assert hyp.determinant == -1 and passes == []
     assert not hyp.is_positive_definite and not hyp.is_positive_definite
     assert [args[0] for args in passes] == [hyp.gram.num]
+
+
+def test_glue_overlattice_takes_its_parents_definiteness(monkeypatch):
+    # an overlattice spans its parent's rational space, so it has its
+    # parent's signature: reading it runs the parent's Bareiss pass only
+    passes = helpers.record_calls(monkeypatch, "_bareiss")
+    u2 = EvenLattice(Matrix([[0, 2], [2, 0]]))
+    hyp, _ = overlattice_from_glue(u2, GlueGroup(u2.discriminant_group(), [(1, 0)]))
+    overs = [root_lattice(name) for name in ("D8+", "D16+", "D24+")] + [hyp]
+    assert [lat.is_positive_definite for lat in overs] == [True, True, True, False]
+    assert [args[0] for args in passes] == [
+        root_lattice(name).gram.num for name in ("D8", "D16", "D24")] + [u2.gram.num]
+    monkeypatch.undo()
+    assert [is_positive_definite(lat.gram) for lat in overs] == [True, True, True, False]

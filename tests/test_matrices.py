@@ -538,5 +538,7 @@ def test_vec_gcd():
     assert vec_gcd((4, -6, 10)) == 2
     assert vec_gcd((0, 0)) == 0
     assert vec_gcd((0, 7)) == 7
-    with pytest.raises(ValueError):
-        vec_gcd((Fraction(1, 2),))
+    assert vec_gcd(()) == 0 and vec_gcd((True, -3)) == 1
+    for bad in ((Fraction(1, 2),), (1.5,), (4, 1.5)):
+        with pytest.raises(ValueError):
+            vec_gcd(bad)
