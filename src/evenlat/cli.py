@@ -228,6 +228,8 @@ def _cmd_atlas(args) -> dict:
         ranks = [n for n in ranks if n >= 2]
     elif family == "E":
         ranks = [n for n in ranks if n in (6, 7, 8)]
+    if not ranks:
+        raise ValueError(f"no {family}-series lattice has a rank in {args.min}..{args.max}")
     rows = []
     for n in ranks:
         lat = root_lattice(f"{family}{n}")
@@ -494,6 +496,9 @@ def main(argv=None) -> int:
             cap = getattr(args, option, 1)
             if cap <= 0:
                 raise ValueError(f"--{option.replace('_', '-')} must be positive, got {cap}")
+        # 0 prints no q table; a negative limit is a typo, not a setting
+        if getattr(args, "qtable_max", 0) < 0:
+            raise ValueError(f"--qtable-max must be non-negative, got {args.qtable_max}")
         # the one place a report is printed: the payload's JSON, or a table read off it
         payload = args.func(args)
         if args.format == "json":

@@ -7,11 +7,13 @@ whose diagonal is even. Everything downstream is exact:
   determinant (the divisors' product with the tracked sign of det U * det V)
   and the discriminant form on dual/lattice in integers; definiteness is one
   Bareiss pass on first use, derived for direct sums and glue overlattices;
-* an overlattice is rebuilt from a totally isotropic glue group H by one
-  Smith elimination U A V = D of A = [d I; d lifts], d = exponent: its basis
-  is read off U A, its determinant det L / |H|^2 checked by the index;
+* an overlattice is rebuilt from a totally isotropic glue group H, with no
+  Smith elimination: its basis is the Hermite normal form of the rows
+  [d I; d lifts], d = exponent, computed modulo d (``matrices._hnf_mod``),
+  so it depends on H alone; its determinant det L / |H|^2 is checked by the
+  index identity d^n = prod h_ii * |H|;
 * embeddings carry the change of basis and verify Gram transport;
-* the lift Gram, the overlattice Gram B S B^t / d^2 and the transport
+* the lift Gram, the overlattice Gram H S H^t / d^2 and the transport
   M^t S' M = S are one congruence, ``matrices._congruent``.
 """
 
@@ -23,7 +25,10 @@ from math import isqrt, prod
 from operator import mul
 from typing import NamedTuple
 
-from .matrices import Matrix, _bareiss, _congruent, _nonzeros, smith_normal_form
+from .matrices import (
+    Matrix, _bareiss, _congruent, _dense, _hnf_mod, _nonzeros, _scaled_inverse,
+    smith_normal_form,
+)
 from .quadmod import FiniteQuadraticModule, GlueGroup
 
 
@@ -224,12 +229,12 @@ def direct_sum(*lattices: EvenLattice) -> EvenLattice:
 def overlattice_from_glue(lat: EvenLattice, glue: GlueGroup):
     """Even overlattice determined by a totally isotropic glue group.
 
-    Returns (overlattice, embedding of lat into it). The overlattice is the
-    preimage of the glue group in the dual; its Gram matrix is rebuilt in a
-    new basis, and the embedding has index equal to the glue order. With
-    U A V = D the Smith form of the integer rows A = [d I; d lifts], d = d_k,
-    the rows B = diag(d_i) V^{-1} are a basis of d times the overlattice;
-    U A = D V^{-1}, so B is the first n rows of U A.
+    Returns (overlattice, embedding of lat into it). The overlattice M is the
+    preimage of the glue group in the dual. With d = d_k, the integer rows
+    [d I; d lifts] span d M, and their Hermite normal form H (``_hnf_mod``,
+    modulo d) is M's basis, times d: canonical, since it depends on the glue
+    group alone. The Gram is H S H^t / d^2 and the embedding (d H^-1)^t, the
+    inverse of the basis, transposed; both divisions are checked exact.
     """
     disc = lat.discriminant_group()
     mod = glue.parent
@@ -237,31 +242,16 @@ def overlattice_from_glue(lat: EvenLattice, glue: GlueGroup):
         raise ValueError("glue group does not belong to this lattice")
     n = lat.rank
     d = disc.divisors[-1] if disc.divisors else 1
-    lifts = tuple(lat._lift_numerators(g)[1] for g in glue.generators)
-    rows = tuple((0,) * i + (d,) + (0,) * (n - 1 - i) for i in range(n)) + lifts
-    u, dm, v = smith_normal_form(Matrix._over(rows))
-    divs = [dm.num[i][i] for i in range(n)]
-    # new basis B/d: row i of U A is d U[i][:n] + sum_g U[i][n+g] lift_g.
-    # Gram (B S B^t)/d^2 and embedding (d V diag(d_i)^-1)^t, the inverse of
-    # the basis, transposed; both must divide exactly
-    b = []
-    for ui in u.num[:n]:
-        acc = [d * x for x in ui[:n]]
-        for c, lift in zip(ui[n:], lifts):
-            if c:
-                acc = [a + c * y for a, y in zip(acc, lift)]
-        b.append(acc)
-    gram = _congruent(_nonzeros(b), _nonzeros(lat.gram.num), d * d)
+    h = _hnf_mod((lat._lift_numerators(g)[1] for g in glue.generators), d, n)
+    gram = _congruent(h, _nonzeros(lat.gram.num), d * d)
     if gram is None:
         raise ValueError("glue group is not isotropic for the bilinear form")
-    # the rows span d M, of index prod(d_i) = d^n / [M : Z^n] in Z^n
-    if d**n != prod(divs) * glue.order:
+    # the rows span d M, of index prod(h_ii) = d^n / [M : Z^n] in Z^n
+    if d**n != prod(row[0][1] for row in h) * glue.order:
         raise AssertionError("overlattice index does not match glue order")
     over = EvenLattice(Matrix._over(gram),
                        _known=(lat.determinant // glue.order**2, (lat,)))
-    h = [[d * x for x in v.col(j)] for j in range(n)]
-    if any(x % dj for row, dj in zip(h, divs) for x in row):
+    x = _scaled_inverse(h, d)
+    if x is None:
         raise ValueError("embedding matrix must be integral")
-    emb = LatticeEmbedding(lat, over, Matrix._over(
-        tuple(tuple(x // dj for x in row) for row, dj in zip(h, divs))))
-    return over, emb
+    return over, LatticeEmbedding(lat, over, Matrix._over(tuple(zip(*_dense(x, n)))))

@@ -13,8 +13,11 @@ already known up to sign is read modulo a small prime instead
 nonzeros of each row held in a dict: it picks the least pivot in row-major
 order, stops its scan at the first unit, seeks no divisibility witness after
 a unit pivot, and can return the sign of det U * det V, from which a lattice
-reads its determinant. Every congruence B S B^t of the library is one sparse
-kernel, ``_congruent``.
+reads its determinant. The Hermite normal form of a lattice that contains
+d Z^n is computed modulo d on sparse rows (``_hnf_mod``), and d times its
+inverse by a triangular solve with exact divisions (``_scaled_inverse``).
+Every congruence B S B^t of the library is one sparse kernel,
+``_congruent``.
 Nothing here inverts over the rationals: callers invert through an integral
 adjugate and one exact division.
 """
@@ -22,6 +25,7 @@ adjugate and one exact division.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul, neg
@@ -460,6 +464,113 @@ def smith_normal_form(a: Matrix, *, _signed: bool = False):
     out = (Matrix._over(_dense(U, m)), Matrix._over(_dense(A, n)),
            Matrix._over(tuple(zip(*_dense(V, n)))))
     return out + (sign,) if _signed else out
+
+
+def _egcd(a: int, b: int) -> tuple:
+    """(g, x, y) with a x + b y = g = gcd(a, b), for a, b > 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _comb(a: int, r: dict, b: int, v: dict, d: int) -> dict:
+    """(a r + b v) mod d on rows of nonzeros, the zeros dropped."""
+    out = {}
+    for j in r.keys() | v.keys():
+        x = (a * r.get(j, 0) + b * v.get(j, 0)) % d
+        if x:
+            out[j] = x
+    return out
+
+
+def _hnf_mod(rows, d: int, n: int) -> list:
+    """The Hermite normal form of the lattice that the integer rows span
+    together with d Z^n, as the nonzeros of its n rows, in column order.
+
+    Row j starts at its pivot h_j > 0 in column j, h_j divides d, and every
+    entry above a pivot h_j lies in [0, h_j): the rows depend on the lattice
+    alone, not on the order or choice of the given rows. Since d e_j lies in
+    the lattice, the work is modulo d (Cohen 1993, Alg. 2.4.8). A row never
+    touched is d e_j and is not built; the others hold their nonzeros in a
+    dict. Each given row is inserted by extended-gcd row steps, column by
+    column. Then each row j with h_j < d folds back d e_j: (d/h_j) row j
+    minus d e_j is inserted into the later columns, so d Z^n lies in the
+    span. Last, each entry above a pivot is reduced by that pivot's row.
+    """
+    piv, off = {}, {}  # the pivot, and the entries right of it, of each touched row
+
+    def insert(v):
+        while v:
+            j = min(v)
+            x = v.pop(j)
+            p, r = piv.get(j, d), off.get(j, {})
+            if x % p == 0:
+                v = _comb(1, v, -(x // p), r, d)
+            else:
+                # [[a, b], [-x/g, p/g]] is unimodular and clears column j
+                g, a, b = _egcd(p, x)
+                piv[j], off[j] = g, _comb(a, r, b, v, d)
+                v = _comb(p // g, v, -(x // g), r, d)
+
+    for row in rows:
+        insert({j: x % d for j, x in enumerate(row) if x % d})
+    for j in range(n):
+        if j in piv:
+            insert(_comb(d // piv[j], off[j], 0, {}, d))
+    out = []
+    for k in reversed(range(n)):
+        if k not in piv:
+            out.append([(k, d)])
+            continue
+        r = off[k]
+        for j in range(k + 1, n):
+            h = piv.get(j, d)
+            q = r.get(j, 0) // h
+            if q:
+                _axpy(r, -q, [(j, h), *off.get(j, {}).items()])
+        out.append([(k, piv[k])] + sorted(r.items()))
+    return out[::-1]
+
+
+def _scaled_inverse(h, d: int):
+    """The rows of d H^-1 for the upper triangular rows h of ``_hnf_mod``,
+    as {column: value} dicts of their nonzeros, or None where d H^-1 is not
+    integral.
+
+    Row i solves x H = d e_i column by column: x_i = d/h_i, and for j > i,
+    x_j = -(sum over k < j of x_k H[k][j]) / h_j, read off the nonzeros of
+    column j above its pivot. Only the columns that a nonzero x_k reaches
+    through row k are visited.
+    """
+    cols = [[] for _ in h]
+    for k, row in enumerate(h):
+        for j, y in row[1:]:
+            cols[j].append((k, y))
+    out = []
+    for i, row in enumerate(h):
+        q, rem = divmod(d, row[0][1])
+        if rem:
+            return None
+        x = {i: q}
+        todo = [j for j, _ in row[1:]]  # ascending, so already a heap
+        seen = set(todo)
+        while todo:
+            j = heappop(todo)
+            s = sum(x[k] * y for k, y in cols[j] if k in x)
+            if s:
+                q, rem = divmod(-s, h[j][0][1])
+                if rem:
+                    return None
+                x[j] = q
+                for l, _ in h[j][1:]:
+                    if l not in seen:
+                        seen.add(l)
+                        heappush(todo, l)
+        out.append(x)
+    return out
 
 
 def _nonzeros(rows) -> list:

@@ -472,6 +472,15 @@ EXIT_CODE_CASES = [
      ["atlas", "--family", "A", "--max", "3", "--max-order", "0"], None, None),
     ("cap-overlattices-negative", 2, "--max-glue-order must be positive, got -1",
      ["overlattices", "--name", "4A1", "--max-glue-order", "-1"], None, None),
+    ("qtable-negative", 2, "--qtable-max must be non-negative, got -1",
+     ["analyze", "--name", "A2", "--qtable-max", "-1"], None, None),
+    ("qtable-zero", 0, "", ["analyze", "--name", "A2", "--qtable-max", "0"], None, None),
+    ("atlas-max-zero", 2, "no A-series lattice has a rank in 1..0",
+     ["atlas", "--family", "A", "--max", "0"], None, None),
+    ("atlas-min-above-max", 2, "no A-series lattice has a rank in 5..2",
+     ["atlas", "--family", "A", "--min", "5", "--max", "2"], None, None),
+    ("atlas-e-below-6", 2, "no E-series lattice has a rank in 1..5",
+     ["atlas", "--family", "E", "--max", "5"], None, None),
 ]
 
 
@@ -555,8 +564,9 @@ def test_definiteness_is_one_bareiss_pass_where_it_is_read(capsys, monkeypatch):
 
 def test_overlattices_eliminate_once_per_glue_group(capsys, monkeypatch):
     # the A1 summand and the 8A1 discriminant form take one elimination
-    # each, and every glue group one more, on [d I; lifts]; the overlattices
-    # build no discriminant form: their maximality comes from the search
+    # each, and the glue groups none: their bases are Hermite forms; the
+    # overlattices build no discriminant form: their maximality comes from
+    # the search
     snf = helpers.record_calls(monkeypatch, "smith_normal_form")
     forms = helpers.record_calls(monkeypatch, "FiniteQuadraticModule",
                                  owner=evenlat.quadmod)
@@ -564,7 +574,7 @@ def test_overlattices_eliminate_once_per_glue_group(capsys, monkeypatch):
     data = json.loads(out)
     assert code == 0 and data["count"] == 30
     assert all(e["overlattice_maximal"] for e in data["overlattices"])
-    assert (len(snf), len(forms)) == (32, 1)
+    assert (len(snf), len(forms)) == (2, 1)
 
 
 def test_json_output_is_deterministic(capsys):

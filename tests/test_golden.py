@@ -16,6 +16,9 @@ the integer lift Gram, per-prime anisotropy scan and orthogonality-pruned
 glue search replaced it, and while every overlattice still ran its own
 Smith elimination and anisotropy scan: they pin that the determinant taken
 from the parent and the maximality read off the search are the same values.
+All seven ``overlattices`` cases were written again when the overlattice
+basis became the Hermite normal form of d M: only the Gram matrices changed,
+every other field and line is as before.
 The ``analyze`` cases on an indefinite Gram and on
 E8 (trivial discriminant group) and the ``atlas`` case on the E family were
 written by the CLI before each table was rendered from its JSON payload.

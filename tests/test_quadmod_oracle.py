@@ -15,9 +15,12 @@ search:
 * glue search on integer codes: the orthogonality-pruned search on
   coordinate tuples that it replaced (``tuple_glue_search``), on modules of
   order up to 1024, where the first oracle is too slow;
-* overlattices: B S B^t / d^2 and the embedding by dense products, for every
-  glue group of every input; each overlattice's own discriminant form must
-  be anisotropic and its determinant the Bareiss determinant of its Gram.
+* overlattices: the Hermite form H of [d I; d lifts] by ``sympy`` (an
+  independent HNF), then H S H^t / d^2 and the embedding (d H^-1)^t by dense
+  products, for every glue group of every input; each overlattice's own
+  discriminant form must be anisotropic and its determinant the Bareiss
+  determinant of its Gram. The kernel ``_hnf_mod`` must return the same
+  reduced rows whichever generating set of the group it is fed.
 
 Inputs: every ADE sum of rank <= 8 whose discriminant order is <= 256, and
 ``hypothesis``-drawn even Grams of rank <= 4 with |det| <= 256; for the
@@ -27,6 +30,7 @@ normal form, which both layers share, is checked for its identities and
 against ``sympy``'s invariant factors (``sympy`` is a test-only oracle).
 """
 
+import random
 from fractions import Fraction
 from operator import mul
 
@@ -39,6 +43,7 @@ from evenlat import (
     EvenLattice, Matrix, det, direct_sum, overlattice_from_glue, root_lattice,
     smith_normal_form,
 )
+from evenlat.matrices import _hnf_mod
 from evenlat.quadmod import MAX_GLUE_ORDER
 
 # discriminant order and rank of each irreducible component
@@ -181,21 +186,27 @@ def tuple_glue_search(mod):
 
 
 def oracle_overlattice(lat, glue):
-    """(Gram, embedding) of the glue overlattice by dense products.
+    """(Gram, embedding) of the glue overlattice by an independent HNF.
 
-    The rows [d I; d lifts] and their Smith form as in the library; then
-    B = diag(d_i) V^{-1}, Gram B S B^t / d^2 and embedding (d V diag(d_i)^-1)^t.
+    The generators [d I; d lifts] go in as the columns of a matrix with the
+    coordinates reversed; ``sympy``'s column Hermite form of it, transposed
+    and reversed back, is the upper triangular row form H with reduced
+    entries above each pivot. Then Gram H S H^t / d^2 and embedding
+    (d H^-1)^t, with the Gauss-Jordan ``helpers.inverse``.
     """
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
     n = lat.rank
     divisors = lat.discriminant_group().divisors
     d = divisors[-1] if divisors else 1
-    rows = [[d * int(i == j) for j in range(n)] for i in range(n)]
-    rows += [[int(d * x) for x in lat.lift(g)] for g in glue.generators]
-    _, dm, v = smith_normal_form(Matrix(rows))
-    divs = [dm[i, i] for i in range(n)]
-    b = Matrix.diagonal(divs) @ helpers.inverse(v)
-    gram = b @ lat.gram @ b.T * Fraction(1, d * d)
-    emb = (v * d @ helpers.inverse(Matrix.diagonal(divs))).T
+    gens = [[d * int(i == j) for j in range(n)] for i in range(n)]
+    gens += [[int(d * x) for x in lat.lift(g)] for g in glue.generators]
+    w = hermite_normal_form(sympy.Matrix([[g[n - 1 - i] for g in gens]
+                                          for i in range(n)])).T
+    h = Matrix([[int(w[n - 1 - i, n - 1 - j]) for j in range(n)] for i in range(n)])
+    gram = h @ lat.gram @ h.T * Fraction(1, d * d)
+    emb = (helpers.inverse(h) * d).T
     return gram, emb
 
 
@@ -234,6 +245,30 @@ def test_ade_family_covers_the_hard_cases():
 @pytest.mark.parametrize("names", ADE_SUMS, ids="+".join)
 def test_ade_sums_match_oracles(names):
     check_against_oracles(direct_sum(*(root_lattice(n) for n in names)))
+
+
+def test_overlattice_basis_is_canonical():
+    # the kernel itself, since GlueGroup reduces any generating set to its
+    # canonical chain first: the lifts of the canonical generators and of
+    # every element in a shuffled order span the same d M, so give the same
+    # rows, and those rows are reduced
+    rng = random.Random(0)
+    for names in ADE_SUMS:
+        lat = direct_sum(*(root_lattice(n) for n in names))
+        n, divisors = lat.rank, lat.discriminant_group().divisors
+        d = divisors[-1] if divisors else 1
+        for glue in lat.discriminant_group().maximal_isotropic_subgroups():
+            elements = list(glue.elements())
+            rng.shuffle(elements)
+            rows = _hnf_mod([lat._lift_numerators(g)[1] for g in glue.generators], d, n)
+            assert _hnf_mod([lat._lift_numerators(g)[1] for g in elements], d, n) == rows
+            full = [dict(row) for row in rows]
+            assert all(full[j] and 0 not in full[j].values() for j in range(n))
+            for j in range(n):
+                h = full[j].get(j, 0)
+                assert h > 0 and d % h == 0 and rows[j][0] == (j, h)
+                assert all(0 <= full[k].get(j, 0) < h for k in range(j))
+                assert all(j not in full[k] for k in range(j + 1, n))
 
 
 @st.composite
