@@ -147,7 +147,12 @@ def _load_lattice(args) -> EvenLattice:
     if getattr(args, "lattice", None):
         data = _read_object(args.lattice, "lattice")
         if "gram" in data:
-            return EvenLattice(_json_matrix(data["gram"], "'gram'"),
+            gram = data["gram"]
+            # the cost is cubic in the rank: refuse before any Matrix is built
+            if isinstance(gram, list) and len(gram) > MAX_RANK:
+                raise ValueError(
+                    f"'gram' has rank {len(gram)}, above the limit {MAX_RANK}")
+            return EvenLattice(_json_matrix(gram, "'gram'"),
                                name=_json_name(data.get("name", "")))
         if "name" in data:
             return root_lattice(_json_name(data["name"]))

@@ -31,7 +31,8 @@ from itertools import chain
 from operator import mul
 
 from .lattices import LatticeEmbedding
-from .matrices import Matrix, _congruent, _int_vec, _nonzeros, vec_gcd
+from .matrices import (Matrix, _congruence_mismatch, _int_vec, _nonzeros, _product_rows,
+                       vec_gcd)
 from .ogroup import ExtendedForm, GroupElement, Membership, _identity_corners
 from .quadmod import is_maximal_even
 
@@ -308,10 +309,10 @@ def _double_coset_form(x: ScaledOrthogonal) -> DoubleCosetForm:
         if beta == alpha and all(v % alpha == 0 for v in k):
             apply_right(("T", tuple(k[1 + j] // alpha for j in range(n + 2))))
             # t is now block diagonal; probe whether alpha divides everything,
-            # each probe's pairings S1 t c0 combining a few columns of S1 t
-            st = form._s1_times(t.num)
+            # each probe's pairings c0^t t^t S1 combining a few rows of t^t S1
+            z = list(_product_rows(_nonzeros(zip(*t.num)), form._s1_nz))
             failing = next((lam for lam, c0 in probes
-                            if vec_gcd(sum(c * row[j] for j, c in c0) for row in st)
+                            if vec_gcd(sum(c * z[j][k] for j, c in c0) for k in range(d))
                             != alpha), None)
             if failing is None:
                 finished = True
@@ -348,7 +349,7 @@ def _double_coset_form(x: ScaledOrthogonal) -> DoubleCosetForm:
                 )
     # t = diag(alpha, core, delta) with alpha * delta = r, so tᵀS1t = r·S1
     # says exactly that coreᵀS0core = r·S0
-    if form._congruence_mismatch(t.num, r) is not None:
+    if _congruence_mismatch(t.num, form._s1_nz, form.s1.num, r) is not None:
         raise AssertionError("core does not scale the middle form")
     if alpha != x.content:
         raise AssertionError("corner gcd must equal the gcd of the input entries")
@@ -379,7 +380,7 @@ class HatEmbedding:
         self.sup_form = ExtendedForm(emb.sup)
         self.matrix = _identity_corners(emb.matrix)
         sub, sup = self.sub_form, self.sup_form
-        if _congruent(_nonzeros(zip(*self.matrix.num)), sup._s1_nz) != sub.s1.num:
+        if _congruence_mismatch(self.matrix.num, sup._s1_nz, sub.s1.num) is not None:
             raise AssertionError("hat embedding fails to transport the form")
         # the transport identity inverts the matrix: S1_sub^{-1} H^t S1_sup
         self._inv = sub.s1_adj @ self.matrix.T @ sup.s1 * Fraction(1, sub.s1_det)

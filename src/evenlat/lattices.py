@@ -13,8 +13,9 @@ whose diagonal is even. Everything downstream is exact:
   so it depends on H alone; its determinant det L / |H|^2 is checked by the
   index identity d^n = prod h_ii * |H|;
 * embeddings carry the change of basis and verify Gram transport;
-* the lift Gram, the overlattice Gram H S H^t / d^2 and the transport
-  M^t S' M = S are one congruence, ``matrices._congruent``.
+* the lift Gram and the overlattice Gram H S H^t / d^2 are formed by
+  ``matrices._congruent``, and the transport M^t S' M = S is checked by
+  ``matrices._congruence_mismatch``; both read one row former.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from operator import mul
 from typing import NamedTuple
 
 from .matrices import (
-    Matrix, _bareiss, _congruent, _dense, _hnf_mod, _nonzeros, _scaled_inverse,
-    smith_normal_form,
+    Matrix, _bareiss, _congruence_mismatch, _congruent, _dense, _hnf_mod, _nonzeros,
+    _scaled_inverse, smith_normal_form,
 )
 from .quadmod import FiniteQuadraticModule, GlueGroup
 
@@ -191,8 +192,8 @@ class LatticeEmbedding:
             raise ValueError("embedding matrix has the wrong shape")
         if not matrix.is_integral:
             raise ValueError("embedding matrix must be integral")
-        cols = _nonzeros(zip(*matrix.num))
-        if _congruent(cols, _nonzeros(sup.gram.num)) != sub.gram.num:
+        if _congruence_mismatch(matrix.num, _nonzeros(sup.gram.num),
+                                sub.gram.num) is not None:
             raise ValueError("embedding does not transport the Gram matrix")
         self.sub = sub
         self.sup = sup

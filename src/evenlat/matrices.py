@@ -15,9 +15,12 @@ order, stops its scan at the first unit, seeks no divisibility witness after
 a unit pivot, and can return the sign of det U * det V, from which a lattice
 reads its determinant. The Hermite normal form of a lattice that contains
 d Z^n is computed modulo d on sparse rows (``_hnf_mod``), and d times its
-inverse by a triangular solve with exact divisions (``_scaled_inverse``).
-Every congruence B S B^t of the library is one sparse kernel,
-``_congruent``.
+inverse by back-substitution over those rows with exact divisions
+(``_scaled_inverse``). Every form product of the library reads the rows of
+B S from one former on the nonzeros of B and S (``_product_rows``):
+``_congruent`` forms the upper triangle of B S B^t for its values, and
+``_congruence_mismatch`` compares it with scale * E, stopping at the first
+row that disagrees.
 Nothing here inverts over the rationals: callers invert through an integral
 adjugate and one exact division.
 """
@@ -25,7 +28,6 @@ adjugate and one exact division.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
 from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul, neg
@@ -540,35 +542,20 @@ def _scaled_inverse(h, d: int):
     as {column: value} dicts of their nonzeros, or None where d H^-1 is not
     integral.
 
-    Row i solves x H = d e_i column by column: x_i = d/h_i, and for j > i,
-    x_j = -(sum over k < j of x_k H[k][j]) / h_j, read off the nonzeros of
-    column j above its pivot. Only the columns that a nonzero x_k reaches
-    through row k are visited.
+    Row i solves x H = d e_i by back-substitution over the rows of H: the
+    residual r starts as d e_i, and while it is nonzero its least column j
+    gives x_j = r_j / h_j, and r loses x_j times the rest of row j.
     """
-    cols = [[] for _ in h]
-    for k, row in enumerate(h):
-        for j, y in row[1:]:
-            cols[j].append((k, y))
     out = []
-    for i, row in enumerate(h):
-        q, rem = divmod(d, row[0][1])
-        if rem:
-            return None
-        x = {i: q}
-        todo = [j for j, _ in row[1:]]  # ascending, so already a heap
-        seen = set(todo)
-        while todo:
-            j = heappop(todo)
-            s = sum(x[k] * y for k, y in cols[j] if k in x)
-            if s:
-                q, rem = divmod(-s, h[j][0][1])
-                if rem:
-                    return None
-                x[j] = q
-                for l, _ in h[j][1:]:
-                    if l not in seen:
-                        seen.add(l)
-                        heappush(todo, l)
+    for i in range(len(h)):
+        r, x = {i: d}, {}
+        while r:
+            j = min(r)
+            q, rem = divmod(r.pop(j), h[j][0][1])
+            if rem:
+                return None
+            x[j] = q
+            _axpy(r, -q, h[j][1:])
         out.append(x)
     return out
 
@@ -578,23 +565,47 @@ def _nonzeros(rows) -> list:
     return [[(j, x) for j, x in enumerate(r) if x] for r in rows]
 
 
-def _congruent(b, s, den: int = 1):
-    """B S B^t / den as integer rows, or None where den does not divide it.
-
-    B and the symmetric S are given by the nonzeros of their rows
-    (``_nonzeros``), so only the upper triangle is formed: row i of B S
-    combines the rows of S that the nonzeros of row i of B pick, and entry
-    (i, l) reads that row at the nonzeros of row l of B.
-    """
-    out = [[0] * len(b) for _ in b]
-    for i, bi in enumerate(b):
+def _product_rows(b, s):
+    """The rows of B S, each a list, for B and S given by the nonzeros of
+    their rows (``_nonzeros``): row i combines the rows of S that the
+    nonzeros of row i of B pick. A row is formed only when it is read."""
+    for bi in b:
         acc = [0] * len(s)
         for j, x in bi:
             for k, y in s[j]:
                 acc[k] += x * y
+        yield acc
+
+
+def _congruent(b, s, den: int = 1):
+    """B S B^t / den as integer rows, or None where den does not divide it.
+
+    B and the symmetric S are given by the nonzeros of their rows, so only
+    the upper triangle is formed: entry (i, l) reads row i of B S
+    (``_product_rows``) at the nonzeros of row l of B.
+    """
+    out = [[0] * len(b) for _ in b]
+    for i, acc in enumerate(_product_rows(b, s)):
         for l in range(i, len(b)):
-            t = sum(acc[k] * z for k, z in b[l])
+            t = sum([acc[k] * z for k, z in b[l]])
             if t % den:
                 return None
             out[i][l] = out[l][i] = t // den
     return tuple(map(tuple, out))
+
+
+def _congruence_mismatch(m, s, e, scale: int = 1):
+    """(i, l, value) of the first entry of M^t S M, row-major in the upper
+    triangle, that differs from scale * E; None when they agree. M is given
+    by its integer rows and S by the nonzeros of its rows. Both sides are
+    symmetric, so the triangle decides; entries are read as in
+    ``_congruent``, with B = M^t, and row i of B S is formed only once every
+    earlier row has agreed."""
+    b = _nonzeros(zip(*m))
+    for i, acc in enumerate(_product_rows(b, s)):
+        ei = e[i]
+        for l in range(i, len(b)):
+            t = sum([acc[k] * z for k, z in b[l]])
+            if t != scale * ei[l]:
+                return i, l, t
+    return None

@@ -23,7 +23,9 @@ The module provides:
 Everything is exact integer/rational arithmetic. A matrix from outside is
 classified once, when it becomes a ``GroupElement``; generators, products,
 inverses and powers of members are members by construction. Every form
-congruence is the one sparse kernel ``matrices._congruent``.
+congruence is checked by ``matrices._congruence_mismatch``, which stops at
+the first row that disagrees, and the inverse reads the rows of m^t S1 from
+the same row former, ``matrices._product_rows``.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from __future__ import annotations
 from enum import IntEnum
 from fractions import Fraction
 from math import isqrt
-from operator import add, mul
+from operator import mul
 
 from .lattices import EvenLattice
-from .matrices import (Matrix, _congruent, _det_mod, _entry, _int_vec, _nonzeros,
-                       _odd_prime_not_dividing, vec_gcd)
+from .matrices import (Matrix, _congruence_mismatch, _det_mod, _entry, _int_vec,
+                       _nonzeros, _odd_prime_not_dividing, _product_rows, vec_gcd)
 
 _COMPLETION_CAP = 10000
 
@@ -272,28 +274,6 @@ class ExtendedForm:
                 _act(p, r, row=True)
         return Matrix._over(tuple(map(tuple, rows)))
 
-    def _s1_times(self, num) -> list:
-        """S1 @ num for integer rows num: each row of the product combines
-        the few rows of num that the nonzeros of that row of S1 pick."""
-        out = []
-        for (j, x), *rest in self._s1_nz:
-            acc = list(map(x.__mul__, num[j]))
-            for j, x in rest:
-                acc = list(map(add, acc, map(x.__mul__, num[j])))
-            out.append(acc)
-        return out
-
-    def _congruence_mismatch(self, num, scale: int):
-        """(i, j, value) of the first entry, row-major in the upper triangle,
-        where num^t S1 num differs from scale * S1; None when they agree.
-        Both sides are symmetric, so the triangle decides."""
-        got = _congruent(_nonzeros(zip(*num)), self._s1_nz)
-        for i, (row, s1_row) in enumerate(zip(got, self.s1.num)):
-            for j in range(i, len(row)):
-                if row[j] != scale * s1_row[j]:
-                    return i, j, row[j]
-        return None
-
     def identity(self) -> GroupElement:
         return GroupElement(self, Matrix.identity(self.dim), (), _trusted=True)
 
@@ -395,14 +375,15 @@ class ExtendedForm:
         positive determinant and a positive orientation value.
 
         The congruence numᵀS1·num, formed on the nonzeros of S1 and num, is
-        compared with ratio·S1 in the upper triangle only: both are
-        symmetric, so the first mismatch in row-major order lies there.
-        Once it holds, det(num)² = ratio^d, and the sign is read modulo the
-        least odd prime p not dividing the ratio, where ±ratio^{d/2} differ.
+        compared with ratio·S1 in the upper triangle only, row by row: both
+        are symmetric, so the first mismatch in row-major order lies there,
+        and the rows after it are never formed. Once it holds,
+        det(num)² = ratio^d, and the sign is read modulo the least odd prime
+        p not dividing the ratio, where ±ratio^{d/2} differ.
         The orientation value is read off m itself.
         """
         num = m.num
-        miss = self._congruence_mismatch(num, ratio)
+        miss = _congruence_mismatch(num, self._s1_nz, self.s1.num, ratio)
         if miss is not None:
             i, j, got = miss
             return Membership.NOT_ORTHOGONAL, {
@@ -433,14 +414,15 @@ class ExtendedForm:
     def orthogonal_inverse(self, m) -> Matrix:
         """Inverse of an orthogonal matrix via the form: S1^{-1} m^t S1.
 
-        m^t S1 is (S1 m)^t, formed from the nonzeros of S1. s1_adj is applied
+        The rows of m^t S1 are formed from the nonzeros of the columns of m
+        and of the rows of S1 (``_product_rows``). s1_adj is applied
         by its nest blocks: each corner row is s1_det times one row of m^t S1,
         and only the base block -adj(S) is dense. The result over s1_det is
         reduced once by a gcd, so integral input stays in integers throughout.
         """
         m = self._read(m)
         d, n, sd = self.dim, self.n, self.s1_det
-        z = tuple(zip(*self._s1_times(m.num)))  # rows of m^t S1
+        z = list(_product_rows(_nonzeros(zip(*m.num)), self._s1_nz))
         base_cols = tuple(zip(*z[2:n + 2]))
         rows = [[sd * x for x in z[d - 1]], [sd * x for x in z[d - 2]]]
         rows += [[-sum(map(mul, a, c)) for c in base_cols] for a in self.base.adjugate.num]
@@ -461,11 +443,9 @@ class ExtendedForm:
         h = _int_vec(h)
         if len(h) != self.dim:
             raise ValueError("need an integral vector of full dimension")
-        if all(x == 0 for x in h):
-            return False
-        if self.quad(h) != 0:
-            return False
-        return vec_gcd(self.s1 @ h) == 1
+        # the zero vector pairs to gcd 0, so it is refused too
+        w = self.s1 @ h
+        return sum(map(mul, h, w)) == 0 and vec_gcd(w) == 1
 
     def complete_isotropic(self, h) -> GroupElement:
         """Group element with prescribed primitive isotropic first column.
@@ -598,6 +578,6 @@ def base_reflection(lat: EvenLattice, v) -> Matrix:
     sv = s @ v
     sign = 1 if norm == 2 else -1
     m = Matrix([[int(i == j) - sign * v[i] * sv[j] for j in range(n)] for i in range(n)])
-    if _congruent(_nonzeros(zip(*m.num)), _nonzeros(s.num)) != s.num:
+    if _congruence_mismatch(m.num, _nonzeros(s.num), s.num) is not None:
         raise AssertionError("reflection must preserve the form")
     return m

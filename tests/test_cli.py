@@ -421,6 +421,9 @@ IDENTITY6 = [[int(i == j) for j in range(6)] for i in range(6)]
 CORNER6 = [list(r) for r in helpers.corner_scaling(6, 2).rows]
 TRUE_CORNER = [[True if (i, j) == (0, 0) else x for j, x in enumerate(row)]
                for i, row in enumerate(IDENTITY6)]
+# 2·I of one rank above the limit, whole, so only its size is wrong
+GRAM_OVER_LIMIT = {"gram": [[2 * (i == j) for j in range(MAX_RANK + 1)]
+                            for i in range(MAX_RANK + 1)]}
 
 # (case, exit code, stderr fragment, argv, --lattice JSON, --input JSON)
 EXIT_CODE_CASES = [
@@ -433,6 +436,8 @@ EXIT_CODE_CASES = [
     ("gram-float", 2, "got 2.0", ["analyze"], {"gram": [[2.0]]}, None),
     ("gram-bool", 2, "got true", ["analyze"], {"gram": [[True]]}, None),
     ("gram-flat", 2, "'gram' must be a JSON list", ["analyze"], {"gram": [2]}, None),
+    ("gram-rank-257-stdin", 2, f"rank 257, above the limit {MAX_RANK}",
+     ["analyze", "--lattice", "-"], GRAM_OVER_LIMIT, None),
     ("lattice-not-object", 2, "must be an object", ["analyze"], 5, None),
     ("lattice-name-int", 2, "'name' must be a string", ["analyze"], {"name": 7}, None),
     ("gram-name-int", 2, "'name' must be a string", ["analyze"],
@@ -485,10 +490,12 @@ EXIT_CODE_CASES = [
 
 
 @pytest.mark.parametrize("case", EXIT_CODE_CASES, ids=[c[0] for c in EXIT_CODE_CASES])
-def test_exit_code_contract(case, capsys, tmp_path):
+def test_exit_code_contract(case, capsys, monkeypatch, tmp_path):
     _, expected, fragment, argv, lattice, payload = case
     argv = list(argv)
-    if lattice is not None:
+    if "-" in argv:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(lattice)))
+    elif lattice is not None:
         argv += ["--lattice", write_json(tmp_path, "lat.json", lattice)]
     if payload is not None:
         argv += ["--input", write_json(tmp_path, "in.json", payload)]
@@ -534,9 +541,11 @@ def test_max_order_only_where_a_group_is_scanned(capsys, tmp_path):
 def test_rank_is_bounded_before_anything_is_built(capsys, monkeypatch):
     # every Matrix, built by Matrix(...) or Matrix._over, goes through _fill
     built = helpers.record_calls(monkeypatch, "_fill")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(GRAM_OVER_LIMIT)))
     for argv in (["analyze", "--name", "A100000"],
                  ["overlattices", "--name", "100000A1"],
-                 ["atlas", "--family", "A", "--max", "100000"]):
+                 ["atlas", "--family", "A", "--max", "100000"],
+                 ["analyze", "--lattice", "-"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and f"limit {MAX_RANK}" in err

@@ -745,11 +745,12 @@ def test_hat_identity_embedding():
 
 def test_transport_checks_run_the_congruence_kernel(monkeypatch):
     # the hat embedding's transport HᵀS1'H = S1 and a base reflection's
-    # mᵀSm = S are each one call of the sparse kernel, not dense products
+    # mᵀSm = S are each one call of the sparse mismatch reader, not dense
+    # products
     lat = root_lattice("D8")
     glue = lat.discriminant_group().maximal_isotropic_subgroups()[0]
     _, emb = overlattice_from_glue(lat, glue)
-    calls = helpers.record_calls(monkeypatch, "_congruent")
+    calls = helpers.record_calls(monkeypatch, "_congruence_mismatch")
     hat = HatEmbedding(emb)
     assert len(calls) == 1
     h = hat.matrix

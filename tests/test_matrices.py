@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from helpers import SingularMatrixError, dense_smith_normal_form, inverse, signature
 from evenlat import Matrix, det, is_positive_definite, root_lattice, smith_normal_form
-from evenlat.matrices import _bareiss, _congruent, _det_mod, _nonzeros, vec_gcd
+from evenlat.matrices import (_bareiss, _congruence_mismatch, _congruent, _det_mod,
+                              _nonzeros, vec_gcd)
 
 A2 = Matrix([[2, -1], [-1, 2]])
 
@@ -504,7 +505,9 @@ _SPARSE = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3, 5))
 @given(st.data())
 def test_congruent_matches_dense_product(data):
     # B S B^t / den on row nonzeros against the dense product: equal where
-    # den divides every entry, None exactly where it does not
+    # den divides every entry, None exactly where it does not; the mismatch
+    # reader finds none against the product, nor against the product over
+    # den scaled by den, and names the one changed upper-triangle entry
     k, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
     b = data.draw(st.lists(st.lists(_SPARSE, min_size=n, max_size=n),
                            min_size=k, max_size=k))
@@ -517,6 +520,14 @@ def test_congruent_matches_dense_product(data):
         assert got is None
     else:
         assert got == tuple(tuple(x // den for x in r) for r in dense)
+        assert _congruence_mismatch(list(zip(*b)), _nonzeros(s), got, den) is None
+    assert _congruence_mismatch(list(zip(*b)), _nonzeros(s), dense) is None
+    i = data.draw(st.integers(0, k - 1))
+    j = data.draw(st.integers(i, k - 1))
+    changed = [list(r) for r in dense]
+    changed[i][j] += data.draw(st.sampled_from((-1, 1, 7)))
+    got = _congruence_mismatch(list(zip(*b)), _nonzeros(s), changed)
+    assert got == (i, j, dense[i][j])
 
 
 # -------------------------------------------------------------------- helpers

@@ -23,7 +23,7 @@ from evenlat import (
     is_maximal_even,
     root_lattice,
 )
-from evenlat import ogroup
+from evenlat import matrices, ogroup
 from evenlat.ogroup import base_reflection
 
 A1 = ExtendedForm(root_lattice("A1"))
@@ -251,6 +251,28 @@ def test_classify_witness_all_levels():
     # the witness entry really is an entry of (M - I) @ s1^{-1}
     delta = (-Matrix.identity(d) - Matrix.identity(d)) @ A2.s1_adj
     assert Fraction(delta[2, 2], A2.s1_det) == Fraction(4, 3)
+
+
+def test_congruence_witness_in_row_zero_forms_one_row(monkeypatch):
+    # a matrix that fails the form congruence at (0, 0) is refused after
+    # the first row of MᵀS1 is formed, and the witness names that entry
+    form = ExtendedForm(root_lattice("A30"))
+    rows = [list(r) for r in form.involution().matrix.num]
+    rows[0][0] += 1
+    formed = []
+    inner = matrices._product_rows
+
+    def counting(b, s):
+        for row in inner(b, s):
+            formed.append(row)
+            yield row
+
+    monkeypatch.setattr(matrices, "_product_rows", counting)
+    level, wit = form.classify_witness(rows)
+    assert len(formed) == 1
+    assert level == Membership.NOT_ORTHOGONAL
+    assert wit == {"check": "form-congruence", "entry": (0, 0),
+                   "got": -2, "expected": 0}
 
 
 def test_classify_witness_matches_classify():
