@@ -297,7 +297,7 @@ def _double_coset_form(x: ScaledOrthogonal) -> DoubleCosetForm:
     finished = False
     for _ in range(_REDUCTION_CAP):
         z = t.row(0)
-        k = form.s1_adj @ z
+        k = form._dual(z)
         if any(v % form.s1_det for v in k):
             raise HypothesisViolation(
                 "the first row does not lie in the rescaled dual; guaranteed "
@@ -383,23 +383,24 @@ class HatEmbedding:
         if _congruence_mismatch(self.matrix.num, sup._s1_nz, sub.s1.num) is not None:
             raise AssertionError("hat embedding fails to transport the form")
         # the transport identity inverts the matrix: S1_sub^{-1} H^t S1_sup
-        self._inv = sub.s1_adj @ self.matrix.T @ sup.s1 * Fraction(1, sub.s1_det)
+        self._inv = sub._adjoint(self.matrix, sup._s1_nz)
 
     def push(self, m) -> Matrix:
         """Conjugate a small-form matrix into (possibly rational) big-form terms."""
-        if isinstance(m, (GroupElement, ScaledOrthogonal)):
-            m = m.matrix
-        if not isinstance(m, Matrix):
-            m = Matrix(m)
-        return self.matrix @ m @ self._inv
+        return self.matrix @ _matrix_of(m, self.sub_form, "small") @ self._inv
 
     def pull(self, m) -> Matrix:
         """Conjugate a big-form matrix back to small-form coordinates."""
-        if isinstance(m, (GroupElement, ScaledOrthogonal)):
-            m = m.matrix
-        if not isinstance(m, Matrix):
-            m = Matrix(m)
-        return self._inv @ m @ self.matrix
+        return self._inv @ _matrix_of(m, self.sup_form, "big") @ self.matrix
+
+
+def _matrix_of(m, form: ExtendedForm, which: str) -> Matrix:
+    """The matrix of m; a group element or scaled matrix must live over form."""
+    if isinstance(m, (GroupElement, ScaledOrthogonal)):
+        if m.form.s1 != form.s1:
+            raise ValueError(f"the element does not live over the {which} form")
+        return m.matrix
+    return m if isinstance(m, Matrix) else Matrix(m)
 
 
 def max_extension_member(hat: HatEmbedding, m) -> Membership:

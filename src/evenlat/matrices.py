@@ -60,7 +60,7 @@ class Matrix:
         """num / den from equal-length tuples of ints and a positive den."""
         g = gcd(den, *chain.from_iterable(num)) if den != 1 else 1
         if g != 1:
-            num = tuple(tuple(x // g for x in r) for r in num)
+            num = tuple([tuple([x // g for x in r]) for r in num])
             den //= g
         out = object.__new__(cls)
         _fill(out, num, den)

@@ -8,8 +8,8 @@ its sign flipped.
 
 The module provides:
 
-* ``ExtendedForm``: the (n+4)-dimensional form, its Gram matrix and the
-  integral adjugate of that matrix;
+* ``ExtendedForm``: the (n+4)-dimensional form and its Gram matrix S1,
+  with s1_det S1^{-1} applied to a vector by one private method, ``_dual``;
 * ``Membership``/``classify``: where a given rational matrix sits in the
   chain orthogonal < special < special-plus < integral special-plus <
   discriminant kernel (each level includes all later ones); the first three
@@ -24,8 +24,8 @@ Everything is exact integer/rational arithmetic. A matrix from outside is
 classified once, when it becomes a ``GroupElement``; generators, products,
 inverses and powers of members are members by construction. Every form
 congruence is checked by ``matrices._congruence_mismatch``, which stops at
-the first row that disagrees, and the inverse reads the rows of m^t S1 from
-the same row former, ``matrices._product_rows``.
+the first row that disagrees, and the inverse applies ``_dual`` to the rows
+of S1 m from the same row former, ``matrices._product_rows``.
 """
 
 from __future__ import annotations
@@ -192,13 +192,10 @@ class ExtendedForm:
         n = base.rank
         self.n = n
         self.dim = n + 4
-        self.s0 = self._nest(-base.gram, 1)
-        self.s1 = self._nest(self.s0, 1)
-        # |det S1| = |det S| = |D|; the corner blocks invert to themselves, so
-        # s1_adj = s1_det * S1^{-1} nests the base adjugate -|D| S^{-1} in
-        # corners |D|, and the kernel gate and inverse stay integral
-        self.s1_det = d = abs(base.determinant)
-        self.s1_adj = self._nest(self._nest(-base.adjugate, d), d)
+        self.s0 = self._nest(-base.gram)
+        self.s1 = self._nest(self.s0)
+        # |det S1| = |det S| = |D|, the scale at which _dual applies S1^{-1}
+        self.s1_det = abs(base.determinant)
         # the nonzeros of each row of S1: one corner entry, or the nonzeros
         # of a row of the base Gram
         self._s1_nz = _nonzeros(self.s1.num)
@@ -209,11 +206,11 @@ class ExtendedForm:
             for di, wi in zip(base._smith.divs, base._smith.w))
 
     @staticmethod
-    def _nest(inner: Matrix, corner: int) -> Matrix:
-        """inner between the corner pair: corner at (0, last) and (last, 0)."""
+    def _nest(inner: Matrix) -> Matrix:
+        """inner between a hyperbolic pair: 1 at (0, last) and (last, 0)."""
         size = inner.nrows + 2
         rows = [[0] * size for _ in range(size)]
-        rows[0][size - 1] = rows[size - 1][0] = corner
+        rows[0][size - 1] = rows[size - 1][0] = 1
         for i, row in enumerate(inner.num):
             rows[1 + i][1:size - 1] = row
         return Matrix._over(tuple(map(tuple, rows)))
@@ -353,7 +350,7 @@ class ExtendedForm:
                 break
         else:
             return Membership.DISCRIMINANT_KERNEL, {}
-        delta = [sum(map(mul, v, c)) for c in zip(*self.s1_adj.num)]
+        delta = self._dual(v)
         j = next(j for j, x in enumerate(delta) if x % self.s1_det)
         return Membership.INTEGRAL_SPECIAL_PLUS, {
             "check": "kernel-congruence",
@@ -411,23 +408,28 @@ class ExtendedForm:
         e = m[r1, 0] + m[r1, r1]
         return a * e - b * c
 
+    def _dual(self, z) -> list:
+        """s1_det S1^{-1} z: the corner pairs swap, scaled by s1_det, and the
+        base block is -adj(S) times z's; the one reader of base.adjugate."""
+        sd, mid = self.s1_det, tuple(z[2:-2])
+        return [sd * z[-1], sd * z[-2],
+                *[-sum(map(mul, a, mid)) for a in self.base.adjugate.num],
+                sd * z[1], sd * z[0]]
+
+    def _adjoint(self, m: Matrix, s_nz) -> Matrix:
+        """S1^{-1} m^t S, S symmetric and given by the nonzeros of its rows:
+        its transpose has the rows _dual(row of S m) (``_product_rows``)."""
+        rows = map(self._dual, _product_rows(s_nz, _nonzeros(m.num)))
+        return Matrix._over(tuple(zip(*rows)), m.den * self.s1_det)
+
     def orthogonal_inverse(self, m) -> Matrix:
         """Inverse of an orthogonal matrix via the form: S1^{-1} m^t S1.
 
-        The rows of m^t S1 are formed from the nonzeros of the columns of m
-        and of the rows of S1 (``_product_rows``). s1_adj is applied
-        by its nest blocks: each corner row is s1_det times one row of m^t S1,
-        and only the base block -adj(S) is dense. The result over s1_det is
-        reduced once by a gcd, so integral input stays in integers throughout.
+        m must preserve S1; this is not checked, and for any other m the
+        result is S1^{-1} m^t S1 all the same, not an inverse. For a matrix
+        from outside, GroupElement(form, m).inverse() is the checked route.
         """
-        m = self._read(m)
-        d, n, sd = self.dim, self.n, self.s1_det
-        z = list(_product_rows(_nonzeros(zip(*m.num)), self._s1_nz))
-        base_cols = tuple(zip(*z[2:n + 2]))
-        rows = [[sd * x for x in z[d - 1]], [sd * x for x in z[d - 2]]]
-        rows += [[-sum(map(mul, a, c)) for c in base_cols] for a in self.base.adjugate.num]
-        rows += [[sd * x for x in z[1]], [sd * x for x in z[0]]]
-        return Matrix._over(tuple(map(tuple, rows)), m.den * sd)
+        return self._adjoint(self._read(m), self._s1_nz)
 
     # -- isotropic vectors -----------------------------------------------------------
 

@@ -131,7 +131,7 @@ def _single(family: str, n: int, plus: bool) -> EvenLattice:
 
 def parse_name(name: str):
     """Split a lattice name like ``4A1`` or ``D8+`` into parts."""
-    m = _NAME_RE.match(name.strip())
+    m = _NAME_RE.match(name.strip()) if isinstance(name, str) else None
     if not m:
         raise ValueError(
             f"cannot parse lattice name {name!r}; expected e.g. A7, D8+, 4A1"

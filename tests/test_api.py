@@ -45,3 +45,5 @@ def test_retired_names_stay_gone():
     assert not hasattr(evenlat.Matrix, "_from_ints")
     # the tuple closure of the glue search: spans are closed on integer codes
     assert not hasattr(evenlat.FiniteQuadraticModule, "_closure_with")
+    # S1^{-1} is applied by ExtendedForm._dual, not held as a dense matrix
+    assert not hasattr(evenlat.ExtendedForm(evenlat.root_lattice("A2")), "s1_adj")

@@ -743,6 +743,22 @@ def test_hat_identity_embedding():
     assert max_extension_member(hat, g) == Membership.DISCRIMINANT_KERNEL
 
 
+def test_hat_refuses_an_element_of_the_other_form(d8_plus):
+    # D8 and D8+ both give forms of size 12, so no shape check tells them
+    # apart: push takes elements of the small form only, pull of the big one
+    hat = d8_plus
+    e0 = (1,) + (0,) * 9
+    for form, ok, other in ((hat.sub_form, hat.push, hat.pull),
+                            (hat.sup_form, hat.pull, hat.push)):
+        g = form.transvection(e0)
+        for elem in (g, ScaledOrthogonal(form, g.matrix, 1)):
+            with pytest.raises(ValueError, match="does not live over"):
+                other(elem)
+            assert ok(elem) == ok(g.matrix)
+        # a plain matrix is taken as given
+        assert other(g.matrix).shape == (12, 12)
+
+
 def test_transport_checks_run_the_congruence_kernel(monkeypatch):
     # the hat embedding's transport HᵀS1'H = S1 and a base reflection's
     # mᵀSm = S are each one call of the sparse mismatch reader, not dense

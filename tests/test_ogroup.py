@@ -44,7 +44,10 @@ def test_extended_gram_frozen_a1():
     ])
     assert A1.s0 == Matrix([[0, 0, 1], [0, -2, 0], [1, 0, 0]])
     assert det(A1.s1) == -2
-    assert A1.s1_adj @ A1.s1 * Fraction(1, A1.s1_det) == Matrix.identity(5)
+    # _dual takes row i of S1 to s1_det·e_i: it applies s1_det·S1^{-1}
+    assert A1.s1_det == 2
+    assert [A1._dual(r) for r in A1.s1.num] == [[2 * (i == j) for j in range(5)]
+                                                for i in range(5)]
 
 
 def test_extended_gram_a2_and_signature():
@@ -248,9 +251,21 @@ def test_classify_witness_all_levels():
     assert level == Membership.INTEGRAL_SPECIAL_PLUS
     assert wit == {"check": "kernel-congruence", "entry": (2, 2),
                    "value": Fraction(4, 3)}
-    # the witness entry really is an entry of (M - I) @ s1^{-1}
-    delta = (-Matrix.identity(d) - Matrix.identity(d)) @ A2.s1_adj
-    assert Fraction(delta[2, 2], A2.s1_det) == Fraction(4, 3)
+    # the witness entry really is an entry of (M - I) @ s1^{-1}: row 2 of
+    # M - I = -2I, applied through s1_det·S1^{-1}
+    delta = A2._dual([-2 * (j == 2) for j in range(d)])
+    assert Fraction(delta[2], A2.s1_det) == Fraction(4, 3)
+
+
+def test_form_and_member_path_form_no_adjugate():
+    # only _dual reads the base adjugate: building a form and classifying a
+    # kernel member leave it unformed
+    for name in ("A2", "A30", "E8"):
+        base = root_lattice(name)
+        form = ExtendedForm(base)
+        g = form.transvection((1,) + (0,) * (form.n + 1)) @ form.involution()
+        assert form.classify(g.matrix) == Membership.DISCRIMINANT_KERNEL
+        assert "adjugate" not in vars(base), name
 
 
 def test_congruence_witness_in_row_zero_forms_one_row(monkeypatch):

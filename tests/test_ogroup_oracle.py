@@ -224,10 +224,19 @@ def test_orthogonal_inverse_integral_input_skips_normalising(monkeypatch):
 
 
 def test_integral_adjugate():
+    # _dual applies s1_det·S1^{-1} to an integer vector, in integers: it takes
+    # row i of S1 to s1_det·e_i and agrees with the Gauss-Jordan inverse
+    rng = random.Random(11)
     for name, form in FORMS.items():
-        assert form.s1_det == abs(det(form.s1))
-        assert form.s1_adj.is_integral
-        assert form.s1_adj == S1_INV[name] * form.s1_det
+        sd, d = form.s1_det, form.dim
+        assert sd == abs(det(form.s1))
+        for i, row in enumerate(form.s1.num):
+            assert form._dual(row) == [sd * (j == i) for j in range(d)]
+        for _ in range(5):
+            v = tuple(rng.randint(-9, 9) for _ in range(d))
+            out = form._dual(v)
+            assert all(type(x) is int for x in out)
+            assert tuple(out) == S1_INV[name] * sd @ v
 
 
 def test_members_by_construction_are_not_reclassified(monkeypatch):

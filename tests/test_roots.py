@@ -36,7 +36,8 @@ def test_parse_name():
     assert parse_name("12D4") == (12, "D", 4, False)
 
 
-@pytest.mark.parametrize("bad", ["B3", "", "A", "D8++", "0A1", "a1", "A-1", "A01", "04A1"])
+@pytest.mark.parametrize("bad", ["B3", "", "A", "D8++", "0A1", "a1", "A-1", "A01", "04A1",
+                                 5, None])
 def test_parse_name_rejects(bad):
     with pytest.raises(ValueError):
         parse_name(bad)
