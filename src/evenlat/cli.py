@@ -38,7 +38,7 @@ from .lattices import EvenLattice, overlattice_from_glue
 from .matrices import Matrix
 from .ogroup import ExtendedForm, Membership
 from .quadmod import MAX_GLUE_ORDER, MAX_ORDER, CapExceeded
-from .roots import MAX_RANK, maximality_formula, root_lattice
+from .roots import MAX_RANK, _not_a_root_lattice, maximality_formula, root_lattice
 
 
 def _encode(obj):
@@ -228,11 +228,8 @@ def _cmd_atlas(args) -> dict:
     family = args.family.upper()
     if args.max > MAX_RANK:
         raise ValueError(f"--max {args.max} is above the rank limit {MAX_RANK}")
-    ranks = range(max(args.min, 1), args.max + 1)
-    if family == "D":
-        ranks = [n for n in ranks if n >= 2]
-    elif family == "E":
-        ranks = [n for n in ranks if n in (6, 7, 8)]
+    ranks = [n for n in range(max(args.min, 1), args.max + 1)
+             if _not_a_root_lattice(family, n) is None]
     if not ranks:
         raise ValueError(f"no {family}-series lattice has a rank in {args.min}..{args.max}")
     rows = []

@@ -289,10 +289,10 @@ def _double_coset_form(x: ScaledOrthogonal) -> DoubleCosetForm:
 
     probes = _probes(form)
 
-    def apply_right(tok):
+    def apply_right(kind, lam):
         nonlocal t, right
-        right = right._times_word((tok,))
-        t = form._times_tokens(t, (tok,))
+        tok = (form._parts(kind, lam),)
+        right, t = right._times_word(tok), form._times_parts(t, tok)
 
     finished = False
     for _ in range(_REDUCTION_CAP):
@@ -307,7 +307,7 @@ def _double_coset_form(x: ScaledOrthogonal) -> DoubleCosetForm:
         k = tuple(v // form.s1_det for v in k)
         beta = vec_gcd(z)
         if beta == alpha and all(v % alpha == 0 for v in k):
-            apply_right(("T", tuple(k[1 + j] // alpha for j in range(n + 2))))
+            apply_right("T", tuple(k[1 + j] // alpha for j in range(n + 2)))
             # t is now block diagonal; probe whether alpha divides everything,
             # each probe's pairings c0^t t^t S1 combining a few rows of t^t S1
             z = list(_product_rows(_nonzeros(zip(*t.num)), form._s1_nz))
@@ -317,12 +317,12 @@ def _double_coset_form(x: ScaledOrthogonal) -> DoubleCosetForm:
             if failing is None:
                 finished = True
                 break
-            apply_right(("T*", failing))
+            apply_right("T*", failing)
         else:
             beta2, hp = _primitive_part(form, tuple(-v for v in k), "first row")
             if beta2 != beta:
                 raise AssertionError("row content mismatch in reduction")
-            m = form.complete_isotropic(hp)._times_word((("J",),))
+            m = form.complete_isotropic(hp)._times_word((form._parts("J"),))
             right = right @ m
             t = t @ m.matrix
             if t.row(0) != tuple(beta if i == 0 else 0 for i in range(d)):

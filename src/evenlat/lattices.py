@@ -215,6 +215,9 @@ def direct_sum(*lattices: EvenLattice) -> EvenLattice:
     """Orthogonal direct sum, block-diagonal Gram matrix."""
     if not lattices:
         raise ValueError("need at least one summand")
+    for i, lat in enumerate(lattices):
+        if not isinstance(lat, EvenLattice):
+            raise TypeError(f"summand {i} must be an EvenLattice, got {lat!r}")
     n = sum(lat.rank for lat in lattices)
     rows = []
     for lat in lattices:

@@ -14,18 +14,20 @@ The module provides:
   chain orthogonal < special < special-plus < integral special-plus <
   discriminant kernel (each level includes all later ones); the first three
   links are one gate, also run by ``embed_rotation`` and scaled matrices;
-* the standard generators: the corner-swapping involution and the two
-  families of unipotent transvections indexed by base-extension vectors;
+* the standard generators, named by tokens: the corner-swapping involution
+  and two families of unipotent transvections indexed by base-extension
+  vectors; a token has one form, checked by ``ExtendedForm._token``;
 * ``complete_isotropic``: writes down, as an explicit word in those
   generators, a group element whose first column is a prescribed primitive
   isotropic vector.
 
 Everything is exact integer/rational arithmetic. A matrix from outside is
-classified once, when it becomes a ``GroupElement``; generators, products,
-inverses and powers of members are members by construction. Every form
-congruence is checked by ``matrices._congruence_mismatch``, which stops at
-the first row that disagrees, and the inverse applies ``_dual`` to the rows
-of S1 m from the same row former, ``matrices._product_rows``.
+classified once, when it becomes a ``GroupElement``, or must equal its word;
+generators, products, inverses and powers of members are members by
+construction. Every form congruence is checked by
+``matrices._congruence_mismatch``, which stops at the first row that
+disagrees, and the inverse applies ``_dual`` to the rows of S1 m from the
+same row former, ``matrices._product_rows``.
 """
 
 from __future__ import annotations
@@ -56,10 +58,11 @@ class Membership(IntEnum):
 class GroupElement:
     """An element of the integral special-plus group of an extended form.
 
-    Optionally carries a word in the standard generators: a tuple of tokens
-    ("J",), ("T", lam), ("T*", lam) whose left-to-right product equals the
-    matrix. The matrix is classified on construction, unless ``_trusted``
-    marks one the library built from members (generators, products, inverses).
+    Optionally carries a word in the standard generators whose left-to-right
+    product equals the matrix, kept as checked tokens (``ExtendedForm._token``)
+    and shown by ``word`` as ("J",), ("T", lam), ("T*", lam). A matrix from
+    outside is classified, or a word from outside must multiply to it, unless
+    ``_trusted`` marks one the library built from members, word and all.
     """
 
     def __init__(self, form: "ExtendedForm", matrix: Matrix, word=None, *,
@@ -67,13 +70,23 @@ class GroupElement:
         if not _trusted:
             if not isinstance(matrix, Matrix):
                 matrix = Matrix(matrix)
-            if not matrix.is_integral:
+            if word is not None:
+                word = tuple(map(form._token, word))
+                if form._times_parts(Matrix.identity(form.dim), word) != matrix:
+                    raise ValueError("the word does not multiply to the matrix")
+            elif not matrix.is_integral:
                 raise ValueError("group elements must be integral")
-            if form.classify(matrix) < Membership.INTEGRAL_SPECIAL_PLUS:
+            elif form.classify(matrix) < Membership.INTEGRAL_SPECIAL_PLUS:
                 raise ValueError("matrix is not in the integral special-plus group")
         self.form = form
         self.matrix = matrix
-        self.word = tuple(word) if word is not None else None
+        self._tokens = tuple(word) if word is not None else None
+
+    @property
+    def word(self):
+        """The word as tokens ("J",), ("T", lam), ("T*", lam), or None."""
+        if self._tokens is not None:
+            return tuple(p[:1] if p[0] == "J" else p[:2] for p in self._tokens)
 
     def classify(self) -> Membership:
         return self.form.classify(self.matrix)
@@ -83,8 +96,8 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         word = None
-        if self.word is not None:
-            word = tuple(_token_inverse(t) for t in reversed(self.word))
+        if self._tokens is not None:
+            word = tuple(map(_parts_inverse, reversed(self._tokens)))
         return GroupElement(
             self.form, self.form.orthogonal_inverse(self.matrix), word,
             _trusted=True,
@@ -95,23 +108,23 @@ class GroupElement:
             if self.form.s1 != other.form.s1:
                 raise ValueError("elements live over different forms")
             word = None
-            if self.word is not None and other.word is not None:
-                word = self.word + other.word
+            if self._tokens is not None and other._tokens is not None:
+                word = self._tokens + other._tokens
             return GroupElement(self.form, self.matrix @ other.matrix, word,
                                 _trusted=True)
         return self.matrix @ other
 
     def _times_word(self, word) -> "GroupElement":
-        """self @ element_from_word(word), with the tokens applied in closed form."""
+        """self @ the product of checked tokens, applied in closed form."""
         word = tuple(word)
-        full = self.word + word if self.word is not None else None
-        return GroupElement(self.form, self.form._times_tokens(self.matrix, word),
+        full = self._tokens + word if self._tokens is not None else None
+        return GroupElement(self.form, self.form._times_parts(self.matrix, word),
                             full, _trusted=True)
 
     def __pow__(self, k: int) -> "GroupElement":
         if k < 0:
             return self.inverse() ** (-k)
-        word = self.word * k if self.word is not None else (None if k else ())
+        word = self._tokens * k if self._tokens is not None else (None if k else ())
         return GroupElement(self.form, self.matrix**k, word, _trusted=True)
 
     def __eq__(self, other):
@@ -125,15 +138,8 @@ class GroupElement:
         return hash(self.matrix)
 
     def __repr__(self):
-        w = f", word of length {len(self.word)}" if self.word is not None else ""
+        w = f", word of length {len(self._tokens)}" if self._tokens is not None else ""
         return f"GroupElement(dim={self.matrix.nrows}{w})"
-
-
-def _token_inverse(tok):
-    if tok[0] == "J":
-        return tok
-    kind, lam = tok
-    return (kind, tuple(-x for x in lam))
 
 
 def _parts_inverse(parts):
@@ -141,7 +147,7 @@ def _parts_inverse(parts):
     kind, lam, slam, q = parts
     if kind == "J":
         return parts
-    return (kind, tuple(-x for x in lam), [-x for x in slam], q)
+    return (kind, tuple(-x for x in lam), tuple(-x for x in slam), q)
 
 
 def _act(parts, v: list, row: bool) -> None:
@@ -239,32 +245,28 @@ class ExtendedForm:
     # _act applies one to a vector in O(d); no dense token matrix is built.
 
     def _token(self, tok) -> tuple:
-        """tok with its vector as ints; a malformed token raises ValueError."""
-        if tok[0] == "J":
-            return tok
-        kind, lam = tok
-        if kind not in ("T", "T*"):
-            raise ValueError(f"unknown token {tok!r}")
-        lam = _int_vec(lam)
+        """The checked form (kind, lam, S0 lam, q) of a token from outside;
+        a malformed token raises ValueError."""
+        kind = tok[0] if isinstance(tok, (tuple, list)) and tok else None
+        if kind not in ("J", "T", "T*") or len(tok) != 1 + (kind != "J"):
+            raise ValueError(f"malformed token {tok!r}")
+        if kind == "J":
+            return self._parts(kind)
+        lam = _int_vec(tok[1]) if isinstance(tok[1], (tuple, list)) else ()
         if len(lam) != self.n + 2:
             raise ValueError("transvection vector must be integral of length n+2")
-        return (kind, lam)
+        return self._parts(kind, lam)
 
-    def _token_parts(self, tok) -> tuple:
-        """(kind, lam, S0 lam, q) of a token that _token has checked."""
-        if tok[0] == "J":
+    def _parts(self, kind: str, lam=None) -> tuple:
+        """The checked form of a token the library builds, lam a tuple of ints."""
+        if kind == "J":
             return ("J", None, None, 0)
-        kind, lam = tok
-        slam = [sum(map(mul, r, lam)) for r in self.s0.num]
+        slam = tuple(sum(map(mul, r, lam)) for r in self.s0.num)
         return (kind, lam, slam, sum(map(mul, lam, slam)) // 2)
-
-    def _times_tokens(self, m: Matrix, word) -> Matrix:
-        """m @ t_1 @ ... @ t_k for an integral m and checked tokens, in O(k d^2)."""
-        return self._times_parts(m, map(self._token_parts, word))
 
     @staticmethod
     def _times_parts(m: Matrix, parts) -> Matrix:
-        """m @ t_1 @ ... @ t_k for an integral m, each token given by its parts."""
+        """m @ t_1 @ ... @ t_k for an integral m and checked tokens, in O(k d^2)."""
         rows = [list(r) for r in m.num]
         for p in parts:
             for r in rows:
@@ -287,8 +289,8 @@ class ExtendedForm:
         return self.element_from_word((("T*", lam),))
 
     def element_from_word(self, word) -> GroupElement:
-        """Left-to-right product of generator tokens, each validated."""
-        return self.identity()._times_word(tuple(map(self._token, word)))
+        """Left-to-right product of generator tokens, each checked by _token."""
+        return self.identity()._times_word(map(self._token, word))
 
     def embed_rotation(self, q) -> GroupElement:
         """Extend a special isometry of the base lattice by identity corners."""
@@ -462,10 +464,10 @@ class ExtendedForm:
         d = self.dim
         i2, i3 = d - 2, d - 1
         hv = list(h)
-        applied = []  # parts of each token applied to hv, in order
+        applied = []  # checked form of each token applied to hv, in order
 
-        def do(tok):
-            parts = self._token_parts(tok)
+        def do(kind, lam=None):
+            parts = self._parts(kind, lam)
             applied.append(parts)
             _act(parts, hv, row=False)
 
@@ -478,54 +480,42 @@ class ExtendedForm:
         # bootstrap: make the leading entry nonzero
         if hv[0] == 0:
             if hv[i3] != 0:
-                do(("J",))
+                do("J")
             elif hv[1] != 0:
-                do(("T", mid(n + 1)))
+                do("T", mid(n + 1))
             elif hv[i2] != 0:
-                do(("T", mid(0)))
+                do("T", mid(0))
         # no other case: four zero corners give q(h) = -y^t S y < 0 for h != 0
         if hv[0] == 0:
             raise AssertionError("bootstrap failed to produce a nonzero corner")
 
-        def euclid(idx, reduce_other, reduce_lead):
-            # drive hv[idx] to zero, keeping hv[0] nonzero
+        def euclid(idx, other, lead):
+            # drive hv[idx] to zero, keeping hv[0] nonzero: T*(t e_other) adds
+            # t hv[0] to hv[idx], T(t e_lead) takes t hv[idx] from hv[0]
             while hv[idx] != 0:
                 q = hv[idx] // hv[0]
                 if q:
-                    reduce_other(-q)
+                    do("T*", mid(other, -q))
                 if hv[idx] == 0:
                     break
                 q2, r2 = divmod(hv[0], hv[idx])
                 if r2 == 0:
                     q2 -= 1
                 if q2:
-                    reduce_lead(q2)
-
-        # moves: each changes exactly the stated entries plus harmless others
-        def h1_add(t):  # hv[1] += t*hv[0]
-            do(("T*", mid(0, t)))
-
-        def h0_sub_h1(t):  # hv[0] -= t*hv[1]
-            do(("T", mid(n + 1, t)))
-
-        def h2_add(t):  # hv[i2] += t*hv[0]
-            do(("T*", mid(n + 1, t)))
-
-        def h0_sub_h2(t):  # hv[0] -= t*hv[i2]
-            do(("T", mid(0, t)))
+                    do("T", mid(lead, q2))
 
         for _ in range(_COMPLETION_CAP):
-            euclid(1, h1_add, h0_sub_h1)
-            euclid(i2, h2_add, h0_sub_h2)
+            euclid(1, 0, n + 1)
+            euclid(i2, n + 1, 0)
             if hv[1] != 0:
                 continue
             if hv[i3] % hv[0]:
-                do(("T", mid(0)))  # feeds the last entry into position 1
+                do("T", mid(0))  # feeds the last entry into position 1
                 continue
             sy = self.base.gram @ tuple(hv[2:2 + n])
             bad = [i for i in range(n) if sy[i] % hv[0]]
             if bad:
-                do(("T*", mid(1 + bad[0])))  # feeds the base obstruction downward
+                do("T*", mid(1 + bad[0]))  # feeds the base obstruction downward
                 continue
             break
         else:
@@ -537,21 +527,20 @@ class ExtendedForm:
             lam = [0] * (n + 2)
             for i in range(n):
                 lam[1 + i] = -hv[2 + i] * hv[0]
-            do(("T*", tuple(lam)))
+            do("T*", tuple(lam))
         if hv[i3] != 0 or hv[1] != 0 or hv[i2] != 0:
             raise AssertionError("isotropy should clear the remaining entries")
         if hv[0] == -1:
-            do(("T*", mid(0)))
-            do(("T", mid(n + 1, 2)))
-            do(("T*", mid(0)))
+            do("T*", mid(0))
+            do("T", mid(n + 1, 2))
+            do("T*", mid(0))
         if hv != [1] + [0] * (d - 1):
             raise AssertionError("completion did not reach the unit vector")
 
         # h = t_1^{-1} ... t_k^{-1} e_0: the tokens are built here, so they are
         # not checked again as a word from outside would be
-        inverse = [_parts_inverse(p) for p in applied]
-        word = tuple(p[:1] if p[0] == "J" else p[:2] for p in inverse)
-        out = GroupElement(self, self._times_parts(Matrix.identity(d), inverse), word,
+        word = tuple(map(_parts_inverse, applied))
+        out = GroupElement(self, self._times_parts(Matrix.identity(d), word), word,
                            _trusted=True)
         if out.matrix.col(0) != h:
             raise AssertionError("completed element does not start with h")

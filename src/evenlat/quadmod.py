@@ -49,6 +49,8 @@ class FiniteQuadraticModule:
 
     def __init__(self, divisors, lift_gram: Matrix):
         divisors = _int_vec(divisors, "divisors")
+        if not isinstance(lift_gram, Matrix):
+            lift_gram = Matrix(lift_gram)
         if any(d <= 1 for d in divisors):
             raise ValueError("divisors must all exceed 1")
         for a, b in zip(divisors, divisors[1:]):

@@ -90,19 +90,23 @@ def _d_plus_glue_class(lat: EvenLattice) -> tuple:
     return lat.element_from_dual(coords)
 
 
+def _not_a_root_lattice(family: str, n: int):
+    """Why family and rank name no ADE root lattice, or None when they do."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        return f"rank must be an integer, got {n!r}"
+    if family == "E":
+        return None if n in _E_EDGES else "E-series exists for ranks 6, 7, 8"
+    if family not in ("A", "D"):
+        return f"unknown family {family!r}"
+    least = 1 if family == "A" else 2
+    return None if n >= least else f"{family}-series needs rank >= {least}"
+
+
 def _check_exists(family: str, n: int) -> None:
     """Raise ValueError unless family and rank name an ADE root lattice."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"rank must be an integer, got {n!r}")
-    if family == "E":
-        if n not in _E_EDGES:
-            raise ValueError("E-series exists for ranks 6, 7, 8")
-    elif family in ("A", "D"):
-        least = 1 if family == "A" else 2
-        if n < least:
-            raise ValueError(f"{family}-series needs rank >= {least}")
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    reason = _not_a_root_lattice(family, n)
+    if reason is not None:
+        raise ValueError(reason)
 
 
 def _single(family: str, n: int, plus: bool) -> EvenLattice:

@@ -47,3 +47,7 @@ def test_retired_names_stay_gone():
     assert not hasattr(evenlat.FiniteQuadraticModule, "_closure_with")
     # S1^{-1} is applied by ExtendedForm._dual, not held as a dense matrix
     assert not hasattr(evenlat.ExtendedForm(evenlat.root_lattice("A2")), "s1_adj")
+    # a token has one checked form, from ExtendedForm._token or _parts
+    for name in ("_token_parts", "_times_tokens"):
+        assert not hasattr(evenlat.ExtendedForm, name), name
+    assert not hasattr(evenlat.ogroup, "_token_inverse")

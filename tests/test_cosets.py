@@ -334,7 +334,7 @@ def test_probe_columns_match_token_action():
             for j, c in col:
                 dense[j] += c
             e0 = [int(i == 0) for i in range(d)]
-            _act(form._token_parts(("T*", lam)), e0, row=False)
+            _act(form._parts("T*", lam), e0, row=False)
             assert dense == e0, (name, lam)
 
 

@@ -130,6 +130,11 @@ def test_direct_sum_gram_and_det():
     assert root_lattice("4A1").gram == Matrix.diagonal([2, 2, 2, 2])
 
 
+def test_direct_sum_refuses_a_summand_that_is_no_lattice():
+    with pytest.raises(TypeError, match="summand 1 must be an EvenLattice, got 'x'"):
+        direct_sum(root_lattice("A2"), "x")
+
+
 def test_direct_sum_det_is_product_of_summands():
     # the determinant is taken from the summands, not recomputed; check it
     # against Bareiss on the block Gram

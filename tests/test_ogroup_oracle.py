@@ -268,10 +268,10 @@ def test_token_action_matches_dense_products(name):
             v = [rng.randint(-9, 9) for _ in range(d)]
             col = [r[0] for r in helpers.list_matmul(helpers.token_rows(form, tok),
                                                      [[x] for x in v])]
-            _act(form._token_parts(form._token(tok)), v, row=False)
+            _act(form._token(tok), v, row=False)
             assert v == col
         # from the right, on a whole matrix and so on each row vector
-        got = form._times_tokens(Matrix(m), word)
+        got = form._times_parts(Matrix(m), map(form._token, word))
         assert [list(r) for r in got.rows] == helpers.word_rows(form, word, start=m)
         assert got.is_integral
         # the element is the left-to-right product of its tokens
@@ -295,8 +295,29 @@ def test_tokens_validated_on_use():
     for bad in (("T", (1, 0, 0)),  # wrong length
                 ("T*", (Fraction(1, 2), 0, 0, 0)),
                 ("T", (True, 0, 0, 0)),  # bool is no integer entry
-                ("X", (0, 0, 0, 0))):
+                ("X", (0, 0, 0, 0)),
+                ("T", 5),  # no vector
+                ("J", 5),  # J takes no argument
+                "J",  # a bare name is no token
+                ()):
         with pytest.raises(ValueError):
             form.element_from_word((("J",), bad))
         with pytest.raises(ValueError):
             form._token(bad)
+    with pytest.raises(ValueError):  # a string is no word of tokens
+        form.element_from_word("J")
+
+
+def test_outside_word_must_multiply_to_the_matrix():
+    form = FORMS["A2"]
+    eye = Matrix.identity(form.dim)
+    with pytest.raises(ValueError, match="does not multiply to the matrix"):
+        GroupElement(form, eye, word=(("J",),))
+    with pytest.raises(ValueError, match="malformed token"):
+        GroupElement(form, eye, word=(("J", 5),))
+    j = form.involution()
+    g = GroupElement(form, j.matrix, word=[["J"]])
+    assert g == j and g.word == (("J",),)
+    word = helpers.random_word(random.Random(7), form.n, 5)
+    g = GroupElement(form, form.element_from_word(word).matrix, word=word)
+    assert g.word == word and g.inverse().inverse().word == word

@@ -50,6 +50,10 @@ def test_divisor_chain_enforced():
         with pytest.raises(ValueError,
                            match=f"divisors must be integral, got {re.escape(repr(bad))}"):
             FiniteQuadraticModule((bad,), Matrix([[Fraction(1, 2)]]))
+    # a nested list is read as a Matrix, as EvenLattice reads its Gram
+    listed = FiniteQuadraticModule((2,), [[Fraction(1, 2)]])
+    assert listed.lift_gram == Matrix([[Fraction(1, 2)]])
+    assert listed.q_value((1,)) == Fraction(1, 4)
 
 
 def test_element_validation():
