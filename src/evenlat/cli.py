@@ -115,6 +115,14 @@ def _read_object(path: str, what: str) -> dict:
     return data
 
 
+def _only_keys(data: dict, what: str, keys: tuple) -> None:
+    # keys: every key the command reads; any other is refused, not ignored
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"{what} JSON has the key {json.dumps(key)}, which is not read; "
+                             f"the keys read are {', '.join(map(json.dumps, keys))}")
+
+
 def _json_int(x, what: str) -> int:
     # JSON true/false load as bool, a subclass of int, and int() would
     # coerce floats and strings: all three are refused
@@ -146,6 +154,9 @@ def _load_lattice(args) -> EvenLattice:
         return root_lattice(args.name)
     if getattr(args, "lattice", None):
         data = _read_object(args.lattice, "lattice")
+        if "gram" not in data and "name" not in data:
+            raise ValueError("lattice JSON needs a 'gram' or 'name' field")
+        _only_keys(data, "lattice", ("gram", "name"))
         if "gram" in data:
             gram = data["gram"]
             # the cost is cubic in the rank: refuse before any Matrix is built
@@ -154,9 +165,7 @@ def _load_lattice(args) -> EvenLattice:
                     f"'gram' has rank {len(gram)}, above the limit {MAX_RANK}")
             return EvenLattice(_json_matrix(gram, "'gram'"),
                                name=_json_name(data.get("name", "")))
-        if "name" in data:
-            return root_lattice(_json_name(data["name"]))
-        raise ValueError("lattice JSON needs a 'gram' or 'name' field")
+        return root_lattice(_json_name(data["name"]))
     raise ValueError("provide a lattice via --name or --lattice")
 
 
@@ -305,6 +314,7 @@ def _cmd_classify(args) -> dict:
     data = _read_object(args.input, "classify input")
     if "R" not in data:
         raise ValueError("classify input needs an 'R' matrix field")
+    _only_keys(data, "classify input", ("R",))
     level, witness = form.classify_witness(_json_matrix(data["R"], "'R'"))
     return {
         "membership": level.name.lower(),
@@ -331,6 +341,7 @@ def _cmd_complete(args) -> dict:
     data = _read_object(args.input, "complete input")
     if "h" not in data:
         raise ValueError("complete input needs an 'h' vector field")
+    _only_keys(data, "complete input", ("h",))
     h = _json_ints(data["h"], "'h'")
     elem = form.complete_isotropic(h)  # raises unless a kernel element
     return {
@@ -356,6 +367,7 @@ def _cmd_reduce(args) -> dict:
     data = _read_object(args.input, "reduce input")
     if "R" not in data:
         raise ValueError("reduce input needs an 'R' matrix field")
+    _only_keys(data, "reduce input", ("R", "r"))
     ratio = data.get("r")
     scaled = make_scaled(
         form,

@@ -5,8 +5,11 @@ whose diagonal is even. Everything downstream is exact:
 
 * one Smith elimination of the Gram matrix, the record ``_smith``, gives the
   determinant (the divisors' product with the tracked sign of det U * det V)
-  and the discriminant form on dual/lattice in integers; definiteness is one
-  Bareiss pass on first use, derived for direct sums and glue overlattices;
+  and the discriminant form on dual/lattice in integers; it builds no U, which
+  only the adjugate and ``element_from_dual`` read: their first read runs a
+  second elimination that builds it, checked against the first
+  (``_unimodular``); definiteness is one Bareiss pass on first use, derived
+  for direct sums and glue overlattices;
 * an overlattice is rebuilt from a totally isotropic glue group H, with no
   Smith elimination: its basis is the Hermite normal form of the rows
   [d I; d lifts], d = exponent, computed modulo d (``matrices._hnf_mod``),
@@ -34,7 +37,7 @@ from .quadmod import FiniteQuadraticModule, GlueGroup
 
 
 class _Smith(NamedTuple):
-    """The Smith elimination U S V = D of a Gram matrix S.
+    """The Smith elimination U S V = D of a Gram matrix S, without U.
 
     det S = det U * det V * prod d_i; the divisors d_i > 1 are the last k of
     the chain, and the generator of Z/d_i lifts to column i of
@@ -42,8 +45,6 @@ class _Smith(NamedTuple):
     w_i = V[:, i] mod d_i.
     """
 
-    u: Matrix
-    v: Matrix
     full: tuple  # every diagonal entry of D
     divs: tuple  # the kept divisors d_i > 1
     w: tuple  # the numerators w_i, one per kept divisor
@@ -85,20 +86,41 @@ class EvenLattice:
 
     @cached_property
     def _smith(self) -> _Smith:
-        """The one Smith record: read by the constructor of a lattice given its
+        """The Smith record: read by the constructor of a lattice given its
         Gram; first read later for one given its determinant, which it checks."""
-        u, d, v, sign = smith_normal_form(self.gram, _signed=True)
-        full = tuple(d.num[i][i] for i in range(d.nrows))
+        full, v, sign = smith_normal_form(self.gram, _readout=True)
         if not all(full):
             raise ValueError("Gram matrix must be nondegenerate")
         k = sum(di > 1 for di in full)
         divs = full[len(full) - k:]
-        w = tuple(tuple(x % di for x in v.col(i))
-                  for i, di in enumerate(divs, len(full) - k))
-        record = _Smith(u, v, full, divs, w, sign * prod(full))
+        n = self.rank
+        w = tuple(tuple(v[i].get(j, 0) % di for j in range(n))
+                  for i, di in enumerate(divs, n - k))
+        record = _Smith(full, divs, w, sign * prod(full))
         if self.determinant not in (None, record.det):
             raise AssertionError("Smith form inconsistent with determinant")
         return record
+
+    @cached_property
+    def _unimodular(self) -> tuple:
+        """(U, V) of U S V = D, from a second elimination that builds U; read
+        by the adjugate and element_from_dual alone. The pivot rule is the
+        first elimination's, so its diagonal and its w_i are checked equal to
+        the record's."""
+        u, d, v = smith_normal_form(self.gram)
+        s = self._smith
+        k = len(s.divs)
+        w = tuple(tuple(x % di for x in v.col(i))
+                  for i, di in enumerate(s.divs, self.rank - k))
+        if tuple(d.num[i][i] for i in range(d.nrows)) != s.full or w != s.w:
+            raise AssertionError("second Smith elimination differs from the first")
+        return u, v
+
+    @cached_property
+    def _gram_nonzeros(self) -> list:
+        """The nonzeros of each row of the Gram (``_nonzeros``), read by every
+        congruence on it."""
+        return _nonzeros(self.gram.num)
 
     @cached_property
     def is_positive_definite(self) -> bool:
@@ -112,11 +134,10 @@ class EvenLattice:
     @cached_property
     def adjugate(self) -> Matrix:
         """|det S| S^{-1} as an integer matrix: V diag(|det S|/d_i) U."""
-        s = self._smith
+        u, v = self._unimodular
         dabs = abs(self.determinant)
-        scale = [dabs // di for di in s.full]
-        return Matrix._over(tuple(tuple(map(mul, row, scale))
-                                  for row in s.v.num)) @ s.u
+        scale = [dabs // di for di in self._smith.full]
+        return Matrix._over(tuple(tuple(map(mul, row, scale)) for row in v.num)) @ u
 
     @cached_property
     def _discriminant_group(self) -> FiniteQuadraticModule:
@@ -125,7 +146,7 @@ class EvenLattice:
         # the rows (d_k/d_a) w_a, over d_k^2
         dk = s.divs[-1] if s.divs else 1
         rows = ([dk // da * x for x in wa] for wa, da in zip(s.w, s.divs))
-        lg = _congruent(_nonzeros(rows), _nonzeros(self.gram.num))
+        lg = _congruent(_nonzeros(rows), self._gram_nonzeros)
         return FiniteQuadraticModule(s.divs, Matrix._over(lg, dk * dk))
 
     def discriminant_group(self) -> FiniteQuadraticModule:
@@ -160,13 +181,13 @@ class EvenLattice:
         The vector is given in Gram-matrix coordinates (so membership in the
         dual means the Gram matrix times it is integral).
         """
-        s = self._smith
+        divs = self._smith.divs
         v = tuple(v)
         w = self.gram @ v
         if any(x.denominator != 1 for x in map(Fraction, w)):
             raise ValueError("vector is not in the dual lattice")
-        xfull = s.u @ tuple(int(x) for x in w)
-        cls = tuple(x % d for x, d in zip(xfull[len(xfull) - len(s.divs):], s.divs))
+        xfull = self._unimodular[0] @ tuple(int(x) for x in w)
+        cls = tuple(x % d for x, d in zip(xfull[len(xfull) - len(divs):], divs))
         # consistency: the class lift must agree with v modulo the lattice
         diff = [a - b for a, b in zip(self.lift(cls), v)]
         if any(x.denominator != 1 for x in diff):
@@ -192,7 +213,7 @@ class LatticeEmbedding:
             raise ValueError("embedding matrix has the wrong shape")
         if not matrix.is_integral:
             raise ValueError("embedding matrix must be integral")
-        if _congruence_mismatch(matrix.num, _nonzeros(sup.gram.num),
+        if _congruence_mismatch(matrix.num, sup._gram_nonzeros,
                                 sub.gram.num) is not None:
             raise ValueError("embedding does not transport the Gram matrix")
         self.sub = sub
@@ -247,7 +268,7 @@ def overlattice_from_glue(lat: EvenLattice, glue: GlueGroup):
     n = lat.rank
     d = disc.divisors[-1] if disc.divisors else 1
     h = _hnf_mod((lat._lift_numerators(g)[1] for g in glue.generators), d, n)
-    gram = _congruent(h, _nonzeros(lat.gram.num), d * d)
+    gram = _congruent(h, lat._gram_nonzeros, d * d)
     if gram is None:
         raise ValueError("glue group is not isotropic for the bilinear form")
     # the rows span d M, of index prod(h_ii) = d^n / [M : Z^n] in Z^n

@@ -13,7 +13,8 @@ already known up to sign is read modulo a small prime instead
 nonzeros of each row held in a dict: it picks the least pivot in row-major
 order, stops its scan at the first unit, seeks no divisibility witness after
 a unit pivot, and can return the sign of det U * det V, from which a lattice
-reads its determinant. The Hermite normal form of a lattice that contains
+reads its determinant; a lattice's elimination makes no update of U and reads
+only the diagonal, the columns of V and that sign (``_readout``). The Hermite normal form of a lattice that contains
 d Z^n is computed modulo d on sparse rows (``_hnf_mod``), and d times its
 inverse by back-substitution over those rows with exact divisions
 (``_scaled_inverse``). Every form product of the library reads the rows of
@@ -353,7 +354,7 @@ def _dense(rows, n: int) -> tuple:
     return tuple(out)
 
 
-def smith_normal_form(a: Matrix, *, _signed: bool = False):
+def smith_normal_form(a: Matrix, *, _signed: bool = False, _readout: bool = False):
     """Smith normal form with transforms.
 
     Returns (U, D, V) with U @ a @ V == D, U and V unimodular, and D diagonal
@@ -379,12 +380,17 @@ def smith_normal_form(a: Matrix, *, _signed: bool = False):
     The private ``_signed=True`` appends det U * det V (1 or -1) to the
     result: adding a multiple of one row or column to another keeps both
     determinants, and each swap and each final row negation flips the sign.
+
+    The private ``_readout=True`` makes no update of U, whose rows the pivot
+    rule never reads, and returns (diagonal, columns of V as {row: value}
+    dicts, sign) in place of the dense matrices. The pivots, V and the sign
+    are those of the full elimination.
     """
     if not a.is_integral:
         raise ValueError("matrix has non-integer entries")
     m, n = a.nrows, a.ncols
     A = [{j: x for j, x in enumerate(r) if x} for r in a.num]
-    U = [{i: 1} for i in range(m)]
+    U = None if _readout else [{i: 1} for i in range(m)]
     V = [{j: 1} for j in range(n)]
     sign = 1
 
@@ -402,7 +408,8 @@ def smith_normal_form(a: Matrix, *, _signed: bool = False):
             bj = min(j for j, x in A[bi].items() if x in (best, -best))
             if bi != t:
                 A[t], A[bi] = A[bi], A[t]
-                U[t], U[bi] = U[bi], U[t]
+                if U:
+                    U[t], U[bi] = U[bi], U[t]
                 sign = -sign
             if bj != t:
                 # the rows above t are zero in both columns
@@ -417,7 +424,7 @@ def smith_normal_form(a: Matrix, *, _signed: bool = False):
             pa = A[t]
             p = pa[t]
             # |p| is least in the block, so every quotient below is nonzero
-            nza, nzu = list(pa.items()), list(U[t].items())
+            nza, nzu = list(pa.items()), U and list(U[t].items())
             ra = [pa]  # the rows still nonzero in column t once it is cleared
             for i in range(t + 1, m):
                 ri = A[i]
@@ -425,7 +432,8 @@ def smith_normal_form(a: Matrix, *, _signed: bool = False):
                 if x:
                     q = -(x // p)
                     _axpy(ri, q, nza)
-                    _axpy(U[i], q, nzu)
+                    if nzu:
+                        _axpy(U[i], q, nzu)
                     if t in ri:
                         ra.append(ri)  # remainder becomes a smaller pivot
             dirty = len(ra) > 1
@@ -454,16 +462,23 @@ def smith_normal_form(a: Matrix, *, _signed: bool = False):
             if wi is None:
                 break
             _axpy(pa, 1, A[wi].items())
-            _axpy(U[t], 1, U[wi].items())
+            if U:
+                _axpy(U[t], 1, U[wi].items())
         if t not in A[t]:
             break  # submatrix exhausted, zeros from here on
 
-    for i in range(min(m, n)):
-        if A[i].get(i, 0) < 0:
-            A[i] = {j: -x for j, x in A[i].items()}
-            U[i] = {j: -x for j, x in U[i].items()}
+    # A is diagonal now: every row holds its pivot alone, or nothing
+    diag = [A[i].get(i, 0) for i in range(min(m, n))]
+    for i, x in enumerate(diag):
+        if x < 0:
+            diag[i] = -x
+            if U:
+                U[i] = {j: -y for j, y in U[i].items()}
             sign = -sign
-    out = (Matrix._over(_dense(U, m)), Matrix._over(_dense(A, n)),
+    if U is None:
+        return tuple(diag), V, sign
+    d = [{i: x} for i, x in enumerate(diag)] + [{}] * (m - len(diag))
+    out = (Matrix._over(_dense(U, m)), Matrix._over(_dense(d, n)),
            Matrix._over(tuple(zip(*_dense(V, n)))))
     return out + (sign,) if _signed else out
 

@@ -10,6 +10,8 @@ per element, coordinate i in a field of b bits under one guard bit
 order. Two codes add in a few whole-int operations: add; add an offset of
 2^b - d_i per field, which sets the guard of exactly the fields that reached
 d_i and carries into no other field; mask those fields; subtract d_i there.
+In this order y + s < y exactly when y wraps at the first nonzero coordinate
+of s, so the search finds its dead candidates by masks, without cosets.
 The central predicates:
 
 * anisotropic (q vanishes only at 0), which is equivalent to the source
@@ -203,9 +205,16 @@ class FiniteQuadraticModule:
         mask = (1 << self._codec[0]) - 1
         return tuple((code >> t) & mask for t in self._shifts)
 
+    def _add(self, v: int, x: int) -> int:
+        """The code of the sum of two codes; (g << 1) - (g >> b) masks the
+        fields whose guard g the offset set."""
+        b, off, guards, dmask = self._codec
+        v += x
+        g = (v + off) & guards
+        return v - (dmask & ((g << 1) - (g >> b))) if g else v
+
     def _coset(self, span, x: int) -> list:
-        """The codes of s + x for the codes s in span; (g << 1) - (g >> b)
-        masks the fields whose guard g the offset set."""
+        """The codes of s + x for the codes s in span, added as in ``_add``."""
         b, off, guards, dmask = self._codec
         out = []
         for v in span:
@@ -216,11 +225,12 @@ class FiniteQuadraticModule:
 
     def _cosets(self, span, x: int):
         """The cosets x + span, 2x + span, ... that are not span itself, as
-        code lists; span is a set of codes closed under addition."""
-        cur = self._coset(span, x)
-        while cur[0] not in span:
-            yield cur
-            cur = self._coset(cur, x)
+        code lists; span is a set of codes closed under addition. Each
+        multiple is tested for membership in span before its coset is built."""
+        jx = x
+        while jx not in span:
+            yield self._coset(span, jx)
+            jx = self._add(jx, x)
 
     def maximal_isotropic_subgroups(self, max_order: int = MAX_GLUE_ORDER) -> list:
         """All maximal totally isotropic subgroups as GlueGroups.
@@ -237,21 +247,25 @@ class FiniteQuadraticModule:
         and orthogonal to its chain, and a span is maximal exactly when that
         mask is empty.
 
-        A node first builds only the coset x + span of each candidate x
-        above its floor. If some s + x < x, x is dead in the whole subtree:
-        a larger span' without x has s + x outside it but in span' + <x>,
-        so x is never again the least new element. Dead candidates leave
-        the mask the node hands its children, and the other cosets are built
-        only for the survivors, after the scan. The mask still decides
-        maximality: the least element of a coset y + span' is a candidate
-        whenever y is, and it is never dead.
+        A candidate x is dead at a node when some s + x < x, s in its span:
+        x is then never again the least new element below it, since a larger
+        span' without x has s + x outside it but in span' + <x>. With l the
+        first nonzero coordinate of s, s + x < x iff x wraps at l:
+        x_l >= d_l - s_l. So the dead candidates of a span are the union of
+        the masks W(l, t) = {isotropic y : y_l >= t}, one per nonzero s, and
+        a child's dead mask is its parent's with the masks of the elements
+        it adds. Each node drops its dead candidates from the mask once;
+        cosets are built only for the children, to form their spans and to
+        check that no multiple jx + span holds an element below x. The mask
+        still decides maximality: the least element of a coset y + span is a
+        candidate whenever y is, and it is never dead.
         """
         iso = self.isotropic_elements(max_order)
         codes = [self._encode(x) for x in iso]
-        index = {c: i for i, c in enumerate(codes)}
+        bit = {c: 1 << i for i, c in enumerate(codes)}
         n = self._den // 2
         gram = self._igram
-        orth = {}
+        orth, wraps = {}, {}
         found = []
 
         def orth_mask(i):
@@ -262,33 +276,39 @@ class FiniteQuadraticModule:
                               if sum(map(mul, gx, y)) % n == 0)
             return orth[i]
 
-        def dfs(chain, span, cand, floor):
+        def wrap_mask(s):
+            # W(l, d_l - s_l) for the lead l of s: the y that s + y < y
+            if s not in wraps:
+                x = self._decode(s)
+                l = next(i for i, c in enumerate(x) if c)
+                t = self.divisors[l] - x[l]
+                wraps[s] = sum(1 << j for j, y in enumerate(iso) if y[l] >= t)
+            return wraps[s]
+
+        def dfs(chain, span, cand, dead, floor):
+            cand &= ~dead
             rest = cand >> (floor + 1) << (floor + 1)
-            grown = []
             while rest:
                 low = rest & -rest
                 rest ^= low
                 i = low.bit_length() - 1
                 x = codes[i]
                 more = self._cosets(span, x)
-                first = next(more)
-                if min(first) != x:
-                    cand ^= low  # dead in the whole subtree
-                else:
-                    grown.append((i, x, first, more))
-            for i, x, first, more in grown:
-                added = list(first)
+                added = next(more)
                 for c in more:
                     if min(c) < x:
                         break  # not the canonical chain for that subgroup
                     added += c
                 else:
-                    keep = orth_mask(i) & ~sum(1 << index[y] for y in added)
-                    dfs(chain + [x], span.union(added), cand & keep, i)
+                    keep = orth_mask(i) & ~sum(map(bit.__getitem__, added))
+                    grown = dead
+                    for y in added:
+                        grown |= wraps[y] if y in wraps else wrap_mask(y)
+                    dfs(chain + [x], span.union(added), cand & keep, grown, i)
             if not cand:
                 found.append((tuple(chain), span))
 
-        dfs([], frozenset([0]), (1 << len(iso)) - 1, -1)
+        dfs([], frozenset([0]), (1 << len(iso)) - 1, 0, -1)
         found.sort(key=lambda t: (len(t[1]), t[0]))
         return [GlueGroup(self, tuple(map(self._decode, chain)), span)
                 for chain, span in found]

@@ -91,7 +91,8 @@ def count_calls(monkeypatch, name, owner=ExtendedForm):
 
 
 def record_calls(monkeypatch, name, owner=evenlat.matrices):
-    """List of the argument tuples of every call of <owner>.<name>.
+    """List of the argument tuples of every call of <owner>.<name>; a call
+    with keyword arguments ends its tuple with their dict.
 
     owner is an evenlat module, matrices by default, or a class. A module's
     function is re-pointed in every evenlat module that imported it by name,
@@ -102,7 +103,7 @@ def record_calls(monkeypatch, name, owner=evenlat.matrices):
     inner = getattr(owner, name)
 
     def recording(*args, **kwargs):
-        calls.append(args)
+        calls.append((*args, kwargs) if kwargs else args)
         return inner(*args, **kwargs)
 
     if isinstance(owner, type):

@@ -486,6 +486,17 @@ EXIT_CODE_CASES = [
      ["atlas", "--family", "A", "--min", "5", "--max", "2"], None, None),
     ("atlas-e-below-6", 2, "no E-series lattice has a rank in 1..5",
      ["atlas", "--family", "E", "--max", "5"], None, None),
+    # a key the command does not read is refused by name, not ignored
+    ("gram-extra-key", 2, 'lattice JSON has the key "extra", which is not read',
+     ["analyze"], {"gram": [[2]], "extra": 1}, None),
+    ("name-extra-key", 2, 'the key "gram_file"', ["overlattices"],
+     {"name": "A2", "gram_file": "a2.json"}, None),
+    ("classify-extra-key", 2, 'classify input JSON has the key "r"',
+     ["classify", "--name", "A2"], None, {"R": IDENTITY6, "r": 4}),
+    ("complete-extra-key", 2, 'complete input JSON has the key "R"',
+     ["complete", "--name", "A2"], None, {"h": [1, 1, 1, 1, 1, 0], "R": IDENTITY6}),
+    ("reduce-extra-key", 2, 'reduce input JSON has the key "mode"',
+     ["reduce", "--name", "A2"], None, {"R": CORNER6, "r": 4, "mode": "double"}),
 ]
 
 
@@ -506,6 +517,24 @@ def test_exit_code_contract(case, capsys, monkeypatch, tmp_path):
     else:
         assert err.startswith("error: ") and fragment in err
         assert out == ""
+
+
+def test_rank_zero_lattice_is_answered_consistently(capsys, tmp_path):
+    # {"gram": []} is the rank-0 lattice: determinant 1, a trivial and so
+    # anisotropic discriminant form, and itself as its one maximal even
+    # overlattice, through the trivial glue group
+    path = write_json(tmp_path, "rank0.json", {"gram": []})
+    code, out, _ = run(capsys, "analyze", "--lattice", path, "--format", "json")
+    assert code == 0
+    p = json.loads(out)
+    assert (p["rank"], p["determinant"], p["discriminant_order"]) == (0, 1, 1)
+    assert p["maximal_even"] is True and p["positive_definite"] is True
+    code, out, _ = run(capsys, "overlattices", "--lattice", path, "--format", "json")
+    assert code == 0
+    p = json.loads(out)
+    assert (p["determinant"], p["count"]) == (1, 1)
+    (entry,) = p["overlattices"]
+    assert (entry["glue_order"], entry["index"], entry["overlattice_gram"]) == (1, 1, [])
 
 
 def test_version_flag(capsys):

@@ -249,12 +249,18 @@ def test_maximal_isotropic_subgroups_frozen():
 
 
 def test_dead_candidates_are_not_tried_again(monkeypatch):
-    # 8A1: 4332 cosets are built; trying each dead candidate again below
-    # the node that found it dead would build 8037
-    calls = helpers.count_calls(monkeypatch, "_coset", owner=FiniteQuadraticModule)
-    subs = root_lattice("8A1").discriminant_group().maximal_isotropic_subgroups()
+    # 8A1: dead candidates are dropped by their wrap masks, with no coset;
+    # each child builds the one coset x + span, since 2x = 0 lies in the
+    # span: 901 cosets. Building x + span for every candidate to test it,
+    # as the search once did, built 4332
+    calls = helpers.record_calls(monkeypatch, "_coset", owner=FiniteQuadraticModule)
+    mod = root_lattice("8A1").discriminant_group()
+    subs = mod.maximal_isotropic_subgroups()
     assert len(subs) == 30
-    assert len(calls) == 4332
+    assert len(calls) == 901
+    # every coset built is a child's: its least element is the x it adds
+    monkeypatch.undo()
+    assert all(min(mod._coset(span, x)) == x for _, span, x in calls)
 
 
 def test_maximal_subgroups_are_maximal_and_isotropic():

@@ -15,6 +15,9 @@ search:
 * glue search on integer codes: the orthogonality-pruned search on
   coordinate tuples that it replaced (``tuple_glue_search``), on modules of
   order up to 1024, where the first oracle is too slow;
+* the wrap rule by which that search finds dead candidates without cosets:
+  y + s < y against the first nonzero coordinate of s alone, by brute force
+  over code addition and over tuples;
 * overlattices: the Hermite form H of [d I; d lifts] by ``sympy`` (an
   independent HNF), then H S H^t / d^2 and the embedding (d H^-1)^t by dense
   products, for every glue group of every input; each overlattice's own
@@ -40,7 +43,7 @@ from hypothesis import strategies as st
 
 import helpers
 from evenlat import (
-    EvenLattice, Matrix, det, direct_sum, overlattice_from_glue, root_lattice,
+    EvenLattice, GlueGroup, Matrix, det, direct_sum, overlattice_from_glue, root_lattice,
     smith_normal_form,
 )
 from evenlat.matrices import _hnf_mod
@@ -335,6 +338,29 @@ def test_random_glue_search_matches_tuple_search(gram):
     mod = EvenLattice(gram).discriminant_group()
     got = [(g.generators, g.elements()) for g in mod.maximal_isotropic_subgroups()]
     assert got == tuple_glue_search(mod)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.one_of(even_grams(), grams_with_blocks()), st.data())
+def test_wrap_rule_decides_dead_candidates(gram, data):
+    # the glue search drops y as dead when y + s < y for some s in the span,
+    # read off the first nonzero coordinate l of s alone: y_l >= d_l - s_l.
+    # Brute force over code addition, and over tuples, for every isotropic y
+    # and every nonzero s of a random isotropic subgroup
+    d = det(gram)
+    assume(d != 0 and abs(d) <= 1024)
+    mod = EvenLattice(gram).discriminant_group()
+    top = data.draw(st.sampled_from(mod.maximal_isotropic_subgroups()))
+    gens = data.draw(st.lists(st.sampled_from(sorted(top.elements())), max_size=3))
+    span = GlueGroup(mod, gens).elements() - {mod.zero}
+    for s in span:
+        lead = next(i for i, c in enumerate(s) if c)
+        for y in mod.isotropic_elements():
+            wraps = y[lead] >= mod.divisors[lead] - s[lead]
+            code = mod._encode(y)
+            assert (mod._add(code, mod._encode(s)) < code) == wraps
+            assert (mod.add(y, s) < y) == wraps
 
 
 @settings(max_examples=80, deadline=None)
