@@ -4,12 +4,10 @@ An even lattice is Z^n with a nondegenerate integral symmetric Gram matrix
 whose diagonal is even. Everything downstream is exact:
 
 * one Smith elimination of the Gram matrix, the record ``_smith``, gives the
-  determinant (the divisors' product with the tracked sign of det U * det V)
-  and the discriminant form on dual/lattice in integers; it builds no U, which
-  only the adjugate and ``element_from_dual`` read: their first read runs a
-  second elimination that builds it, checked against the first
-  (``_unimodular``); definiteness is one Bareiss pass on first use, derived
-  for direct sums and glue overlattices;
+  determinant (the divisors' product with the tracked sign of det U * det V),
+  the discriminant form on dual/lattice in integers, and U as the log of its
+  row operations, replayed once where U is read; definiteness is one Bareiss
+  pass on first use, derived for direct sums and glue overlattices;
 * an overlattice is rebuilt from a totally isotropic glue group H, with no
   Smith elimination: its basis is the Hermite normal form of the rows
   [d I; d lifts], d = exponent, computed modulo d (``matrices._hnf_mod``),
@@ -26,18 +24,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, prod
-from operator import mul
 from typing import NamedTuple
 
 from .matrices import (
-    Matrix, _bareiss, _congruence_mismatch, _congruent, _dense, _hnf_mod, _nonzeros,
-    _scaled_inverse, smith_normal_form,
+    Matrix, _axpy, _bareiss, _congruence_mismatch, _congruent, _dense, _eliminate,
+    _hnf_mod, _nonzeros, _product_rows, _replay, _scaled_inverse,
 )
 from .quadmod import FiniteQuadraticModule, GlueGroup
 
 
 class _Smith(NamedTuple):
-    """The Smith elimination U S V = D of a Gram matrix S, without U.
+    """The Smith elimination U S V = D of a Gram matrix S, U kept as its log.
 
     det S = det U * det V * prod d_i; the divisors d_i > 1 are the last k of
     the chain, and the generator of Z/d_i lifts to column i of
@@ -49,6 +46,8 @@ class _Smith(NamedTuple):
     divs: tuple  # the kept divisors d_i > 1
     w: tuple  # the numerators w_i, one per kept divisor
     det: int
+    v: list  # the columns of V, as {row: value} dicts
+    log: list  # the row operations that build U from the identity
 
 
 class EvenLattice:
@@ -88,7 +87,7 @@ class EvenLattice:
     def _smith(self) -> _Smith:
         """The Smith record: read by the constructor of a lattice given its
         Gram; first read later for one given its determinant, which it checks."""
-        full, v, sign = smith_normal_form(self.gram, _readout=True)
+        full, v, sign, log = _eliminate(self.gram)
         if not all(full):
             raise ValueError("Gram matrix must be nondegenerate")
         k = sum(di > 1 for di in full)
@@ -96,25 +95,16 @@ class EvenLattice:
         n = self.rank
         w = tuple(tuple(v[i].get(j, 0) % di for j in range(n))
                   for i, di in enumerate(divs, n - k))
-        record = _Smith(full, divs, w, sign * prod(full))
+        record = _Smith(full, divs, w, sign * prod(full), v, log)
         if self.determinant not in (None, record.det):
             raise AssertionError("Smith form inconsistent with determinant")
         return record
 
     @cached_property
-    def _unimodular(self) -> tuple:
-        """(U, V) of U S V = D, from a second elimination that builds U; read
-        by the adjugate and element_from_dual alone. The pivot rule is the
-        first elimination's, so its diagonal and its w_i are checked equal to
-        the record's."""
-        u, d, v = smith_normal_form(self.gram)
-        s = self._smith
-        k = len(s.divs)
-        w = tuple(tuple(x % di for x in v.col(i))
-                  for i, di in enumerate(s.divs, self.rank - k))
-        if tuple(d.num[i][i] for i in range(d.nrows)) != s.full or w != s.w:
-            raise AssertionError("second Smith elimination differs from the first")
-        return u, v
+    def _u(self) -> list:
+        """The rows of U as dicts, the record's log replayed once; read by the
+        adjugate and element_from_dual alone."""
+        return _replay(self._smith.log, self.rank)
 
     @cached_property
     def _gram_nonzeros(self) -> list:
@@ -133,11 +123,18 @@ class EvenLattice:
 
     @cached_property
     def adjugate(self) -> Matrix:
-        """|det S| S^{-1} as an integer matrix: V diag(|det S|/d_i) U."""
-        u, v = self._unimodular
-        dabs = abs(self.determinant)
-        scale = [dabs // di for di in self._smith.full]
-        return Matrix._over(tuple(tuple(map(mul, row, scale)) for row in v.num)) @ u
+        """|det S| S^{-1} = V diag(|det S|/d_i) U as an integer matrix, checked
+        by S adj = |det S| I."""
+        s, n, dabs = self._smith, self.rank, abs(self.determinant)
+        adj = [{} for _ in range(n)]
+        for di, vi, ui in zip(s.full, s.v, self._u):
+            for r, x in vi.items():
+                _axpy(adj[r], x * (dabs // di), ui.items())
+        for i, acc in enumerate(_product_rows(self._gram_nonzeros, [r.items() for r in adj])):
+            acc[i] -= dabs
+            if any(acc):
+                raise AssertionError("adjugate is not |det S| S^-1")
+        return Matrix._over(_dense(adj, n))
 
     @cached_property
     def _discriminant_group(self) -> FiniteQuadraticModule:
@@ -186,8 +183,10 @@ class EvenLattice:
         w = self.gram @ v
         if any(x.denominator != 1 for x in map(Fraction, w)):
             raise ValueError("vector is not in the dual lattice")
-        xfull = self._unimodular[0] @ tuple(int(x) for x in w)
-        cls = tuple(x % d for x, d in zip(xfull[len(xfull) - len(divs):], divs))
+        # the class is (U S v)_i mod d_i, on the last k rows of U
+        w = tuple(map(int, w))
+        cls = tuple(sum([y * w[c] for c, y in ui.items()]) % d
+                    for ui, d in zip(self._u[self.rank - len(divs):], divs))
         # consistency: the class lift must agree with v modulo the lattice
         diff = [a - b for a, b in zip(self.lift(cls), v)]
         if any(x.denominator != 1 for x in diff):

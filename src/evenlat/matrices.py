@@ -9,14 +9,12 @@ gcd, so there is one integer path whatever the entries are. The determinant
 and the definiteness test share one fraction-free Bareiss pass on dense
 rows, which keeps intermediate entries polynomial in size; a determinant
 already known up to sign is read modulo a small prime instead
-(``_det_mod``). The Smith normal form eliminates on sparse rows, the
-nonzeros of each row held in a dict: it picks the least pivot in row-major
-order, stops its scan at the first unit, seeks no divisibility witness after
-a unit pivot, and can return the sign of det U * det V, from which a lattice
-reads its determinant; a lattice's elimination makes no update of U and reads
-only the diagonal, the columns of V and that sign (``_readout``). The Hermite normal form of a lattice that contains
-d Z^n is computed modulo d on sparse rows (``_hnf_mod``), and d times its
-inverse by back-substitution over those rows with exact divisions
+(``_det_mod``). One Smith elimination (``_eliminate``) runs on sparse rows
+and returns the diagonal, the columns of V, the sign of det U * det V and, in
+place of U, the log of its row operations, replayed where U is read
+(``_replay``). The Hermite normal form of a lattice that contains d Z^n is
+computed modulo d on sparse rows (``_hnf_mod``), and d times its inverse by
+back-substitution over those rows with exact divisions
 (``_scaled_inverse``). Every form product of the library reads the rows of
 B S from one former on the nonzeros of B and S (``_product_rows``):
 ``_congruent`` forms the upper triangle of B S B^t for its values, and
@@ -354,45 +352,35 @@ def _dense(rows, n: int) -> tuple:
     return tuple(out)
 
 
-def smith_normal_form(a: Matrix, *, _signed: bool = False, _readout: bool = False):
-    """Smith normal form with transforms.
+def _eliminate(a: Matrix):
+    """The Smith elimination U a V = D of an integral matrix, U unformed.
 
-    Returns (U, D, V) with U @ a @ V == D, U and V unimodular, and D diagonal
-    with non-negative entries d_1 | d_2 | ... (zeros last). Works for any
-    rectangular integral matrix.
+    Returns (diagonal, columns of V as {row: value} dicts, sign, log), with
+    d_1 | d_2 | ... >= 0 (zeros last) and sign = det U * det V. The log holds
+    the row operations that build U from the identity (``_replay``), in
+    order: (i, t) swaps rows i and t, (i, q, t) adds q row t to row i, and
+    (i,) negates row i.
 
-    The elimination holds the nonzeros only: each row of A and of U is a
-    {column: value} dict, and V is held by its columns, each a {row: value}
-    dict. Step t keeps the invariant that rows >= t hold no entry in a
-    column < t, so the block of rows and columns >= t is the rows A[t:] and
-    a row's least |x| in the block is the least of its values.
-
-    Step t moves a pivot to (t, t): the entry of least |x| in the block, the
-    first in row-major order. The scan stops at the first row that holds a
-    unit, since no entry beats it. The pivot clears its column and then its
-    row by integer division; a nonzero remainder is a smaller pivot and the
-    step repeats. Once both are clear, a pivot p that does not divide the
-    whole remaining block gets the first row holding such an entry added to
-    row t, and the step repeats; a unit divides everything, so after a unit
-    pivot no such row is sought. The pivot search, the row and column
-    operations, the column swaps and this witness scan read only nonzeros.
-
-    The private ``_signed=True`` appends det U * det V (1 or -1) to the
-    result: adding a multiple of one row or column to another keeps both
-    determinants, and each swap and each final row negation flips the sign.
-
-    The private ``_readout=True`` makes no update of U, whose rows the pivot
-    rule never reads, and returns (diagonal, columns of V as {row: value}
-    dicts, sign) in place of the dense matrices. The pivots, V and the sign
-    are those of the full elimination.
+    Each row of A is a {column: value} dict of its nonzeros, and V is held
+    by its columns. Rows >= t hold no entry in a column < t, so at step t a
+    row's least |x| in the block of rows and columns >= t is the least of
+    its values. Step t moves a pivot to (t, t): the entry of least |x| in
+    the block, the first in row-major order; the scan stops at the first
+    row holding a unit. The pivot clears its column and then its row by
+    integer division; a nonzero remainder is a smaller pivot and the step
+    repeats. Once both are clear, a pivot p that does not divide the whole
+    block gets the first row holding such an entry added to row t, and the
+    step repeats; after a unit pivot no such row is sought. Adding a
+    multiple of one row or column to another keeps both determinants; each
+    swap and each final row negation flips the sign.
     """
     if not a.is_integral:
         raise ValueError("matrix has non-integer entries")
     m, n = a.nrows, a.ncols
     A = [{j: x for j, x in enumerate(r) if x} for r in a.num]
-    U = None if _readout else [{i: 1} for i in range(m)]
     V = [{j: 1} for j in range(n)]
     sign = 1
+    log = []
 
     for t in range(min(m, n)):
         while True:
@@ -408,8 +396,7 @@ def smith_normal_form(a: Matrix, *, _signed: bool = False, _readout: bool = Fals
             bj = min(j for j, x in A[bi].items() if x in (best, -best))
             if bi != t:
                 A[t], A[bi] = A[bi], A[t]
-                if U:
-                    U[t], U[bi] = U[bi], U[t]
+                log.append((t, bi))
                 sign = -sign
             if bj != t:
                 # the rows above t are zero in both columns
@@ -424,7 +411,7 @@ def smith_normal_form(a: Matrix, *, _signed: bool = False, _readout: bool = Fals
             pa = A[t]
             p = pa[t]
             # |p| is least in the block, so every quotient below is nonzero
-            nza, nzu = list(pa.items()), U and list(U[t].items())
+            nza = list(pa.items())
             ra = [pa]  # the rows still nonzero in column t once it is cleared
             for i in range(t + 1, m):
                 ri = A[i]
@@ -432,8 +419,7 @@ def smith_normal_form(a: Matrix, *, _signed: bool = False, _readout: bool = Fals
                 if x:
                     q = -(x // p)
                     _axpy(ri, q, nza)
-                    if nzu:
-                        _axpy(U[i], q, nzu)
+                    log.append((i, q, t))
                     if t in ri:
                         ra.append(ri)  # remainder becomes a smaller pivot
             dirty = len(ra) > 1
@@ -444,11 +430,7 @@ def smith_normal_form(a: Matrix, *, _signed: bool = False, _readout: bool = Fals
                     # the rows in ra take part
                     q = -(x // p)
                     for r in ra:
-                        y = r.get(j, 0) + q * r[t]
-                        if y:
-                            r[j] = y
-                        else:
-                            del r[j]
+                        _axpy(r, q, ((j, r[t]),))
                     _axpy(V[j], q, vt)
                     if j in pa:
                         dirty = True
@@ -462,8 +444,7 @@ def smith_normal_form(a: Matrix, *, _signed: bool = False, _readout: bool = Fals
             if wi is None:
                 break
             _axpy(pa, 1, A[wi].items())
-            if U:
-                _axpy(U[t], 1, U[wi].items())
+            log.append((t, 1, wi))
         if t not in A[t]:
             break  # submatrix exhausted, zeros from here on
 
@@ -472,15 +453,34 @@ def smith_normal_form(a: Matrix, *, _signed: bool = False, _readout: bool = Fals
     for i, x in enumerate(diag):
         if x < 0:
             diag[i] = -x
-            if U:
-                U[i] = {j: -y for j, y in U[i].items()}
+            log.append((i,))
             sign = -sign
-    if U is None:
-        return tuple(diag), V, sign
+    return tuple(diag), V, sign, log
+
+
+def _replay(log, m: int) -> list:
+    """The rows of U, as {column: value} dicts: the row operations of an
+    ``_eliminate`` log applied in order to the m x m identity."""
+    U = [{i: 1} for i in range(m)]
+    for i, *op in log:
+        if len(op) == 2:  # (i, q, t): row i += q row t
+            _axpy(U[i], op[0], U[op[1]].items())
+        elif op:  # (i, t): swap rows i and t
+            U[i], U[op[0]] = U[op[0]], U[i]
+        else:  # (i,): negate row i
+            U[i] = {j: -y for j, y in U[i].items()}
+    return U
+
+
+def smith_normal_form(a: Matrix):
+    """(U, D, V) with U @ a @ V == D, U and V unimodular, and D diagonal with
+    entries d_1 | d_2 | ... >= 0 (zeros last), for any rectangular integral
+    matrix: ``_eliminate``'s diagonal and V, and its log replayed as U."""
+    diag, V, _, log = _eliminate(a)
+    m, n = a.nrows, a.ncols
     d = [{i: x} for i, x in enumerate(diag)] + [{}] * (m - len(diag))
-    out = (Matrix._over(_dense(U, m)), Matrix._over(_dense(d, n)),
-           Matrix._over(tuple(zip(*_dense(V, n)))))
-    return out + (sign,) if _signed else out
+    return (Matrix._over(_dense(_replay(log, m), m)), Matrix._over(_dense(d, n)),
+            Matrix._over(tuple(zip(*_dense(V, n)))))
 
 
 def _egcd(a: int, b: int) -> tuple:

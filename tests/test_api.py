@@ -9,6 +9,8 @@ congruence ``signature``), the ``has_single_cusp`` alias of
 come back; the tests keep the first two in ``helpers`` as oracles.
 """
 
+import pytest
+
 import evenlat
 
 PUBLIC = frozenset({
@@ -51,3 +53,10 @@ def test_retired_names_stay_gone():
     for name in ("_token_parts", "_times_tokens"):
         assert not hasattr(evenlat.ExtendedForm, name), name
     assert not hasattr(evenlat.ogroup, "_token_inverse")
+    # one Smith elimination: U is replayed from its log, with no second
+    # elimination and no private flags on the public form
+    a = evenlat.Matrix([[2, 1], [1, 2]])
+    for flag in ("_readout", "_signed"):
+        with pytest.raises(TypeError):
+            evenlat.smith_normal_form(a, **{flag: True})
+    assert not hasattr(evenlat.EvenLattice, "_unimodular")

@@ -605,14 +605,14 @@ def test_overlattices_eliminate_once_per_glue_group(capsys, monkeypatch):
     # each, and the glue groups none: their bases are Hermite forms; the
     # overlattices build no discriminant form: their maximality comes from
     # the search
-    snf = helpers.record_calls(monkeypatch, "smith_normal_form")
+    core = helpers.record_calls(monkeypatch, "_eliminate")
     forms = helpers.record_calls(monkeypatch, "FiniteQuadraticModule",
                                  owner=evenlat.quadmod)
     code, out, _ = run(capsys, "overlattices", "--name", "8A1", "--format", "json")
     data = json.loads(out)
     assert code == 0 and data["count"] == 30
     assert all(e["overlattice_maximal"] for e in data["overlattices"])
-    assert (len(snf), len(forms)) == (2, 1)
+    assert (len(core), len(forms)) == (2, 1)
 
 
 def test_json_output_is_deterministic(capsys):

@@ -29,6 +29,9 @@ matrices only.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +40,7 @@ from evenlat.cli import _encode, build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # case -> argv; "@name" stands for the path of golden/inputs/name.json
 CASES = {
@@ -130,3 +134,23 @@ def test_table_is_rendered_from_the_json_payload(case):
     assert payload == json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
     text = "\n".join(args.table(payload, args)) + "\n"
     assert text == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+
+
+def test_module_entry_point_writes_the_golden_bytes():
+    # python -m evenlat.cli on the source tree, as a user without an
+    # installed script runs it: stdout is the golden file, byte for byte,
+    # stderr is empty, and an unparsable name exits 2
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "evenlat.cli", *argv],
+                              capture_output=True, env=env)
+
+    case = "analyze-gram-file"
+    for extra, ext in ((["--format", "json"], "json"), ([], "txt")):
+        run = cli(*argv_for(case), *extra)
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert run.stdout == (GOLDEN / f"{case}.{ext}").read_bytes()
+    run = cli("analyze", "--name", "Q9")
+    assert run.returncode == 2 and run.stdout == b""
+    assert b"cannot parse lattice name" in run.stderr

@@ -30,6 +30,7 @@ from evenlat import (
     root_lattice,
     smith_normal_form,
 )
+from evenlat.matrices import _eliminate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -308,22 +309,21 @@ def test_overlattice_accepts_glue_of_an_equal_lattice():
 
 
 def test_one_smith_form_serves_every_map(monkeypatch, capsys):
-    # analyze, overlattices and atlas run one elimination per lattice, none
-    # building U; the first read of the adjugate or of element_from_dual adds
-    # one elimination that builds it, and later reads add none
-    snf = helpers.record_calls(monkeypatch, "smith_normal_form")
+    # analyze, overlattices and atlas run one elimination per lattice; the
+    # adjugate and element_from_dual replay its log, so no read adds one
+    core = helpers.record_calls(monkeypatch, "_eliminate")
 
     def eliminations():
-        # (Gram, builds U) of each call since the last look
-        out = [(args[0], args[1:] != ({"_readout": True},)) for args in snf]
-        snf.clear()
+        # the Gram of each elimination since the last look
+        out = [args[0] for args in core]
+        core.clear()
         return out
 
     for argv, grams in ((["analyze", "--name", "A5"], ["A5"]),
                         (["overlattices", "--name", "8A1"], ["A1", "8A1"]),
                         (["atlas", "--family", "D", "--min", "4", "--max", "6"],
                          ["D4", "D5", "D6"])):
-        want = [(root_lattice(g).gram, False) for g in grams]
+        want = [root_lattice(g).gram for g in grams]
         eliminations()
         assert evenlat.cli.main([*argv, "--format", "json"]) == 0
         assert eliminations() == want
@@ -332,31 +332,31 @@ def test_one_smith_form_serves_every_map(monkeypatch, capsys):
     for read in (lambda lat: lat.adjugate, a_generator_class):
         lat = root_lattice("A5")
         disc = lat.discriminant_group()
-        assert eliminations() == [(lat.gram, False)]
+        assert eliminations() == [lat.gram]
         read(lat)
-        assert eliminations() == [(lat.gram, True)]
+        assert eliminations() == []
         cls = a_generator_class(lat)  # element_from_dual
         assert disc.order == 6 and disc.element_order(cls) == 6
         assert lat.lift(cls) == tuple(Fraction(5 - i, 6) for i in range(5))
         assert lat.adjugate == helpers.inverse(lat.gram) * 6
         assert eliminations() == []
 
-    # an ExtendedForm base: the record, and the U elimination once its
-    # inverse reads the base adjugate
+    # an ExtendedForm base: the record alone, also once its inverse reads
+    # the base adjugate
     lat = root_lattice("E6")
     form = ExtendedForm(lat)
     assert form.orthogonal_inverse(Matrix.identity(form.dim)) == Matrix.identity(form.dim)
     assert "adjugate" in vars(lat)
-    assert eliminations() == [(lat.gram, False), (lat.gram, True)]
+    assert eliminations() == [lat.gram]
 
-    # the read-out is the public form's diagonal, V columns and sign, and
-    # that form is the dense oracle's
+    # the core's diagonal, V columns and sign are the public form's, that
+    # form and sign are the dense oracle's
     for name in ("A5", "E6", "8A1", "D6"):
         gram = root_lattice(name).gram
-        u, d, v, sign = smith_normal_form(gram, _signed=True)
+        u, d, v = smith_normal_form(gram)
+        full, cols, sign, _ = _eliminate(gram)
         assert (u, d, v, sign) == helpers.dense_smith_normal_form(gram, _signed=True)
-        full, cols, rsign = smith_normal_form(gram, _readout=True)
-        assert full == tuple(d[i, i] for i in range(d.nrows)) and rsign == sign
+        assert full == tuple(d[i, i] for i in range(d.nrows))
         assert [[col.get(i, 0) for i in range(v.nrows)] for col in cols] == \
             [list(v.col(j)) for j in range(v.ncols)]
 

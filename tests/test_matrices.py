@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import SingularMatrixError, dense_smith_normal_form, inverse, signature
-from evenlat import Matrix, det, is_positive_definite, root_lattice, smith_normal_form
+from evenlat import (Matrix, det, direct_sum, is_positive_definite, root_lattice,
+                     smith_normal_form)
 from evenlat.matrices import (_bareiss, _congruence_mismatch, _congruent, _det_mod,
-                              _nonzeros, vec_gcd)
+                              _eliminate, _nonzeros, vec_gcd)
 
 A2 = Matrix([[2, -1], [-1, 2]])
 
@@ -131,6 +132,17 @@ def test_equality_and_hash():
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Matrix([[1, 2]]) + Matrix([[1], [2]]), "shape mismatch"),
+    (lambda: det(Matrix([[1, 2, 3], [4, 5, 6]])), "square"),
+    (lambda: is_positive_definite(Matrix([[2, 1], [0, 2]])), "symmetric"),
+    (lambda: direct_sum(), "at least one summand"),
+], ids=["add-shapes", "det-non-square", "definite-non-symmetric", "empty-direct-sum"])
+def test_malformed_operands_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_bool_entries_rejected():
@@ -493,7 +505,8 @@ def _glue_rows(draw):
 def test_snf_matches_dense_oracle(a):
     # the sparse elimination takes the dense one's pivots: U, D, V and the
     # tracked sign all agree
-    assert smith_normal_form(a, _signed=True) == dense_smith_normal_form(a, _signed=True)
+    assert (*smith_normal_form(a), _eliminate(a)[2]) == \
+        dense_smith_normal_form(a, _signed=True)
 
 
 # ----------------------------------------------------------------- congruence
