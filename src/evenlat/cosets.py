@@ -349,7 +349,7 @@ def _double_coset_form(x: ScaledOrthogonal) -> DoubleCosetForm:
                 )
     # t = diag(alpha, core, delta) with alpha * delta = r, so tᵀS1t = r·S1
     # says exactly that coreᵀS0core = r·S0
-    if _congruence_mismatch(t.num, form._s1_nz, form.s1.num, r) is not None:
+    if _congruence_mismatch(t.num, form._s1_nz, form.s1.num, r, form._s1_packed) is not None:
         raise AssertionError("core does not scale the middle form")
     if alpha != x.content:
         raise AssertionError("corner gcd must equal the gcd of the input entries")
@@ -383,7 +383,7 @@ class HatEmbedding:
         if _congruence_mismatch(self.matrix.num, sup._s1_nz, sub.s1.num) is not None:
             raise AssertionError("hat embedding fails to transport the form")
         # the transport identity inverts the matrix: S1_sub^{-1} H^t S1_sup
-        self._inv = sub._adjoint(self.matrix, sup._s1_nz)
+        self._inv = sub._adjoint(self.matrix, sup)
 
     def push(self, m) -> Matrix:
         """Conjugate a small-form matrix into (possibly rational) big-form terms."""

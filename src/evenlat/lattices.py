@@ -6,7 +6,8 @@ whose diagonal is even. Everything downstream is exact:
 * one Smith elimination of the Gram matrix, the record ``_smith``, gives the
   determinant (the divisors' product with the tracked sign of det U * det V),
   the discriminant form on dual/lattice in integers, and U as the log of its
-  row operations, replayed once where U is read; definiteness is one Bareiss
+  row operations, applied where U is read (``_adjugate_times``,
+  ``element_from_dual``); definiteness is one Bareiss
   pass on first use, derived for direct sums and glue overlattices;
 * an overlattice is rebuilt from a totally isotropic glue group H, with no
   Smith elimination: its basis is the Hermite normal form of the rows
@@ -15,8 +16,8 @@ whose diagonal is even. Everything downstream is exact:
   index identity d^n = prod h_ii * |H|;
 * embeddings carry the change of basis and verify Gram transport;
 * the lift Gram and the overlattice Gram H S H^t / d^2 are formed by
-  ``matrices._congruent``, and the transport M^t S' M = S is checked by
-  ``matrices._congruence_mismatch``; both read one row former.
+  ``matrices._congruent``, and the transport M^t S' M = S is checked, on the
+  nonzeros of their sparse rows (``matrices._product_rows``).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from math import isqrt, prod
 from typing import NamedTuple
 
 from .matrices import (
-    Matrix, _axpy, _bareiss, _congruence_mismatch, _congruent, _dense, _eliminate,
-    _hnf_mod, _nonzeros, _product_rows, _replay, _scaled_inverse,
+    Matrix, _apply_log, _bareiss, _congruent, _dense, _eliminate, _hnf_mod, _nonzeros,
+    _product_rows, _scaled_inverse, _slots, _unpack,
 )
 from .quadmod import FiniteQuadraticModule, GlueGroup
 
@@ -101,12 +102,6 @@ class EvenLattice:
         return record
 
     @cached_property
-    def _u(self) -> list:
-        """The rows of U as dicts, the record's log replayed once; read by the
-        adjugate and element_from_dual alone."""
-        return _replay(self._smith.log, self.rank)
-
-    @cached_property
     def _gram_nonzeros(self) -> list:
         """The nonzeros of each row of the Gram (``_nonzeros``), read by every
         congruence on it."""
@@ -121,20 +116,35 @@ class EvenLattice:
             return all(lat.is_positive_definite for lat in self._sources)
         return _bareiss(self.gram.num)[1]
 
+    def _adjugate_times(self, y) -> list:
+        """adj(S) y = V diag(|det S|/d_i) U y for a list y of ints or of packed
+        rows (``matrices._pack``), from the Smith record: U as its log, then
+        the columns of V; no adjugate is formed."""
+        s, dabs = self._smith, abs(self.determinant)
+        out = [0] * self.rank
+        for di, vi, yi in zip(s.full, s.v, _apply_log(s.log, list(y))):
+            if yi:
+                yi *= dabs // di
+                for r, x in vi.items():
+                    out[r] += x * yi
+        return out
+
     @cached_property
     def adjugate(self) -> Matrix:
-        """|det S| S^{-1} = V diag(|det S|/d_i) U as an integer matrix, checked
-        by S adj = |det S| I."""
-        s, n, dabs = self._smith, self.rank, abs(self.determinant)
-        adj = [{} for _ in range(n)]
-        for di, vi, ui in zip(s.full, s.v, self._u):
-            for r, x in vi.items():
-                _axpy(adj[r], x * (dabs // di), ui.items())
-        for i, acc in enumerate(_product_rows(self._gram_nonzeros, [r.items() for r in adj])):
+        """|det S| S^{-1} as an integer matrix: ``_adjugate_times`` of the
+        packed rows of I, in slots that hold Hadamard's bound on a cofactor,
+        prod_k |S_k| / min_k |S_k| over the rows S_k; checked by
+        S adj = |det S| I."""
+        n, dabs = self.rank, abs(self.determinant)
+        norms = [sum(x * x for x in r) for r in self.gram.num]
+        width, top = _slots(n, isqrt(prod(norms) // min(norms, default=1)) + 1)
+        adj = tuple(tuple(_unpack(r, n, width, top)) for r in
+                    self._adjugate_times([1 << 8 * width * j for j in range(n)]))
+        for i, acc in enumerate(_product_rows(self._gram_nonzeros, _nonzeros(adj))):
             acc[i] -= dabs
             if any(acc):
                 raise AssertionError("adjugate is not |det S| S^-1")
-        return Matrix._over(_dense(adj, n))
+        return Matrix._over(adj)
 
     @cached_property
     def _discriminant_group(self) -> FiniteQuadraticModule:
@@ -184,9 +194,8 @@ class EvenLattice:
         if any(x.denominator != 1 for x in map(Fraction, w)):
             raise ValueError("vector is not in the dual lattice")
         # the class is (U S v)_i mod d_i, on the last k rows of U
-        w = tuple(map(int, w))
-        cls = tuple(sum([y * w[c] for c, y in ui.items()]) % d
-                    for ui, d in zip(self._u[self.rank - len(divs):], divs))
+        uw = _apply_log(self._smith.log, list(map(int, w)))
+        cls = tuple(x % d for x, d in zip(uw[self.rank - len(divs):], divs))
         # consistency: the class lift must agree with v modulo the lattice
         diff = [a - b for a, b in zip(self.lift(cls), v)]
         if any(x.denominator != 1 for x in diff):
@@ -212,8 +221,12 @@ class LatticeEmbedding:
             raise ValueError("embedding matrix has the wrong shape")
         if not matrix.is_integral:
             raise ValueError("embedding matrix must be integral")
-        if _congruence_mismatch(matrix.num, sup._gram_nonzeros,
-                                sub.gram.num) is not None:
+        # M^t S' M = S on the nonzeros of the sparse columns of M, read as
+        # _congruent reads them, up to the first entry that differs
+        b, s = _nonzeros(zip(*matrix.num)), sub.gram.num
+        if any(sum([acc[k] * z for k, z in b[l]]) != s[i][l]
+               for i, acc in enumerate(_product_rows(b, sup._gram_nonzeros))
+               for l in range(i, len(b))):
             raise ValueError("embedding does not transport the Gram matrix")
         self.sub = sub
         self.sup = sup

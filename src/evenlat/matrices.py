@@ -11,25 +11,27 @@ rows, which keeps intermediate entries polynomial in size; a determinant
 already known up to sign is read modulo a small prime instead
 (``_det_mod``). One Smith elimination (``_eliminate``) runs on sparse rows
 and returns the diagonal, the columns of V, the sign of det U * det V and, in
-place of U, the log of its row operations, replayed where U is read
-(``_replay``). The Hermite normal form of a lattice that contains d Z^n is
+place of U, the log of its row operations, applied where U is read
+(``_apply_log``). The Hermite normal form of a lattice that contains d Z^n is
 computed modulo d on sparse rows (``_hnf_mod``), and d times its inverse by
 back-substitution over those rows with exact divisions
-(``_scaled_inverse``). Every form product of the library reads the rows of
-B S from one former on the nonzeros of B and S (``_product_rows``):
-``_congruent`` forms the upper triangle of B S B^t for its values, and
-``_congruence_mismatch`` compares it with scale * E, stopping at the first
-row that disagrees.
+(``_scaled_inverse``). ``_congruent`` forms B S B^t on the nonzeros of B
+and S (``_product_rows``), as its B, Hermite and lift rows, are sparse.
+The form checks pack each row as one int (``_pack``), so that a row
+operation is one big-integer operation: ``_congruence_mismatch`` compares
+M^t S M with scale * E a packed row at a time, up to the first row that
+differs.
 Nothing here inverts over the rationals: callers invert through an integral
-adjugate and one exact division.
+adjugate, or the Smith record it comes from, and one exact division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, isqrt, lcm
 from operator import mul, neg
+from struct import pack, unpack
 from typing import Iterable, Sequence, Union
 
 Entry = Union[int, Fraction]
@@ -357,7 +359,7 @@ def _eliminate(a: Matrix):
 
     Returns (diagonal, columns of V as {row: value} dicts, sign, log), with
     d_1 | d_2 | ... >= 0 (zeros last) and sign = det U * det V. The log holds
-    the row operations that build U from the identity (``_replay``), in
+    the row operations that build U from the identity (``_apply_log``), in
     order: (i, t) swaps rows i and t, (i, q, t) adds q row t to row i, and
     (i,) negates row i.
 
@@ -458,28 +460,29 @@ def _eliminate(a: Matrix):
     return tuple(diag), V, sign, log
 
 
-def _replay(log, m: int) -> list:
-    """The rows of U, as {column: value} dicts: the row operations of an
-    ``_eliminate`` log applied in order to the m x m identity."""
-    U = [{i: 1} for i in range(m)]
+def _apply_log(log, y: list) -> list:
+    """U y, in place, for the U of an ``_eliminate`` log and a list y of
+    ints or of packed rows (``_pack``): the row operations in order."""
     for i, *op in log:
-        if len(op) == 2:  # (i, q, t): row i += q row t
-            _axpy(U[i], op[0], U[op[1]].items())
-        elif op:  # (i, t): swap rows i and t
-            U[i], U[op[0]] = U[op[0]], U[i]
-        else:  # (i,): negate row i
-            U[i] = {j: -y for j, y in U[i].items()}
-    return U
+        if len(op) == 2:  # (i, q, t): y_i += q y_t
+            y[i] += op[0] * y[op[1]]
+        elif op:  # (i, t): swap
+            y[i], y[op[0]] = y[op[0]], y[i]
+        else:  # (i,): negate
+            y[i] = -y[i]
+    return y
 
 
 def smith_normal_form(a: Matrix):
     """(U, D, V) with U @ a @ V == D, U and V unimodular, and D diagonal with
     entries d_1 | d_2 | ... >= 0 (zeros last), for any rectangular integral
-    matrix: ``_eliminate``'s diagonal and V, and its log replayed as U."""
+    matrix: ``_eliminate``'s diagonal and V, and U column by column, its log
+    applied to each unit vector."""
     diag, V, _, log = _eliminate(a)
     m, n = a.nrows, a.ncols
     d = [{i: x} for i, x in enumerate(diag)] + [{}] * (m - len(diag))
-    return (Matrix._over(_dense(_replay(log, m), m)), Matrix._over(_dense(d, n)),
+    u = [_apply_log(log, [int(i == j) for i in range(m)]) for j in range(m)]
+    return (Matrix._over(tuple(zip(*u))), Matrix._over(_dense(d, n)),
             Matrix._over(tuple(zip(*_dense(V, n)))))
 
 
@@ -597,7 +600,9 @@ def _congruent(b, s, den: int = 1):
 
     B and the symmetric S are given by the nonzeros of their rows, so only
     the upper triangle is formed: entry (i, l) reads row i of B S
-    (``_product_rows``) at the nonzeros of row l of B.
+    (``_product_rows``) at the nonzeros of row l of B. Its B are sparse
+    Hermite and lift rows, whose zeros it skips; packing them
+    (``_congruence_mismatch``) is slower.
     """
     out = [[0] * len(b) for _ in b]
     for i, acc in enumerate(_product_rows(b, s)):
@@ -609,18 +614,79 @@ def _congruent(b, s, den: int = 1):
     return tuple(map(tuple, out))
 
 
-def _congruence_mismatch(m, s, e, scale: int = 1):
+def _max_abs(rows) -> int:
+    """The largest |x| over the entries of nonempty integer rows."""
+    return max(max(map(max, rows)), -min(map(min, rows)))
+
+
+def _slots(n: int, bound: int) -> tuple:
+    """(width, top) to pack n ints of |x| <= bound: 8 bytes a slot below
+    2^62, for ``struct``'s "q", else the fewest that hold them; and the top
+    bit of every slot, as one int."""
+    width = 8 if bound >> 62 == 0 else bound.bit_length() // 8 + 1
+    return width, int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
+def _pack(row, width: int, top: int) -> int:
+    """sum x_l 2^(8 width l) for the ints x_l of row, |x_l| < 2^(8 width - 1)
+    (Kronecker substitution): by shifts in wide slots; in 8-byte ones as
+    ``struct`` writes them, little-endian two's complement, each negative
+    slot borrowing its top bit back from the next."""
+    if width != 8:
+        out = 0
+        for x in reversed(row):
+            out = (out << 8 * width) + x
+        return out
+    u = int.from_bytes(pack("<%dq" % len(row), *row), "little")
+    return u - ((u & top) << 1)
+
+
+def _unpack(x: int, n: int, width: int, top: int):
+    """The n slots of a packed int: adding top clears every sign with no
+    carry, and flipping the top bits back leaves two's complement."""
+    raw = ((x + top) ^ top).to_bytes(n * width, "little")
+    if width == 8:
+        return unpack("<%dq" % n, raw)
+    return [int.from_bytes(raw[k:k + width], "little", signed=True)
+            for k in range(0, len(raw), width)]
+
+
+def _packed_rows(s, e) -> tuple:
+    """(max row sum |S|, max |E|, the rows of E packed in 8-byte slots, or
+    None where they do not fit): what ``_congruence_mismatch`` reads of S,
+    given by the nonzeros of its rows, and of E, for a caller to keep."""
+    srow = max([sum([abs(y) for _, y in r]) for r in s], default=0)
+    emax, top = _max_abs(e) if e and e[0] else 0, _slots(len(e), 0)[1]
+    return srow, emax, None if emax >> 62 else [_pack(r, 8, top) for r in e]
+
+
+def _congruence_mismatch(m, s, e, scale: int = 1, packed=None):
     """(i, l, value) of the first entry of M^t S M, row-major in the upper
     triangle, that differs from scale * E; None when they agree. M is given
-    by its integer rows and S by the nonzeros of its rows. Both sides are
-    symmetric, so the triangle decides; entries are read as in
-    ``_congruent``, with B = M^t, and row i of B S is formed only once every
-    earlier row has agreed."""
-    b = _nonzeros(zip(*m))
-    for i, acc in enumerate(_product_rows(b, s)):
-        ei = e[i]
-        for l in range(i, len(b)):
-            t = sum([acc[k] * z for k, z in b[l]])
-            if t != scale * ei[l]:
-                return i, l, t
+    by its integer rows, S by the nonzeros of its rows, E by its rows and
+    both by ``_packed_rows(s, e)``.
+
+    With P_k row k of M packed, Q_j = sum_k S_jk P_k is row j of S M, and
+    row i of M^t S M is sum_j M_ji Q_j over the nonzeros of column i of M,
+    compared with scale * E_i as one int. Only the first row that differs
+    is unpacked, and no later row is formed: both sides are symmetric, so
+    that row first differs in the upper triangle. The slots hold
+    rows * max|M|^2 * max row sum |S|, which bounds M^t S M, and what is
+    packed.
+    """
+    if not m or not m[0]:
+        return None
+    srow, emax, packed_e = packed or _packed_rows(s, e)
+    n, mmax = len(m[0]), _max_abs(m)
+    width, top = _slots(n, len(m) * mmax * mmax * srow + abs(scale) * emax + mmax + emax)
+    if width != 8 or packed_e is None:
+        packed_e = [_pack(r, width, top) for r in e]
+    p = [_pack(r, width, top) for r in m]
+    q = [sum([y * p[k] for k, y in sj]) for sj in s]
+    for i, col in enumerate(zip(*m)):
+        diff = sum(map(mul, compress(col, col), compress(q, col))) - scale * packed_e[i]
+        if diff:
+            diff = _unpack(diff, n, width, top)
+            l = next(l for l, x in enumerate(diff) if x)
+            return i, l, scale * e[i][l] + diff[l]
     return None

@@ -9,7 +9,8 @@ its sign flipped.
 The module provides:
 
 * ``ExtendedForm``: the (n+4)-dimensional form and its Gram matrix S1,
-  with s1_det S1^{-1} applied to a vector by one private method, ``_dual``;
+  with s1_det S1^{-1} applied by one private method, ``_dual``, through
+  the base's Smith record, to a vector or to packed rows;
 * ``Membership``/``classify``: where a given rational matrix sits in the
   chain orthogonal < special < special-plus < integral special-plus <
   discriminant kernel (each level includes all later ones); the first three
@@ -24,22 +25,25 @@ The module provides:
 Everything is exact integer/rational arithmetic. A matrix from outside is
 classified once, when it becomes a ``GroupElement``, or must equal its word;
 generators, products, inverses and powers of members are members by
-construction. Every form congruence is checked by
-``matrices._congruence_mismatch``, which stops at the first row that
-disagrees, and the inverse applies ``_dual`` to the rows of S1 m from the
-same row former, ``matrices._product_rows``.
+construction. The form products work on packed rows (``matrices._pack``):
+every form congruence is checked by ``matrices._congruence_mismatch``,
+which stops at the first row that disagrees, also on the input of
+``orthogonal_inverse``, and the inverse applies ``_dual`` to the packed rows
+of m^t S1 at once.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
-from math import isqrt
+from itertools import compress
+from math import isqrt, prod
 from operator import mul
 
 from .lattices import EvenLattice
 from .matrices import (Matrix, _congruence_mismatch, _det_mod, _entry, _int_vec,
-                       _nonzeros, _odd_prime_not_dividing, _product_rows, vec_gcd)
+                       _max_abs, _nonzeros, _odd_prime_not_dividing, _pack,
+                       _packed_rows, _slots, _unpack, vec_gcd)
 
 _COMPLETION_CAP = 10000
 
@@ -98,10 +102,8 @@ class GroupElement:
         word = None
         if self._tokens is not None:
             word = tuple(map(_parts_inverse, reversed(self._tokens)))
-        return GroupElement(
-            self.form, self.form.orthogonal_inverse(self.matrix), word,
-            _trusted=True,
-        )
+        return GroupElement(self.form, self.form._adjoint(self.matrix, self.form), word,
+                            _trusted=True)
 
     def __matmul__(self, other):
         if isinstance(other, GroupElement):
@@ -203,8 +205,13 @@ class ExtendedForm:
         # |det S1| = |det S| = |D|, the scale at which _dual applies S1^{-1}
         self.s1_det = abs(base.determinant)
         # the nonzeros of each row of S1: one corner entry, or the nonzeros
-        # of a row of the base Gram
+        # of a row of the base Gram; and its rows packed once
         self._s1_nz = _nonzeros(self.s1.num)
+        self._s1_packed = _packed_rows(self._s1_nz, self.s1.num)
+        # bounds the row sums of |s1_det S1^{-1}|: adj(S) is positive definite,
+        # so |adj_ij| <= max_k adj_kk <= prod S_ii / min S_ii (Hadamard)
+        diag = [base.gram.num[i][i] for i in range(n)]
+        self._dual_rowsum = max(self.s1_det, n * prod(diag) // min(diag, default=1))
         # L* = Z^d + sum_i Z g_i with g_i = (0, 0, w_i/d_i, 0, 0), from the
         # base's Smith record: each generator as (d_i, columns, values of w_i)
         self._kernel_gens = tuple(
@@ -382,7 +389,7 @@ class ExtendedForm:
         The orientation value is read off m itself.
         """
         num = m.num
-        miss = _congruence_mismatch(num, self._s1_nz, self.s1.num, ratio)
+        miss = _congruence_mismatch(num, self._s1_nz, self.s1.num, ratio, self._s1_packed)
         if miss is not None:
             i, j, got = miss
             return Membership.NOT_ORTHOGONAL, {
@@ -411,27 +418,45 @@ class ExtendedForm:
         return a * e - b * c
 
     def _dual(self, z) -> list:
-        """s1_det S1^{-1} z: the corner pairs swap, scaled by s1_det, and the
-        base block is -adj(S) times z's; the one reader of base.adjugate."""
-        sd, mid = self.s1_det, tuple(z[2:-2])
-        return [sd * z[-1], sd * z[-2],
-                *[-sum(map(mul, a, mid)) for a in self.base.adjugate.num],
+        """s1_det S1^{-1} z, for z a list of ints or of packed rows
+        (``matrices._pack``): the corner pairs swap, scaled by s1_det, and
+        the base block is -adj(S) times z's, applied through the base's Smith
+        record (``EvenLattice._adjugate_times``), no adjugate formed."""
+        sd = self.s1_det
+        return [sd * z[-1], sd * z[-2], *self.base._adjugate_times([-x for x in z[2:-2]]),
                 sd * z[1], sd * z[0]]
 
-    def _adjoint(self, m: Matrix, s_nz) -> Matrix:
-        """S1^{-1} m^t S, S symmetric and given by the nonzeros of its rows:
-        its transpose has the rows _dual(row of S m) (``_product_rows``)."""
-        rows = map(self._dual, _product_rows(s_nz, _nonzeros(m.num)))
-        return Matrix._over(tuple(zip(*rows)), m.den * self.s1_det)
+    def _adjoint(self, m: Matrix, other: "ExtendedForm") -> Matrix:
+        """S1^{-1} m^t S, for S the S1 of other, a form of the same size:
+        _dual applied to every packed row of m^t S at once (the packed rows
+        of S that the nonzeros of a column of m pick), each result row
+        unpacked once. The slots hold row sum |s1_det S1^{-1}| * max|m| *
+        max row sum |S|, which bounds every entry."""
+        num, d = m.num, self.dim
+        srow, smax, packed = other._s1_packed
+        width, top = _slots(d, smax + self._dual_rowsum * _max_abs(num) * srow)
+        if width != 8:
+            packed = [_pack(r, width, top) for r in other.s1.num]
+        rows = self._dual([sum(map(mul, compress(col, col), compress(packed, col)))
+                           for col in zip(*num)])
+        return Matrix._over(tuple(tuple(_unpack(r, d, width, top)) for r in rows),
+                            m.den * self.s1_det)
 
     def orthogonal_inverse(self, m) -> Matrix:
-        """Inverse of an orthogonal matrix via the form: S1^{-1} m^t S1.
+        """Inverse of a matrix that preserves the form: S1^{-1} m^t S1.
 
-        m must preserve S1; this is not checked, and for any other m the
-        result is S1^{-1} m^t S1 all the same, not an inverse. For a matrix
-        from outside, GroupElement(form, m).inverse() is the checked route.
+        m = num/den must have numᵀS1·num = den²·S1, or a ValueError names
+        the first entry where it does not. ``GroupElement.inverse`` inverts
+        members the library built through ``_adjoint``, unchecked.
         """
-        return self._adjoint(self._read(m), self._s1_nz)
+        m = self._read(m)
+        r = m.den * m.den
+        miss = _congruence_mismatch(m.num, self._s1_nz, self.s1.num, r, self._s1_packed)
+        if miss is not None:
+            i, j, got = miss
+            raise ValueError(f"matrix does not preserve the form: entry {(i, j)} of "
+                             f"num^T S1 num is {got}, not {r * self.s1.num[i][j]}")
+        return self._adjoint(m, self)
 
     # -- isotropic vectors -----------------------------------------------------------
 

@@ -761,7 +761,7 @@ def test_hat_refuses_an_element_of_the_other_form(d8_plus):
 
 def test_transport_checks_run_the_congruence_kernel(monkeypatch):
     # the hat embedding's transport HᵀS1'H = S1 and a base reflection's
-    # mᵀSm = S are each one call of the sparse mismatch reader, not dense
+    # mᵀSm = S are each one call of the packed mismatch reader, not dense
     # products
     lat = root_lattice("D8")
     glue = lat.discriminant_group().maximal_isotropic_subgroups()[0]

@@ -19,7 +19,7 @@ from helpers import SingularMatrixError, dense_smith_normal_form, inverse, signa
 from evenlat import (Matrix, det, direct_sum, is_positive_definite, root_lattice,
                      smith_normal_form)
 from evenlat.matrices import (_bareiss, _congruence_mismatch, _congruent, _det_mod,
-                              _eliminate, _nonzeros, vec_gcd)
+                              _eliminate, _nonzeros, _packed_rows, vec_gcd)
 
 A2 = Matrix([[2, -1], [-1, 2]])
 
@@ -541,6 +541,54 @@ def test_congruent_matches_dense_product(data):
     changed[i][j] += data.draw(st.sampled_from((-1, 1, 7)))
     got = _congruence_mismatch(list(zip(*b)), _nonzeros(s), changed)
     assert got == (i, j, dense[i][j])
+
+
+def _first_upper_mismatch(w, target):
+    return next(((i, l, w[i][l]) for i in range(len(w)) for l in range(i, len(w))
+                 if w[i][l] != target[i][l]), None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_congruence_mismatch_matches_dense_product_on_packed_slots(data):
+    # the packed reader against the dense MᵀSM, for a rectangular M and a
+    # symmetric S and E (as every caller's are), with zero, negative and
+    # large entries: 2^40 entries, and M scaled by up to 2^31, need slots
+    # wider than 8 bytes. E is MᵀSM or a symmetric change of it; M scaled
+    # by k scales the product by k², which scale = k² then matches
+    rows, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+
+    def ints(count):
+        size = data.draw(st.sampled_from((0, 3, 2**40)))
+        return data.draw(st.lists(st.integers(-size, size), min_size=count,
+                                  max_size=count))
+
+    flat = ints(rows * n)
+    m = [flat[i * n:(i + 1) * n] for i in range(rows)]
+    upper = ints(rows * rows)
+    s = [[upper[min(i, j) * rows + max(i, j)] for j in range(rows)] for i in range(rows)]
+    e = [list(r) for r in (Matrix(m).T @ Matrix(s) @ Matrix(m)).num]
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        delta = data.draw(st.sampled_from((-1, 1, 2**70)))
+        e[i][j] += delta
+        if i != j:
+            e[j][i] += delta
+    k = data.draw(st.sampled_from((1, -1, 2, -3, 2**31)))
+    mk = [[k * x for x in r] for r in m]
+    packed = _packed_rows(_nonzeros(s), e) if data.draw(st.booleans()) else None
+    want = _first_upper_mismatch((Matrix(mk).T @ Matrix(s) @ Matrix(mk)).num,
+                                 [[k * k * x for x in r] for r in e])
+    assert _congruence_mismatch(mk, _nonzeros(s), e, k * k, packed) == want
+
+
+def test_congruence_mismatch_slots_hold_what_is_packed():
+    # the slot width bounds M and E themselves, not only M^t S M: a zero S
+    # or a zero scale bounds nothing, but M and E are packed all the same
+    zero, big = _nonzeros([[0, 0], [0, 0]]), [[2**70, -2**70], [1, 0]]
+    assert _congruence_mismatch(big, zero, [[0, 0], [0, 0]]) is None
+    assert _congruence_mismatch(big, zero, [[0, 2**70], [2**70, 0]]) == (0, 1, 0)
+    assert _congruence_mismatch([[1]], _nonzeros([[2]]), [[2**70]], 0) == (0, 0, 2)
 
 
 # -------------------------------------------------------------------- helpers

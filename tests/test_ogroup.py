@@ -258,36 +258,57 @@ def test_classify_witness_all_levels():
 
 
 def test_form_and_member_path_form_no_adjugate():
-    # only _dual reads the base adjugate: building a form and classifying a
-    # kernel member leave it unformed
+    # S1^{-1} is applied through the base's Smith record: building a form,
+    # classifying a kernel member, inverting it, completing its first column
+    # and naming a kernel-congruence witness leave the base adjugate unformed
     for name in ("A2", "A30", "E8"):
         base = root_lattice(name)
         form = ExtendedForm(base)
         g = form.transvection((1,) + (0,) * (form.n + 1)) @ form.involution()
         assert form.classify(g.matrix) == Membership.DISCRIMINANT_KERNEL
+        assert form.orthogonal_inverse(g.matrix) @ g.matrix == Matrix.identity(form.dim)
+        assert form.complete_isotropic(g.matrix.col(0)).matrix.col(0) == g.matrix.col(0)
+        level, wit = form.classify_witness(-Matrix.identity(form.dim))
+        # E8 is unimodular: every integral member acts trivially on L*/L
+        assert wit.get("check") == (None if name == "E8" else "kernel-congruence"), name
         assert "adjugate" not in vars(base), name
 
 
 def test_congruence_witness_in_row_zero_forms_one_row(monkeypatch):
     # a matrix that fails the form congruence at (0, 0) is refused after
-    # the first row of MᵀS1 is formed, and the witness names that entry
+    # the first row of MᵀS1M is formed, and the witness names that entry:
+    # that row is column 0 of M times the packed rows of S1·M, one product
+    # per nonzero entry, and no other row's products are taken
     form = ExtendedForm(root_lattice("A30"))
     rows = [list(r) for r in form.involution().matrix.num]
     rows[0][0] += 1
-    formed = []
-    inner = matrices._product_rows
+    factors = []
 
-    def counting(b, s):
-        for row in inner(b, s):
-            formed.append(row)
-            yield row
+    def counting(x, y):
+        factors.append(x)
+        return x * y
 
-    monkeypatch.setattr(matrices, "_product_rows", counting)
+    monkeypatch.setattr(matrices, "mul", counting)
     level, wit = form.classify_witness(rows)
-    assert len(formed) == 1
+    assert factors == [r[0] for r in rows if r[0]] == [1, -1]
     assert level == Membership.NOT_ORTHOGONAL
     assert wit == {"check": "form-congruence", "entry": (0, 0),
                    "got": -2, "expected": 0}
+
+
+def test_orthogonal_inverse_refuses_a_matrix_off_the_form():
+    # the public inverse checks numᵀS1·num = den²·S1 first, and names the
+    # first entry where it fails: 2·I scales S1 by 4, and the all-ones
+    # matrix J has JᵀS1J = (sum of S1)·J = 2·J on A2
+    d = A2.dim
+    with pytest.raises(ValueError, match=r"entry \(0, 5\) of num\^T S1 num is 4, not 1"):
+        A2.orthogonal_inverse(Matrix.identity(d) * 2)
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) of num\^T S1 num is 2, not 0"):
+        A2.orthogonal_inverse([[1] * d] * d)
+    # a rational member passes: diag(2, 1, ..., 1, 1/2) has num scaling the
+    # form by den² = 4
+    half = helpers.corner_scaling(d, 2) * Fraction(1, 2)
+    assert A2.orthogonal_inverse(half) @ half == Matrix.identity(d)
 
 
 def test_classify_witness_matches_classify():

@@ -15,11 +15,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from evenlat import (
-    ExtendedForm, GroupElement, Matrix, Membership, ScaledOrthogonal, det, direct_sum,
-    root_lattice,
+    EvenLattice, ExtendedForm, GroupElement, Matrix, Membership, ScaledOrthogonal, det,
+    direct_sum, root_lattice,
 )
 from evenlat.cosets import make_scaled, normalizer_certificate
 from evenlat.ogroup import _act
@@ -237,6 +239,43 @@ def test_integral_adjugate():
             out = form._dual(v)
             assert all(type(x) is int for x in out)
             assert tuple(out) == S1_INV[name] * sd @ v
+
+
+# the bases of the coset-reduction and wide-verify benchmark workloads
+WORKLOAD_BASES = ("A2", "A4", "D4", "E6", "E8", "A30", "3D8", "A15", "2E8", "D16+")
+
+
+def _check_dual_and_adjoint(form, rng):
+    # _dual applies s1_det·S1^{-1} through the base's Smith record, and
+    # _adjoint forms S1^{-1}·mᵀS1 on packed rows: for a member, and for an
+    # integral m whose entries need slots wider than 8 bytes
+    d, sd = form.dim, form.s1_det
+    inv = helpers.inverse(form.s1)
+    # the slot bound holds: no row of s1_det·S1^{-1} sums past it
+    assert max(sum(map(abs, r)) for r in (inv * sd).num) <= form._dual_rowsum
+    v = [rng.randint(-9, 9) for _ in range(d)]
+    assert form._dual(v) == list(inv * sd @ v)
+    member = helpers.random_element(form, rng, max_len=3, spread=1).matrix
+    wide = Matrix([[rng.randint(-2**40, 2**40) for _ in range(d)] for _ in range(d)])
+    for m in (member, wide):
+        assert form._adjoint(m, form) == inv @ m.T @ form.s1
+
+
+@pytest.mark.parametrize("name", WORKLOAD_BASES)
+def test_dual_and_adjoint_match_gauss_jordan(name):
+    _check_dual_and_adjoint(ExtendedForm(root_lattice(name)), random.Random(name))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_dual_and_adjoint_match_gauss_jordan_on_random_definite_grams(data):
+    # Bᵀ·A_n·B is even and positive definite for a nonsingular B
+    n = data.draw(st.integers(1, 6))
+    b = Matrix(data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                                  min_size=n, max_size=n)))
+    assume(det(b) != 0)
+    form = ExtendedForm(EvenLattice(b.T @ root_lattice(f"A{n}").gram @ b))
+    _check_dual_and_adjoint(form, random.Random(data.draw(st.integers(0, 2**16))))
 
 
 def test_members_by_construction_are_not_reclassified(monkeypatch):
