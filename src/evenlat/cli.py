@@ -169,6 +169,18 @@ def _load_lattice(args) -> EvenLattice:
     raise ValueError("provide a lattice via --name or --lattice")
 
 
+def _form_and_input(args, command: str, kind: str, keys: tuple):
+    # the extended form of the lattice, and the --input object: it must hold
+    # the kind ("matrix" or "vector") field keys[0], and no key outside keys
+    form = ExtendedForm(_load_lattice(args))
+    what = f"{command} input"
+    data = _read_object(args.input, what)
+    if keys[0] not in data:
+        raise ValueError(f"{what} needs an '{keys[0]}' {kind} field")
+    _only_keys(data, what, keys)
+    return form, data
+
+
 def _matrix_rows(rows) -> list:
     cells = [[str(x) for x in row] for row in rows]
     width = max((len(c) for row in cells for c in row), default=1)
@@ -309,12 +321,7 @@ def _table_overlattices(p, args) -> list:
 
 
 def _cmd_classify(args) -> dict:
-    lat = _load_lattice(args)
-    form = ExtendedForm(lat)
-    data = _read_object(args.input, "classify input")
-    if "R" not in data:
-        raise ValueError("classify input needs an 'R' matrix field")
-    _only_keys(data, "classify input", ("R",))
+    form, data = _form_and_input(args, "classify", "matrix", ("R",))
     level, witness = form.classify_witness(_json_matrix(data["R"], "'R'"))
     return {
         "membership": level.name.lower(),
@@ -336,12 +343,7 @@ def _table_classify(p, args) -> list:
 
 
 def _cmd_complete(args) -> dict:
-    lat = _load_lattice(args)
-    form = ExtendedForm(lat)
-    data = _read_object(args.input, "complete input")
-    if "h" not in data:
-        raise ValueError("complete input needs an 'h' vector field")
-    _only_keys(data, "complete input", ("h",))
+    form, data = _form_and_input(args, "complete", "vector", ("h",))
     h = _json_ints(data["h"], "'h'")
     elem = form.complete_isotropic(h)  # raises unless a kernel element
     return {
@@ -362,12 +364,7 @@ def _table_complete(p, args) -> list:
 
 
 def _cmd_reduce(args) -> dict:
-    lat = _load_lattice(args)
-    form = ExtendedForm(lat)
-    data = _read_object(args.input, "reduce input")
-    if "R" not in data:
-        raise ValueError("reduce input needs an 'R' matrix field")
-    _only_keys(data, "reduce input", ("R", "r"))
+    form, data = _form_and_input(args, "reduce", "matrix", ("R", "r"))
     ratio = data.get("r")
     scaled = make_scaled(
         form,

@@ -19,7 +19,9 @@ special-plus group leaves r fixed, and this module computes:
 
 Each exact division the reduction needs is guaranteed when the base lattice
 is maximal even or when the ratio is coprime to the base determinant; a
-failed division raises HypothesisViolation instead of guessing.
+failed division raises HypothesisViolation instead of guessing. A reduced
+matrix is checked by the packed ``matrices._congruence_mismatch`` on the
+form's rows; the hat embedding's sparse rows, by ``matrices._congruent``.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from itertools import chain
 from operator import mul
 
 from .lattices import LatticeEmbedding
-from .matrices import (Matrix, _congruence_mismatch, _int_vec, _nonzeros, _product_rows,
-                       vec_gcd)
+from .matrices import (Matrix, _congruence_mismatch, _congruent, _int_vec, _nonzeros,
+                       _product_rows, vec_gcd)
 from .ogroup import ExtendedForm, GroupElement, Membership, _identity_corners
 from .quadmod import is_maximal_even
 
@@ -294,7 +296,6 @@ def _double_coset_form(x: ScaledOrthogonal) -> DoubleCosetForm:
         tok = (form._parts(kind, lam),)
         right, t = right._times_word(tok), form._times_parts(t, tok)
 
-    finished = False
     for _ in range(_REDUCTION_CAP):
         z = t.row(0)
         k = form._dual(z)
@@ -315,7 +316,6 @@ def _double_coset_form(x: ScaledOrthogonal) -> DoubleCosetForm:
                             if vec_gcd(sum(c * z[j][k] for j, c in c0) for k in range(d))
                             != alpha), None)
             if failing is None:
-                finished = True
                 break
             apply_right("T*", failing)
         else:
@@ -328,7 +328,7 @@ def _double_coset_form(x: ScaledOrthogonal) -> DoubleCosetForm:
             if t.row(0) != tuple(beta if i == 0 else 0 for i in range(d)):
                 raise AssertionError("right reduction failed to clean the first row")
         alpha = left_clean()
-    if not finished:
+    else:
         raise AssertionError("double-coset reduction did not stabilize")
 
     alpha, delta = t.num[0][0], t.num[d - 1][d - 1]
@@ -380,7 +380,7 @@ class HatEmbedding:
         self.sup_form = ExtendedForm(emb.sup)
         self.matrix = _identity_corners(emb.matrix)
         sub, sup = self.sub_form, self.sup_form
-        if _congruence_mismatch(self.matrix.num, sup._s1_nz, sub.s1.num) is not None:
+        if _congruent(_nonzeros(zip(*self.matrix.num)), sup._s1_nz) != sub.s1.num:
             raise AssertionError("hat embedding fails to transport the form")
         # the transport identity inverts the matrix: S1_sub^{-1} H^t S1_sup
         self._inv = sub._adjoint(self.matrix, sup)

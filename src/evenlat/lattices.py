@@ -15,9 +15,9 @@ whose diagonal is even. Everything downstream is exact:
   so it depends on H alone; its determinant det L / |H|^2 is checked by the
   index identity d^n = prod h_ii * |H|;
 * embeddings carry the change of basis and verify Gram transport;
-* the lift Gram and the overlattice Gram H S H^t / d^2 are formed by
-  ``matrices._congruent``, and the transport M^t S' M = S is checked, on the
-  nonzeros of their sparse rows (``matrices._product_rows``).
+* every congruence here is on sparse rows, so ``matrices._congruent``
+  forms each on their nonzeros: the lift Gram, the overlattice Gram
+  H S H^t / d^2 and the transport M^t S' M = S of an embedding.
 """
 
 from __future__ import annotations
@@ -221,12 +221,7 @@ class LatticeEmbedding:
             raise ValueError("embedding matrix has the wrong shape")
         if not matrix.is_integral:
             raise ValueError("embedding matrix must be integral")
-        # M^t S' M = S on the nonzeros of the sparse columns of M, read as
-        # _congruent reads them, up to the first entry that differs
-        b, s = _nonzeros(zip(*matrix.num)), sub.gram.num
-        if any(sum([acc[k] * z for k, z in b[l]]) != s[i][l]
-               for i, acc in enumerate(_product_rows(b, sup._gram_nonzeros))
-               for l in range(i, len(b))):
+        if _congruent(_nonzeros(zip(*matrix.num)), sup._gram_nonzeros) != sub.gram.num:
             raise ValueError("embedding does not transport the Gram matrix")
         self.sub = sub
         self.sup = sup

@@ -15,12 +15,12 @@ place of U, the log of its row operations, applied where U is read
 (``_apply_log``). The Hermite normal form of a lattice that contains d Z^n is
 computed modulo d on sparse rows (``_hnf_mod``), and d times its inverse by
 back-substitution over those rows with exact divisions
-(``_scaled_inverse``). ``_congruent`` forms B S B^t on the nonzeros of B
-and S (``_product_rows``), as its B, Hermite and lift rows, are sparse.
-The form checks pack each row as one int (``_pack``), so that a row
-operation is one big-integer operation: ``_congruence_mismatch`` compares
-M^t S M with scale * E a packed row at a time, up to the first row that
-differs.
+(``_scaled_inverse``). One kernel per kind of operand: ``_congruent`` forms
+B S B^t on the nonzeros of B and S (``_product_rows``) for the sparse
+lattice-side rows (Hermite, lift, embedding, reflection); group matrices
+pack each row as one int (``_pack``), so that a row operation is one
+big-integer operation, and ``_congruence_mismatch`` compares M^t S M with
+scale * E a packed row at a time, up to the first row that differs.
 Nothing here inverts over the rationals: callers invert through an integral
 adjugate, or the Smith record it comes from, and one exact division.
 """
@@ -121,9 +121,7 @@ class Matrix:
 
     @property
     def is_symmetric(self) -> bool:
-        num = self.num
-        return self.is_square and all(
-            num[i][j] == num[j][i] for i in range(self.nrows) for j in range(i))
+        return self.is_square and self.num == tuple(zip(*self.num))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -600,9 +598,9 @@ def _congruent(b, s, den: int = 1):
 
     B and the symmetric S are given by the nonzeros of their rows, so only
     the upper triangle is formed: entry (i, l) reads row i of B S
-    (``_product_rows``) at the nonzeros of row l of B. Its B are sparse
-    Hermite and lift rows, whose zeros it skips; packing them
-    (``_congruence_mismatch``) is slower.
+    (``_product_rows``) at the nonzeros of row l of B. Its B are the sparse
+    Hermite, lift, embedding (M^t) and reflection rows, whose zeros it
+    skips; packing them (``_congruence_mismatch``) is slower.
     """
     out = [[0] * len(b) for _ in b]
     for i, acc in enumerate(_product_rows(b, s)):
@@ -660,11 +658,11 @@ def _packed_rows(s, e) -> tuple:
     return srow, emax, None if emax >> 62 else [_pack(r, 8, top) for r in e]
 
 
-def _congruence_mismatch(m, s, e, scale: int = 1, packed=None):
+def _congruence_mismatch(m, s, e, scale: int, packed):
     """(i, l, value) of the first entry of M^t S M, row-major in the upper
-    triangle, that differs from scale * E; None when they agree. M is given
-    by its integer rows, S by the nonzeros of its rows, E by its rows and
-    both by ``_packed_rows(s, e)``.
+    triangle, that differs from scale * E; None when they agree. M is a group
+    matrix by its integer rows, S the form's S1 by the nonzeros of its rows,
+    E by its rows, and both by the form's kept ``_packed_rows(s, e)``.
 
     With P_k row k of M packed, Q_j = sum_k S_jk P_k is row j of S M, and
     row i of M^t S M is sum_j M_ji Q_j over the nonzeros of column i of M,
@@ -676,7 +674,7 @@ def _congruence_mismatch(m, s, e, scale: int = 1, packed=None):
     """
     if not m or not m[0]:
         return None
-    srow, emax, packed_e = packed or _packed_rows(s, e)
+    srow, emax, packed_e = packed
     n, mmax = len(m[0]), _max_abs(m)
     width, top = _slots(n, len(m) * mmax * mmax * srow + abs(scale) * emax + mmax + emax)
     if width != 8 or packed_e is None:

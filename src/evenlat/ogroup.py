@@ -26,10 +26,11 @@ Everything is exact integer/rational arithmetic. A matrix from outside is
 classified once, when it becomes a ``GroupElement``, or must equal its word;
 generators, products, inverses and powers of members are members by
 construction. The form products work on packed rows (``matrices._pack``):
-every form congruence is checked by ``matrices._congruence_mismatch``,
-which stops at the first row that disagrees, also on the input of
-``orthogonal_inverse``, and the inverse applies ``_dual`` to the packed rows
-of m^t S1 at once.
+every group-matrix congruence is checked by ``matrices._congruence_mismatch``
+on the form's packed rows of S1, which stops at the first row that
+disagrees, also on the input of ``orthogonal_inverse``, and the inverse
+applies ``_dual`` to the packed rows of m^t S1 at once. A base reflection's
+sparse rows are checked by ``matrices._congruent``, as the lattice side is.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from math import isqrt, prod
 from operator import mul
 
 from .lattices import EvenLattice
-from .matrices import (Matrix, _congruence_mismatch, _det_mod, _entry, _int_vec,
-                       _max_abs, _nonzeros, _odd_prime_not_dividing, _pack,
+from .matrices import (Matrix, _congruence_mismatch, _congruent, _det_mod, _entry,
+                       _int_vec, _max_abs, _nonzeros, _odd_prime_not_dividing, _pack,
                        _packed_rows, _slots, _unpack, vec_gcd)
 
 _COMPLETION_CAP = 10000
@@ -594,6 +595,6 @@ def base_reflection(lat: EvenLattice, v) -> Matrix:
     sv = s @ v
     sign = 1 if norm == 2 else -1
     m = Matrix([[int(i == j) - sign * v[i] * sv[j] for j in range(n)] for i in range(n)])
-    if _congruence_mismatch(m.num, _nonzeros(s.num), s.num) is not None:
+    if _congruent(_nonzeros(zip(*m.num)), lat._gram_nonzeros) != s.num:
         raise AssertionError("reflection must preserve the form")
     return m

@@ -146,7 +146,7 @@ class FiniteQuadraticModule:
 
     def q_table(self) -> dict:
         """Full element -> q(x) map. Only sensible for small modules."""
-        return {x: self.q_value(x) for x in self.elements()}
+        return {x: Fraction(self._qnum(x), self._den) for x in self.elements()}
 
     # -- isotropy ---------------------------------------------------------------
 

@@ -761,12 +761,13 @@ def test_hat_refuses_an_element_of_the_other_form(d8_plus):
 
 def test_transport_checks_run_the_congruence_kernel(monkeypatch):
     # the hat embedding's transport HᵀS1'H = S1 and a base reflection's
-    # mᵀSm = S are each one call of the packed mismatch reader, not dense
-    # products
+    # mᵀSm = S are on sparse lattice-side rows: each is one call of the
+    # sparse kernel _congruent, and none of the packed group-matrix reader
     lat = root_lattice("D8")
     glue = lat.discriminant_group().maximal_isotropic_subgroups()[0]
     _, emb = overlattice_from_glue(lat, glue)
-    calls = helpers.record_calls(monkeypatch, "_congruence_mismatch")
+    calls = helpers.record_calls(monkeypatch, "_congruent")
+    packed = helpers.record_calls(monkeypatch, "_congruence_mismatch")
     hat = HatEmbedding(emb)
     assert len(calls) == 1
     h = hat.matrix
@@ -774,6 +775,7 @@ def test_transport_checks_run_the_congruence_kernel(monkeypatch):
     r = base_reflection(lat, (0, 1, 0, 0, 0, 0, 0, 0))
     assert len(calls) == 2
     assert r.T @ lat.gram @ r == lat.gram
+    assert packed == []
 
 
 def test_hat_rejects_rank_change():

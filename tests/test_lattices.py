@@ -195,6 +195,18 @@ def test_embedding_validation():
         LatticeEmbedding(a1, d4, Matrix([[Fraction(1, 2)], [0], [0], [0]]))
     with pytest.raises(ValueError):
         LatticeEmbedding(a1, d4, Matrix([[1], [1], [0], [0]]))  # norm 2+2-... wrong
+    # a transport over many columns: a glue embedding of 8A1 is accepted as
+    # built, and refused with any one entry changed
+    lat = root_lattice("8A1")
+    glue = lat.discriminant_group().maximal_isotropic_subgroups()[0]
+    over, emb = overlattice_from_glue(lat, glue)
+    assert LatticeEmbedding(lat, over, emb.matrix).index == 16
+    for i in range(8):
+        for j in range(8):
+            rows = [list(r) for r in emb.matrix.num]
+            rows[i][j] += 1
+            with pytest.raises(ValueError, match="embedding does not transport the Gram"):
+                LatticeEmbedding(lat, over, Matrix(rows))
 
 
 def test_frozen_4a1_in_d4_embedding():

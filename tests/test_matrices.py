@@ -533,13 +533,16 @@ def test_congruent_matches_dense_product(data):
         assert got is None
     else:
         assert got == tuple(tuple(x // den for x in r) for r in dense)
-        assert _congruence_mismatch(list(zip(*b)), _nonzeros(s), got, den) is None
-    assert _congruence_mismatch(list(zip(*b)), _nonzeros(s), dense) is None
+        assert _congruence_mismatch(list(zip(*b)), _nonzeros(s), got, den,
+                                    _packed_rows(_nonzeros(s), got)) is None
+    assert _congruence_mismatch(list(zip(*b)), _nonzeros(s), dense, 1,
+                                _packed_rows(_nonzeros(s), dense)) is None
     i = data.draw(st.integers(0, k - 1))
     j = data.draw(st.integers(i, k - 1))
     changed = [list(r) for r in dense]
     changed[i][j] += data.draw(st.sampled_from((-1, 1, 7)))
-    got = _congruence_mismatch(list(zip(*b)), _nonzeros(s), changed)
+    got = _congruence_mismatch(list(zip(*b)), _nonzeros(s), changed, 1,
+                               _packed_rows(_nonzeros(s), changed))
     assert got == (i, j, dense[i][j])
 
 
@@ -576,19 +579,21 @@ def test_congruence_mismatch_matches_dense_product_on_packed_slots(data):
             e[j][i] += delta
     k = data.draw(st.sampled_from((1, -1, 2, -3, 2**31)))
     mk = [[k * x for x in r] for r in m]
-    packed = _packed_rows(_nonzeros(s), e) if data.draw(st.booleans()) else None
     want = _first_upper_mismatch((Matrix(mk).T @ Matrix(s) @ Matrix(mk)).num,
                                  [[k * k * x for x in r] for r in e])
-    assert _congruence_mismatch(mk, _nonzeros(s), e, k * k, packed) == want
+    assert _congruence_mismatch(mk, _nonzeros(s), e, k * k,
+                                _packed_rows(_nonzeros(s), e)) == want
 
 
 def test_congruence_mismatch_slots_hold_what_is_packed():
     # the slot width bounds M and E themselves, not only M^t S M: a zero S
     # or a zero scale bounds nothing, but M and E are packed all the same
     zero, big = _nonzeros([[0, 0], [0, 0]]), [[2**70, -2**70], [1, 0]]
-    assert _congruence_mismatch(big, zero, [[0, 0], [0, 0]]) is None
-    assert _congruence_mismatch(big, zero, [[0, 2**70], [2**70, 0]]) == (0, 1, 0)
-    assert _congruence_mismatch([[1]], _nonzeros([[2]]), [[2**70]], 0) == (0, 0, 2)
+    e0, e1 = [[0, 0], [0, 0]], [[0, 2**70], [2**70, 0]]
+    assert _congruence_mismatch(big, zero, e0, 1, _packed_rows(zero, e0)) is None
+    assert _congruence_mismatch(big, zero, e1, 1, _packed_rows(zero, e1)) == (0, 1, 0)
+    s, e = _nonzeros([[2]]), [[2**70]]
+    assert _congruence_mismatch([[1]], s, e, 0, _packed_rows(s, e)) == (0, 0, 2)
 
 
 # -------------------------------------------------------------------- helpers
