@@ -19,7 +19,11 @@ special-plus group leaves r fixed, and this module computes:
 
 Each exact division the reduction needs is guaranteed when the base lattice
 is maximal even or when the ratio is coprime to the base determinant; a
-failed division raises HypothesisViolation instead of guessing. A reduced
+failed division raises HypothesisViolation instead of guessing. The
+transformers and the reduced matrix are formed by applying the words the
+reduction carries, token by token (``ExtendedForm._times_parts`` on the
+right, ``_parts_times`` on the left); the only dense products of d x d
+matrices are those of the final check left @ input @ right. A reduced
 matrix is checked by the packed ``matrices._congruence_mismatch`` on the
 form's rows; the hat embedding's sparse rows, by ``matrices._congruent``.
 """
@@ -35,7 +39,8 @@ from operator import mul
 from .lattices import LatticeEmbedding
 from .matrices import (Matrix, _congruence_mismatch, _congruent, _int_vec, _nonzeros,
                        _product_rows, vec_gcd)
-from .ogroup import ExtendedForm, GroupElement, Membership, _identity_corners
+from .ogroup import (ExtendedForm, GroupElement, Membership, _identity_corners,
+                     _inverse_word)
 from .quadmod import is_maximal_even
 
 _REDUCTION_CAP = 10000
@@ -200,7 +205,7 @@ def _right_coset_form(x: ScaledOrthogonal) -> RightCosetForm:
     d = form.dim
     alpha, h = _primitive_part(form, x.matrix.col(0), "first column")
     w = form.complete_isotropic(h).inverse()
-    t = w.matrix @ x.matrix
+    t = form._parts_times(w._tokens, x.matrix)
     if t.col(0) != tuple(alpha if i == 0 else 0 for i in range(d)):
         raise AssertionError("left reduction failed to clean the first column")
     if x.ratio % alpha:
@@ -241,19 +246,13 @@ class DoubleCosetForm:
         return self.source.ratio
 
 
-def _probes(form: ExtendedForm) -> list:
-    """(lam, first column of T*(lam)) of the transvections that probe whether
-    alpha divides core and corner: lam runs over the unit vectors and
-    e_0 + e_{n+1}. The column is e0 + (0, lam, 0) - q(lam) e_last, kept as
-    its nonzeros (index, value)."""
-    n, last = form.n, form.dim - 1
-    s0 = form.s0.num
-    out = []
-    for idx in [(i,) for i in range(n + 2)] + [(0, n + 1)]:
-        q = sum(s0[a][b] for a in idx for b in idx) // 2
-        col = [(0, 1)] + [(1 + i, 1) for i in idx] + ([(last, -q)] if q else [])
-        out.append((tuple(int(j in idx) for j in range(n + 2)), tuple(col)))
-    return out
+def _pairing_gcd(c0, z) -> int:
+    """gcd of the entries of sum c z_j over the (j, c) nonzeros c0."""
+    (j, c), *rest = c0
+    acc = [c * y for y in z[j]]
+    for j, c in rest:
+        acc = [a + c * y for a, y in zip(acc, z[j])]
+    return vec_gcd(acc)
 
 
 def reduce_double_coset(x: ScaledOrthogonal) -> DoubleCosetForm:
@@ -284,17 +283,13 @@ def _double_coset_form(x: ScaledOrthogonal) -> DoubleCosetForm:
         nonlocal t, left
         alpha, h = _primitive_part(form, t.col(0), "first column")
         if h != e0:
-            m = form.complete_isotropic(h).inverse()
-            left = m @ left
-            t = m.matrix @ t
+            word = _inverse_word(form.complete_isotropic(h)._tokens)
+            left, t = left._word_times(word), form._parts_times(word, t)
         return alpha
 
-    probes = _probes(form)
-
-    def apply_right(kind, lam):
+    def apply_right(word):
         nonlocal t, right
-        tok = (form._parts(kind, lam),)
-        right, t = right._times_word(tok), form._times_parts(t, tok)
+        right, t = right._times_word(word), form._times_parts(t, word)
 
     for _ in range(_REDUCTION_CAP):
         z = t.row(0)
@@ -308,23 +303,21 @@ def _double_coset_form(x: ScaledOrthogonal) -> DoubleCosetForm:
         k = tuple(v // form.s1_det for v in k)
         beta = vec_gcd(z)
         if beta == alpha and all(v % alpha == 0 for v in k):
-            apply_right("T", tuple(k[1 + j] // alpha for j in range(n + 2)))
+            lam = tuple(k[1 + j] // alpha for j in range(n + 2))
+            apply_right((form._parts("T", lam),))
             # t is now block diagonal; probe whether alpha divides everything,
             # each probe's pairings c0^t t^t S1 combining a few rows of t^t S1
             z = list(_product_rows(_nonzeros(zip(*t.num)), form._s1_nz))
-            failing = next((lam for lam, c0 in probes
-                            if vec_gcd(sum(c * z[j][k] for j, c in c0) for k in range(d))
-                            != alpha), None)
+            failing = next((lam for lam, c0 in form._probes
+                            if _pairing_gcd(c0, z) != alpha), None)
             if failing is None:
                 break
-            apply_right("T*", failing)
+            apply_right((form._parts("T*", failing),))
         else:
             beta2, hp = _primitive_part(form, tuple(-v for v in k), "first row")
             if beta2 != beta:
                 raise AssertionError("row content mismatch in reduction")
-            m = form.complete_isotropic(hp)._times_word((form._parts("J"),))
-            right = right @ m
-            t = t @ m.matrix
+            apply_right(form.complete_isotropic(hp)._tokens + (form._parts("J"),))
             if t.row(0) != tuple(beta if i == 0 else 0 for i in range(d)):
                 raise AssertionError("right reduction failed to clean the first row")
         alpha = left_clean()

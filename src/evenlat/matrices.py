@@ -474,14 +474,23 @@ def _apply_log(log, y: list) -> list:
 def smith_normal_form(a: Matrix):
     """(U, D, V) with U @ a @ V == D, U and V unimodular, and D diagonal with
     entries d_1 | d_2 | ... >= 0 (zeros last), for any rectangular integral
-    matrix: ``_eliminate``'s diagonal and V, and U column by column, its log
-    applied to each unit vector."""
+    matrix: ``_eliminate``'s diagonal and V, and U from one pass of its log
+    over the packed rows of I (``_pack``), each row unpacked once. The slots
+    hold a bound on each row of U tracked along the log: 1 for a row of I,
+    b_i + |q| b_t once row i gains q row t, and swapped with the rows."""
     diag, V, _, log = _eliminate(a)
     m, n = a.nrows, a.ncols
     d = [{i: x} for i, x in enumerate(diag)] + [{}] * (m - len(diag))
-    u = [_apply_log(log, [int(i == j) for i in range(m)]) for j in range(m)]
-    return (Matrix._over(tuple(zip(*u))), Matrix._over(_dense(d, n)),
-            Matrix._over(tuple(zip(*_dense(V, n)))))
+    b = [1] * m
+    for i, *op in log:
+        if len(op) == 2:
+            b[i] += abs(op[0]) * b[op[1]]
+        elif op:
+            b[i], b[op[0]] = b[op[0]], b[i]
+    width, top = _slots(m, max(b, default=1))
+    u = _apply_log(log, [1 << 8 * width * i for i in range(m)])
+    return (Matrix._over(tuple(tuple(_unpack(r, m, width, top)) for r in u)),
+            Matrix._over(_dense(d, n)), Matrix._over(tuple(zip(*_dense(V, n)))))
 
 
 def _egcd(a: int, b: int) -> tuple:

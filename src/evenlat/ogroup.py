@@ -17,7 +17,10 @@ The module provides:
   links are one gate, also run by ``embed_rotation`` and scaled matrices;
 * the standard generators, named by tokens: the corner-swapping involution
   and two families of unipotent transvections indexed by base-extension
-  vectors; a token has one form, checked by ``ExtendedForm._token``;
+  vectors; a token has one form, checked by ``ExtendedForm._token``, and
+  acts at the cost of its support: on a vector (``_act``), on the columns
+  of m for m @ word (``_times_parts``) and on the rows of m for word @ m
+  (``_parts_times``);
 * ``complete_isotropic``: writes down, as an explicit word in those
   generators, a group element whose first column is a prescribed primitive
   isotropic vector.
@@ -37,12 +40,13 @@ from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from math import isqrt, prod
 from operator import mul
 
 from .lattices import EvenLattice
-from .matrices import (Matrix, _congruence_mismatch, _congruent, _det_mod, _entry,
+from .matrices import (Matrix, _axpy, _congruence_mismatch, _congruent, _det_mod, _entry,
                        _int_vec, _max_abs, _nonzeros, _odd_prime_not_dividing, _pack,
                        _packed_rows, _slots, _unpack, vec_gcd)
 
@@ -100,9 +104,7 @@ class GroupElement:
         return self.classify() >= Membership.DISCRIMINANT_KERNEL
 
     def inverse(self) -> "GroupElement":
-        word = None
-        if self._tokens is not None:
-            word = tuple(map(_parts_inverse, reversed(self._tokens)))
+        word = _inverse_word(self._tokens) if self._tokens is not None else None
         return GroupElement(self.form, self.form._adjoint(self.matrix, self.form), word,
                             _trusted=True)
 
@@ -122,6 +124,12 @@ class GroupElement:
         word = tuple(word)
         full = self._tokens + word if self._tokens is not None else None
         return GroupElement(self.form, self.form._times_parts(self.matrix, word),
+                            full, _trusted=True)
+
+    def _word_times(self, word) -> "GroupElement":
+        """The product of a tuple of checked tokens @ self, in closed form."""
+        full = word + self._tokens if self._tokens is not None else None
+        return GroupElement(self.form, self.form._parts_times(word, self.matrix),
                             full, _trusted=True)
 
     def __pow__(self, k: int) -> "GroupElement":
@@ -147,32 +155,72 @@ class GroupElement:
 
 def _parts_inverse(parts):
     # T(-lam) inverts T(lam), and S0(-lam) = -S0 lam while q(-lam) = q(lam)
-    kind, lam, slam, q = parts
+    kind, lam, q, lam_nz, slam_nz = parts
     if kind == "J":
         return parts
-    return (kind, tuple(-x for x in lam), tuple(-x for x in slam), q)
+    return (kind, tuple([-x for x in lam]), q, tuple([(j, -x) for j, x in lam_nz]),
+            tuple([(j, -x) for j, x in slam_nz]))
 
 
-def _act(parts, v: list, row: bool) -> None:
-    """Apply a token in place: v <- v @ token if row, else token @ v.
+def _inverse_word(parts) -> tuple:
+    """The checked tokens of the inverse of a word: inverted, in reverse."""
+    return tuple(map(_parts_inverse, reversed(parts)))
 
-    J (symmetric) swaps and negates outer entries. T and T* add a pairing
-    with the base block to one outer entry and a multiple of the other outer
-    entry to the base block; which is which depends on the kind and side.
+
+def _act(parts, v: list) -> None:
+    """token @ v in place, for a column vector v of ints.
+
+    J swaps and negates the outer entries. T and T* add the pairing of the
+    base block with S0 lam, and q times the other outer entry, to one outer
+    entry, and that other entry times lam to the base block.
     """
-    kind, lam, slam, q = parts
+    kind, _, q, lam_nz, slam_nz = parts
     last = len(v) - 1
     if kind == "J":
         v[0], v[1], v[last - 1], v[last] = -v[last], -v[last - 1], -v[1], -v[0]
         return
-    # row @ T and T* @ col read entry 0 and write the last; the others mirror it
-    src, dst = (0, last) if (kind == "T") == row else (last, 0)
-    pair, shift, sign = (lam, slam, 1) if row else (slam, lam, -1)
+    src, dst = (last, 0) if kind == "T" else (0, last)
     c = v[src]
-    v[dst] += sign * sum(map(mul, v[1:last], pair)) - q * c
+    v[dst] -= sum([x * v[j] for j, x in slam_nz]) + q * c
     if c:
-        sc = sign * c
-        v[1:last] = [x - sc * y for x, y in zip(v[1:last], shift)]
+        for j, x in lam_nz:
+            v[j] += c * x
+
+
+def _act_lines(parts, lines: list, left: bool) -> None:
+    """Apply a token in place to the lines (rows or columns, lists or tuples
+    of ints) of a matrix m: its rows become those of token @ m if left, its
+    columns those of m @ token otherwise.
+
+    J swaps and negates the four outer lines. T and T* rewrite one outer
+    line from itself, the other outer line (the source) and the base lines
+    in the support of S0 lam (left) or lam (right), then add multiples of
+    the source to the base lines in the support of the other vector. No
+    other line is touched.
+    """
+    kind, _, q, lam_nz, slam_nz = parts
+    last = len(lines) - 1
+    if kind == "J":
+        a, b, c, e = lines[0], lines[1], lines[last - 1], lines[last]
+        lines[0], lines[1], lines[last - 1], lines[last] = (
+            [-x for x in e], [-x for x in c], [-x for x in b], [-x for x in a])
+        return
+    # T @ m and m @ T* write line 0 from line last; the others mirror it
+    src, dst = (last, 0) if (kind == "T") == left else (0, last)
+    if left:
+        pair = [(j, -x) for j, x in slam_nz]
+        shift = [(j, -x) for j, x in lam_nz]
+    else:
+        pair, shift = lam_nz, slam_nz
+    s = lines[src]
+    acc = lines[dst]
+    if q:
+        acc = [a - q * b for a, b in zip(acc, s)]
+    for j, x in pair:
+        acc = [a + x * b for a, b in zip(acc, lines[j])]
+    lines[dst] = acc
+    for j, x in shift:
+        lines[j] = [a - x * b for a, b in zip(lines[j], s)]
 
 
 def _first_non_integral(a: Matrix) -> tuple:
@@ -250,10 +298,12 @@ class ExtendedForm:
     #   J        -1 at (0, last), (1, last-1), (last-1, 1), (last, 0), I on the base;
     #   T(lam)   I + e0 (0, -S0 lam, -q)^t + b e_last^t;
     #   T*(lam)  I + b e0^t + e_last (-q, -S0 lam, 0)^t  (Eichler transvections).
-    # _act applies one to a vector in O(d); no dense token matrix is built.
+    # _act applies one to a vector, _act_lines to the rows or columns of a
+    # matrix, each at the cost of the support of lam and S0 lam; no dense
+    # token matrix is built.
 
     def _token(self, tok) -> tuple:
-        """The checked form (kind, lam, S0 lam, q) of a token from outside;
+        """The checked form (``_parts``) of a token from outside;
         a malformed token raises ValueError."""
         kind = tok[0] if isinstance(tok, (tuple, list)) and tok else None
         if kind not in ("J", "T", "T*") or len(tok) != 1 + (kind != "J"):
@@ -266,20 +316,54 @@ class ExtendedForm:
         return self._parts(kind, lam)
 
     def _parts(self, kind: str, lam=None) -> tuple:
-        """The checked form of a token the library builds, lam a tuple of ints."""
+        """The checked form (kind, lam, q, nonzeros of lam, nonzeros of
+        S0 lam) of a token the library builds, lam a tuple of ints; the
+        nonzeros are (index, value) pairs in the coordinates of S1. S0 lam
+        combines the base rows of S1 (``_s1_nz``) that the nonzeros of lam
+        pick, and q = lam^t S0 lam / 2 reads it there."""
         if kind == "J":
-            return ("J", None, None, 0)
-        slam = tuple(sum(map(mul, r, lam)) for r in self.s0.num)
-        return (kind, lam, slam, sum(map(mul, lam, slam)) // 2)
+            return ("J", None, 0, (), ())
+        lam_nz = tuple((1 + j, x) for j, x in enumerate(lam) if x)
+        acc = {}
+        for i, x in lam_nz:
+            _axpy(acc, x, self._s1_nz[i])
+        q = sum([x * acc.get(i, 0) for i, x in lam_nz]) // 2
+        return (kind, lam, q, lam_nz, tuple(sorted(acc.items())))
 
     @staticmethod
     def _times_parts(m: Matrix, parts) -> Matrix:
-        """m @ t_1 @ ... @ t_k for an integral m and checked tokens, in O(k d^2)."""
-        rows = [list(r) for r in m.num]
+        """m @ t_1 @ ... @ t_k for an integral m and checked tokens, as
+        column operations (``_act_lines``): a token costs O(d) per nonzero
+        of lam and of S0 lam, not O(d^2)."""
+        cols = list(zip(*m.num))
         for p in parts:
-            for r in rows:
-                _act(p, r, row=True)
+            _act_lines(p, cols, left=False)
+        return Matrix._over(tuple(zip(*cols)))
+
+    @staticmethod
+    def _parts_times(parts, m: Matrix) -> Matrix:
+        """t_1 @ ... @ t_k @ m for checked tokens and an integral m, as row
+        operations, the last token first."""
+        rows = list(m.num)
+        for p in reversed(tuple(parts)):
+            _act_lines(p, rows, left=True)
         return Matrix._over(tuple(map(tuple, rows)))
+
+    @cached_property
+    def _probes(self) -> tuple:
+        """(lam, first column of T*(lam)) of the transvections with which the
+        double-coset reduction probes whether alpha divides core and corner:
+        lam runs over the unit vectors and e_0 + e_{n+1}. The column is
+        e0 + (0, lam, 0) - q(lam) e_last, kept as its nonzeros (index,
+        value). Formed on first use, once per form."""
+        n, last = self.n, self.dim - 1
+        s0 = self.s0.num
+        out = []
+        for idx in [(i,) for i in range(n + 2)] + [(0, n + 1)]:
+            q = sum(s0[a][b] for a in idx for b in idx) // 2
+            col = [(0, 1)] + [(1 + i, 1) for i in idx] + ([(last, -q)] if q else [])
+            out.append((tuple(int(j in idx) for j in range(n + 2)), tuple(col)))
+        return tuple(out)
 
     def identity(self) -> GroupElement:
         return GroupElement(self, Matrix.identity(self.dim), (), _trusted=True)
@@ -495,7 +579,7 @@ class ExtendedForm:
         def do(kind, lam=None):
             parts = self._parts(kind, lam)
             applied.append(parts)
-            _act(parts, hv, row=False)
+            _act(parts, hv)
 
         def mid(i, t=1):
             # middle basis vector (length n+2) scaled by t

@@ -35,7 +35,7 @@ from evenlat import (
     reduce_right_coset,
     root_lattice,
 )
-from evenlat.cosets import DoubleCosetForm, RightCosetForm, _probes
+from evenlat.cosets import DoubleCosetForm, RightCosetForm
 from evenlat.matrices import det, vec_gcd
 from evenlat.ogroup import _act, base_reflection
 
@@ -326,7 +326,7 @@ def test_probe_columns_match_token_action():
     for name in ("A2", "D4", "E8", "4A1"):
         form = ExtendedForm(root_lattice(name))
         d, n = form.dim, form.n
-        probes = _probes(form)
+        probes = form._probes
         units = [tuple(int(i == j) for j in range(n + 2)) for i in range(n + 2)]
         assert [lam for lam, _ in probes] == units + [(1,) + (0,) * n + (1,)]
         for lam, col in probes:
@@ -334,8 +334,39 @@ def test_probe_columns_match_token_action():
             for j, c in col:
                 dense[j] += c
             e0 = [int(i == 0) for i in range(d)]
-            _act(form._parts("T*", lam), e0, row=False)
+            _act(form._parts("T*", lam), e0)
             assert dense == e0, (name, lam)
+
+
+def test_double_coset_forms_dense_products_only_in_its_final_check(monkeypatch):
+    # the transformers and t are formed by token actions on the words the
+    # reduction carries; the only d x d products are those of the final
+    # check left @ x @ right == t, and every check still runs: one
+    # classify_witness, so one gate, per completion, and one packed
+    # congruence per gate plus the core's
+    d4 = ExtendedForm(root_lattice("D4"))
+    rng = random.Random(10)
+    w = helpers.random_element(d4, rng, max_len=3)
+    v = helpers.random_element(d4, rng, max_len=3)
+    x = make_scaled(d4, w.matrix @ helpers.corner_scaling(d4.dim, 3) @ v.matrix,
+                    canonicalize=False)
+    products = helpers.record_calls(monkeypatch, "__matmul__", owner=Matrix)
+    done = helpers.record_calls(monkeypatch, "complete_isotropic", owner=ExtendedForm)
+    witnesses = helpers.record_calls(monkeypatch, "classify_witness", owner=ExtendedForm)
+    gates = helpers.record_calls(monkeypatch, "_gate", owner=ExtendedForm)
+    congruences = helpers.record_calls(monkeypatch, "_congruence_mismatch")
+    dc = reduce_double_coset(x)
+    dense = [(a, b) for a, b in products if isinstance(b, Matrix)]
+    assert len(dense) == 2
+    assert dense[0] == (dc.left.matrix, x.matrix)
+    assert dense[1][1] == dc.right.matrix
+    # the right-coset completion, and one more on each side
+    assert len(done) >= 3
+    assert len(dc.left.word) > len(reduce_right_coset(x).transformer.word)
+    assert ("J",) in dc.right.word
+    assert len(witnesses) == len(gates) == len(done)
+    assert len(congruences) == len(gates) + 1
+    assert dc.left.matrix @ x.matrix @ dc.right.matrix == dc.reduced
 
 
 def test_double_coset_ratio_one():

@@ -294,29 +294,64 @@ def test_members_by_construction_are_not_reclassified(monkeypatch):
     assert len(calls) == 3 and cert.in_normalizer
 
 
+def unit_word(rng, n, length):
+    """Random tokens whose lam has one nonzero entry, as completion builds."""
+    word = []
+    for _ in range(length):
+        kind = rng.choice(("J", "T", "T*"))
+        lam = [0] * (n + 2)
+        lam[rng.randrange(n + 2)] = rng.choice((-3, -2, -1, 1, 2, 3))
+        word.append((kind,) if kind == "J" else (kind, tuple(lam)))
+    return tuple(word)
+
+
 @pytest.mark.parametrize("name", sorted(FORMS))
 def test_token_action_matches_dense_products(name):
     form = FORMS[name]
     d = form.dim
     rng = random.Random(31 + len(name))
-    for _ in range(12):
-        word = helpers.random_word(rng, form.n, rng.randint(1, 6), spread=3)
+    for k in range(24):
+        length = rng.randint(1, 6)
+        word = (unit_word(rng, form.n, length) if k % 2
+                else helpers.random_word(rng, form.n, length, spread=3))
         m = [[rng.randint(-5, 5) for _ in range(d)] for _ in range(d)]
         for tok in word:
             # from the left, on a column vector
             v = [rng.randint(-9, 9) for _ in range(d)]
             col = [r[0] for r in helpers.list_matmul(helpers.token_rows(form, tok),
                                                      [[x] for x in v])]
-            _act(form._token(tok), v, row=False)
+            _act(form._token(tok), v)
             assert v == col
         # from the right, on a whole matrix and so on each row vector
         got = form._times_parts(Matrix(m), map(form._token, word))
         assert [list(r) for r in got.rows] == helpers.word_rows(form, word, start=m)
         assert got.is_integral
+        # from the left, as row operations, the parts given as an iterator too
+        dense = helpers.list_matmul(helpers.word_rows(form, word), m)
+        for parts in (map(form._token, word), tuple(map(form._token, word))):
+            got = form._parts_times(parts, Matrix(m))
+            assert [list(r) for r in got.rows] == dense
         # the element is the left-to-right product of its tokens
         elem = form.element_from_word(word)
         assert [list(r) for r in elem.matrix.rows] == helpers.word_rows(form, word)
         assert elem.word == word
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(sorted(FORMS)), st.data())
+def test_parts_hold_s0_lam_and_half_its_pairing(name, data):
+    form = FORMS[name]
+    lam = tuple(data.draw(st.lists(st.integers(-2**40, 2**40) | st.integers(-2, 2),
+                                   min_size=form.n + 2, max_size=form.n + 2)))
+    kind, lam_p, q, lam_nz, slam_nz = form._parts(data.draw(st.sampled_from(("T", "T*"))),
+                                                  lam)
+    slam = form.s0 @ lam
+    assert lam_p == lam
+    assert list(lam_nz) == [(1 + j, x) for j, x in enumerate(lam) if x]
+    assert list(slam_nz) == [(1 + j, x) for j, x in enumerate(slam) if x]
+    assert 2 * q == sum(x * y for x, y in zip(lam, slam))
+    # a token from outside has the same form
+    assert form._token((kind, list(lam))) == (kind, lam, q, lam_nz, slam_nz)
 
 
 def test_generators_match_their_entry_formulas():
