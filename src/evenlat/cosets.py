@@ -39,8 +39,7 @@ from operator import mul
 from .lattices import LatticeEmbedding
 from .matrices import (Matrix, _congruence_mismatch, _congruent, _int_vec, _nonzeros,
                        _product_rows, vec_gcd)
-from .ogroup import (ExtendedForm, GroupElement, Membership, _identity_corners,
-                     _inverse_word)
+from .ogroup import ExtendedForm, GroupElement, Membership, _identity_corners
 from .quadmod import is_maximal_even
 
 _REDUCTION_CAP = 10000
@@ -204,7 +203,10 @@ def _right_coset_form(x: ScaledOrthogonal) -> RightCosetForm:
     form = x.form
     d = form.dim
     alpha, h = _primitive_part(form, x.matrix.col(0), "first column")
-    w = form.complete_isotropic(h).inverse()
+    done, applied = form._complete(h)
+    # the inverse's word is the tokens the completion applied, reversed
+    w = GroupElement(form, form._adjoint(done.matrix, form), tuple(reversed(applied)),
+                     _trusted=True)
     t = form._parts_times(w._tokens, x.matrix)
     if t.col(0) != tuple(alpha if i == 0 else 0 for i in range(d)):
         raise AssertionError("left reduction failed to clean the first column")
@@ -283,7 +285,7 @@ def _double_coset_form(x: ScaledOrthogonal) -> DoubleCosetForm:
         nonlocal t, left
         alpha, h = _primitive_part(form, t.col(0), "first column")
         if h != e0:
-            word = _inverse_word(form.complete_isotropic(h)._tokens)
+            word = tuple(reversed(form._complete(h)[1]))
             left, t = left._word_times(word), form._parts_times(word, t)
         return alpha
 

@@ -7,9 +7,11 @@ have no common factor; an integral matrix is the case den == 1. Every
 operation computes on num, multiplies the denominators and reduces once by a
 gcd, so there is one integer path whatever the entries are. The determinant
 and the definiteness test share one fraction-free Bareiss pass on dense
-rows, which keeps intermediate entries polynomial in size; a determinant
-already known up to sign is read modulo a small prime instead
-(``_det_mod``). One Smith elimination (``_eliminate``) runs on sparse rows
+rows, which keeps intermediate entries polynomial in size. An isometry
+num/s of a form nondegenerate mod an odd prime p has determinant (-1)^k
+mod p, k = rank_p(num - s I) (Cartan-Dieudonne with Scherk's count; P.
+Scherk, Proc. AMS 1 (1950) 481-491), found on sparse rows (``_rank_mod``)
+in O(d^2 k). One Smith elimination (``_eliminate``) runs on sparse rows
 and returns the diagonal, the columns of V, the sign of det U * det V and, in
 place of U, the log of its row operations, applied where U is read
 (``_apply_log``). The Hermite normal form of a lattice that contains d Z^n is
@@ -20,7 +22,8 @@ B S B^t on the nonzeros of B and S (``_product_rows``) for the sparse
 lattice-side rows (Hermite, lift, embedding, reflection); group matrices
 pack each row as one int (``_pack``), so that a row operation is one
 big-integer operation, and ``_congruence_mismatch`` compares M^t S M with
-scale * E a packed row at a time, up to the first row that differs.
+scale * E a packed row at a time, up to the first row that differs,
+packing a row only when that row reads it.
 Nothing here inverts over the rationals: callers invert through an integral
 adjugate, or the Smith record it comes from, and one exact division.
 """
@@ -28,10 +31,12 @@ adjugate, or the Smith record it comes from, and one exact division.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress
-from math import gcd, isqrt, lcm
+from functools import cache
+from itertools import chain, compress, starmap
+from math import gcd, lcm
 from operator import mul, neg
-from struct import pack, unpack
+from struct import Struct
+from struct import error as StructError
 from typing import Iterable, Sequence, Union
 
 Entry = Union[int, Fraction]
@@ -276,39 +281,37 @@ def _bareiss(rows) -> tuple:
     return d, pd and d > 0
 
 
-def _det_mod(rows, p: int) -> int:
-    """Determinant of a square integer matrix modulo a prime p, in [0, p).
-
-    Gaussian elimination over F_p on the shrinking active block: entries stay
-    below p, not the growing integers of an exact pass.
-    """
-    m = [[x % p for x in r] for r in rows]
-    out = 1
-    while m:
-        i = next((i for i, r in enumerate(m) if r[0]), None)
-        if i is None:
-            return 0
-        if i:
-            m[0], m[i] = m[i], m[0]
-            out = -out
-        piv = m[0]
-        out = out * piv[0] % p
-        inv = pow(piv[0], -1, p)
-        tail = piv[1:]
-        rest = []
-        for r in m[1:]:
-            f = r[0] * inv % p
-            rest.append([(x - f * y) % p for x, y in zip(r[1:], tail)] if f else r[1:])
-        m = rest
-    return out % p
-
-
-def _odd_prime_not_dividing(n: int) -> int:
-    """The least odd prime not dividing n."""
-    p = 3
-    while n % p == 0 or any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)):
-        p += 2
-    return p
+def _rank_mod(rows, s: int, p: int) -> int:
+    """rank_p(num - s I) for the integer rows of a square num and a prime p:
+    rows s e_i are skipped, the others held by their nonzeros mod p, and a
+    row of fewest nonzeros pivots until no row is left, O(d^2 k) for rank k."""
+    d, left = len(rows), []
+    for i, row in enumerate(rows):
+        if row[i] != s or row.count(0) != d - 1:
+            row = list(row)
+            row[i] -= s
+            r = {j: x for j, x in enumerate(map(p.__rmod__, row)) if x}
+            left += [r] if r else []
+    rank = 0
+    while left:
+        left.sort(key=len, reverse=True)
+        piv = left.pop()
+        c, x = piv.popitem()
+        nz, inv = list(piv.items()), pow(x, -1, p)
+        for r in left:
+            y = r.pop(c, 0) * inv % p
+            if not y:
+                continue
+            for j, z in nz:
+                # y z is a unit mod p, so a zero result had an entry at j
+                v = (r.get(j, 0) - y * z) % p
+                if v:
+                    r[j] = v
+                else:
+                    del r[j]
+        left = [r for r in left if r]
+        rank += 1
+    return rank
 
 
 def det(a: Matrix):
@@ -621,9 +624,14 @@ def _congruent(b, s, den: int = 1):
     return tuple(map(tuple, out))
 
 
-def _max_abs(rows) -> int:
-    """The largest |x| over the entries of nonempty integer rows."""
-    return max(max(map(max, rows)), -min(map(min, rows)))
+def _entry_bound(rows) -> int:
+    """A bound on |x| over nonempty integer rows of one length: 2^15 when a
+    16-bit struct pack of each row succeeds, else the largest |x|."""
+    try:
+        b"".join(starmap(_struct(len(rows[0]), "h").pack, rows))
+    except StructError:
+        return max(max(map(max, rows)), -min(map(min, rows)))
+    return 1 << 15
 
 
 def _slots(n: int, bound: int) -> tuple:
@@ -632,6 +640,12 @@ def _slots(n: int, bound: int) -> tuple:
     bit of every slot, as one int."""
     width = 8 if bound >> 62 == 0 else bound.bit_length() // 8 + 1
     return width, int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
+@cache
+def _struct(n: int, code: str) -> Struct:
+    """The Struct of n little-endian slots of format code, compiled once."""
+    return Struct(f"<{n}{code}")
 
 
 def _pack(row, width: int, top: int) -> int:
@@ -644,7 +658,7 @@ def _pack(row, width: int, top: int) -> int:
         for x in reversed(row):
             out = (out << 8 * width) + x
         return out
-    u = int.from_bytes(pack("<%dq" % len(row), *row), "little")
+    u = int.from_bytes(_struct(len(row), "q").pack(*row), "little")
     return u - ((u & top) << 1)
 
 
@@ -653,7 +667,7 @@ def _unpack(x: int, n: int, width: int, top: int):
     carry, and flipping the top bits back leaves two's complement."""
     raw = ((x + top) ^ top).to_bytes(n * width, "little")
     if width == 8:
-        return unpack("<%dq" % n, raw)
+        return _struct(n, "q").unpack(raw)
     return [int.from_bytes(raw[k:k + width], "little", signed=True)
             for k in range(0, len(raw), width)]
 
@@ -663,7 +677,7 @@ def _packed_rows(s, e) -> tuple:
     None where they do not fit): what ``_congruence_mismatch`` reads of S,
     given by the nonzeros of its rows, and of E, for a caller to keep."""
     srow = max([sum([abs(y) for _, y in r]) for r in s], default=0)
-    emax, top = _max_abs(e) if e and e[0] else 0, _slots(len(e), 0)[1]
+    emax, top = max(map(abs, chain.from_iterable(e)), default=0), _slots(len(e), 0)[1]
     return srow, emax, None if emax >> 62 else [_pack(r, 8, top) for r in e]
 
 
@@ -675,22 +689,31 @@ def _congruence_mismatch(m, s, e, scale: int, packed):
 
     With P_k row k of M packed, Q_j = sum_k S_jk P_k is row j of S M, and
     row i of M^t S M is sum_j M_ji Q_j over the nonzeros of column i of M,
-    compared with scale * E_i as one int. Only the first row that differs
-    is unpacked, and no later row is formed: both sides are symmetric, so
+    compared with scale * E_i as one int. A Q_j is formed, and the P_k it
+    reads are packed, when the first row that reads it comes, so a matrix
+    that differs early packs few rows. Only the first row that differs is
+    unpacked, and no later row is formed: both sides are symmetric, so
     that row first differs in the upper triangle. The slots hold
-    rows * max|M|^2 * max row sum |S|, which bounds M^t S M, and what is
-    packed.
+    rows * b^2 * max row sum |S| for b >= max|M| (``_entry_bound``), which
+    bounds M^t S M, and what is packed.
     """
     if not m or not m[0]:
         return None
     srow, emax, packed_e = packed
-    n, mmax = len(m[0]), _max_abs(m)
+    n, mmax = len(m[0]), _entry_bound(m)
     width, top = _slots(n, len(m) * mmax * mmax * srow + abs(scale) * emax + mmax + emax)
     if width != 8 or packed_e is None:
         packed_e = [_pack(r, width, top) for r in e]
-    p = [_pack(r, width, top) for r in m]
-    q = [sum([y * p[k] for k, y in sj]) for sj in s]
+    cols, p, q = range(len(s)), [None] * len(m), [None] * len(s)
+    left = len(s)  # the Q_j not yet formed
     for i, col in enumerate(zip(*m)):
+        for j in compress(cols, col) if left else ():
+            if q[j] is None:
+                for k, _ in s[j]:
+                    if p[k] is None:
+                        p[k] = _pack(m[k], width, top)
+                q[j] = sum([y * p[k] for k, y in s[j]])
+                left -= 1
         diff = sum(map(mul, compress(col, col), compress(q, col))) - scale * packed_e[i]
         if diff:
             diff = _unpack(diff, n, width, top)

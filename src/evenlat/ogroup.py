@@ -41,14 +41,14 @@ from __future__ import annotations
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, count
 from math import isqrt, prod
 from operator import mul
 
 from .lattices import EvenLattice
-from .matrices import (Matrix, _axpy, _congruence_mismatch, _congruent, _det_mod, _entry,
-                       _int_vec, _max_abs, _nonzeros, _odd_prime_not_dividing, _pack,
-                       _packed_rows, _slots, _unpack, vec_gcd)
+from .matrices import (Matrix, _axpy, _congruence_mismatch, _congruent, _entry,
+                       _entry_bound, _int_vec, _nonzeros, _pack, _packed_rows, _rank_mod,
+                       _slots, _unpack, vec_gcd)
 
 _COMPLETION_CAP = 10000
 
@@ -104,7 +104,8 @@ class GroupElement:
         return self.classify() >= Membership.DISCRIMINANT_KERNEL
 
     def inverse(self) -> "GroupElement":
-        word = _inverse_word(self._tokens) if self._tokens is not None else None
+        word = None if self._tokens is None else tuple(map(_parts_inverse,
+                                                            reversed(self._tokens)))
         return GroupElement(self.form, self.form._adjoint(self.matrix, self.form), word,
                             _trusted=True)
 
@@ -162,11 +163,6 @@ def _parts_inverse(parts):
             tuple([(j, -x) for j, x in slam_nz]))
 
 
-def _inverse_word(parts) -> tuple:
-    """The checked tokens of the inverse of a word: inverted, in reverse."""
-    return tuple(map(_parts_inverse, reversed(parts)))
-
-
 def _act(parts, v: list) -> None:
     """token @ v in place, for a column vector v of ints.
 
@@ -221,6 +217,19 @@ def _act_lines(parts, lines: list, left: bool) -> None:
     lines[dst] = acc
     for j, x in shift:
         lines[j] = [a - x * b for a, b in zip(lines[j], s)]
+
+
+def _sign_modulus(ratio: int, s1_det: int) -> tuple:
+    """(p, s) for a ratio >= 1: the least odd prime p dividing neither ratio
+    nor s1_det with ratio a square mod p, and s^2 = ratio mod p, where
+    s = isqrt(ratio) when the ratio is a square."""
+    c = isqrt(ratio)
+    for p in count(3, 2):
+        if ratio * s1_det % p and all(p % t for t in range(3, isqrt(p) + 1, 2)):
+            s = c if c * c == ratio else next(
+                (s for s in range(1, p) if (s * s - ratio) % p == 0), None)
+            if s is not None:
+                return p, s
 
 
 def _first_non_integral(a: Matrix) -> tuple:
@@ -469,9 +478,12 @@ class ExtendedForm:
         compared with ratio·S1 in the upper triangle only, row by row: both
         are symmetric, so the first mismatch in row-major order lies there,
         and the rows after it are never formed. Once it holds,
-        det(num)² = ratio^d, and the sign is read modulo the least odd prime
-        p not dividing the ratio, where ±ratio^{d/2} differ.
-        The orientation value is read off m itself.
+        det(num) = ±isqrt(ratio^d), which differ mod an odd prime p ∤
+        ratio·det S1 (``_sign_modulus``). Then num/s, s² ≡ ratio, is an
+        isometry of the nondegenerate S1 over F_p, so det(num) ≡
+        s^d (-1)^rank_p(num - s·I) (Cartan–Dieudonné with Scherk's count;
+        P. Scherk, Proc. AMS 1 (1950) 481–491), a rank small for a short
+        word (``_rank_mod``). The orientation value is read off m itself.
         """
         num = m.num
         miss = _congruence_mismatch(num, self._s1_nz, self.s1.num, ratio, self._s1_packed)
@@ -483,8 +495,9 @@ class ExtendedForm:
                 "got": _entry(got, ratio),
                 "expected": self.s1.num[i][j],
             }
-        p = _odd_prime_not_dividing(ratio)
-        if _det_mod(num, p) != isqrt(ratio**self.dim) % p:
+        p, s = _sign_modulus(ratio, self.s1_det)
+        sign = (-1) ** _rank_mod(num, s, p)
+        if sign * pow(s, self.dim, p) % p != isqrt(ratio**self.dim) % p:
             return Membership.ORTHOGONAL, {"check": "determinant", "value": -1}
         orient = self._orientation_value(m)
         if orient <= 0:
@@ -519,7 +532,7 @@ class ExtendedForm:
         max row sum |S|, which bounds every entry."""
         num, d = m.num, self.dim
         srow, smax, packed = other._s1_packed
-        width, top = _slots(d, smax + self._dual_rowsum * _max_abs(num) * srow)
+        width, top = _slots(d, smax + self._dual_rowsum * _entry_bound(num) * srow)
         if width != 8:
             packed = [_pack(r, width, top) for r in other.s1.num]
         rows = self._dual([sum(map(mul, compress(col, col), compress(packed, col)))
@@ -567,6 +580,11 @@ class ExtendedForm:
         Returns an element carrying an explicit generator word. Raises
         ValueError if the vector is not primitive isotropic.
         """
+        return self._complete(h)[0]
+
+    def _complete(self, h) -> tuple:
+        """(complete_isotropic(h), the checked tokens t_1..t_k it applied to
+        h): the inverse's word is t_k..t_1, with no token inverted again."""
         h = _int_vec(h)
         if not self.is_primitive_isotropic(h):
             raise ValueError("vector is not primitive isotropic for this form")
@@ -656,7 +674,7 @@ class ExtendedForm:
             raise AssertionError("completed element does not start with h")
         if out.classify() < Membership.DISCRIMINANT_KERNEL:
             raise AssertionError("completed element is not a kernel element")
-        return out
+        return out, applied
 
     def orbit_transporter(self, h_from, h_to) -> GroupElement:
         """Group element mapping one primitive isotropic vector to another."""

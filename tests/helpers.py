@@ -176,8 +176,53 @@ def word_rows(form: ExtendedForm, word, start=None):
 
 
 # -- rational linear algebra, kept as oracles for the integer paths ---------
-# Gauss-Jordan inverse and symmetric congruence over Fraction; the library
-# computes neither.
+# The determinant mod p, Gauss-Jordan inverse and symmetric congruence over
+# Fraction; the library computes none of them.
+
+
+def _det_mod(rows, p: int) -> int:
+    """Determinant of a square integer matrix modulo a prime p, in [0, p).
+
+    Gaussian elimination over F_p on the shrinking active block: entries stay
+    below p, not the growing integers of an exact pass. The oracle of the
+    membership gate's determinant sign, which the library reads off a rank.
+    """
+    m = [[x % p for x in r] for r in rows]
+    out = 1
+    while m:
+        i = next((i for i, r in enumerate(m) if r[0]), None)
+        if i is None:
+            return 0
+        if i:
+            m[0], m[i] = m[i], m[0]
+            out = -out
+        piv = m[0]
+        out = out * piv[0] % p
+        inv = pow(piv[0], -1, p)
+        tail = piv[1:]
+        rest = []
+        for r in m[1:]:
+            f = r[0] * inv % p
+            rest.append([(x - f * y) % p for x, y in zip(r[1:], tail)] if f else r[1:])
+        m = rest
+    return out % p
+
+
+def dense_rank_mod(rows, p: int) -> int:
+    """Rank of an integer matrix over F_p, by elimination on dense rows."""
+    m = [[x % p for x in r] for r in rows]
+    rank = 0
+    for j in range(len(m[0]) if m else 0):
+        i = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if i is None:
+            continue
+        m[rank], m[i] = m[i], m[rank]
+        inv = pow(m[rank][j], -1, p)
+        for r in m[rank + 1:]:
+            f = r[j] * inv % p
+            r[:] = [(x - f * y) % p for x, y in zip(r, m[rank])]
+        rank += 1
+    return rank
 
 
 class SingularMatrixError(ValueError):

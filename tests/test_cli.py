@@ -309,10 +309,10 @@ GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 ])
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_cli_classifies_only_inside_the_library(argv, fmt, capsys, monkeypatch):
-    # the one classify behind these commands is complete_isotropic's own;
+    # the one classify behind these commands is the completion's own;
     # the CLI prints the library's checks instead of recomputing them
     classified = helpers.count_calls(monkeypatch, "classify_witness")
-    completed = helpers.count_calls(monkeypatch, "complete_isotropic")
+    completed = helpers.count_calls(monkeypatch, "_complete")
     argv = [str(GOLDEN_INPUTS / f"{a}.json") if prev == "--input" else a
             for prev, a in zip([None] + argv, argv)]
     code, out, _ = run(capsys, *argv, "--format", fmt)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evenlat
 import helpers
 from evenlat import (
     ExtendedForm,
@@ -157,20 +158,22 @@ def test_canonicalization_divides_out_content():
 
 def test_make_scaled_verifies_once(monkeypatch):
     # the ratio is read off one entry of R^t S1 R; the congruence triangle,
-    # the sign of det R modulo an odd prime and one orientation check verify
-    # R, with no exact determinant; canonical() divides a verified matrix by
-    # its content and checks nothing again
+    # the sign of det R by a rank modulo an odd prime and one orientation
+    # check verify R, with no exact determinant; canonical() divides a
+    # verified matrix by its content and checks nothing again
     exact = helpers.record_calls(monkeypatch, "_bareiss")
-    signs = helpers.record_calls(monkeypatch, "_det_mod")
+    signs = helpers.record_calls(monkeypatch, "_rank_mod")
     w = A2.element_from_word(W_WORD)
     x = make_scaled(A2, helpers.scale_matrix(w.matrix @ X, 6), canonicalize=True)
     assert (x.ratio, x.matrix) == (4, w.matrix @ X)
-    # ratio 6^2 * 4 = 144: 3 divides it, so the sign is read mod 5
-    assert [p for _, p in signs] == [5]
-    # direct construction still verifies; its power is trusted
+    # ratio 6^2 * 4 = 144 = 12^2 and det S1 = 3: 3 divides both, so the rank
+    # of R - 12 I is read mod 5
+    assert [c[1:] for c in signs] == [(12, 5)]
+    # direct construction still verifies; its power is trusted. Ratio 4 is
+    # prime to 3, but A2's det S1 is not
     del signs[:]
     ScaledOrthogonal(A2, x.matrix, 4).power(2)
-    assert [p for _, p in signs] == [3]
+    assert [c[1:] for c in signs] == [(2, 5)]
     assert exact == []
     with pytest.raises(ValueError, match="scale the form"):
         ScaledOrthogonal(A2, x.matrix, 2)
@@ -351,7 +354,7 @@ def test_double_coset_forms_dense_products_only_in_its_final_check(monkeypatch):
     x = make_scaled(d4, w.matrix @ helpers.corner_scaling(d4.dim, 3) @ v.matrix,
                     canonicalize=False)
     products = helpers.record_calls(monkeypatch, "__matmul__", owner=Matrix)
-    done = helpers.record_calls(monkeypatch, "complete_isotropic", owner=ExtendedForm)
+    done = helpers.record_calls(monkeypatch, "_complete", owner=ExtendedForm)
     witnesses = helpers.record_calls(monkeypatch, "classify_witness", owner=ExtendedForm)
     gates = helpers.record_calls(monkeypatch, "_gate", owner=ExtendedForm)
     congruences = helpers.record_calls(monkeypatch, "_congruence_mismatch")
@@ -390,6 +393,33 @@ def random_scaled(form, rng):
     v = helpers.random_element(form, rng, max_len=4)
     r = w.matrix @ helpers.corner_scaling(form.dim, s) @ v.matrix
     return make_scaled(form, helpers.scale_matrix(r, c), canonicalize=False)
+
+
+@pytest.mark.parametrize("form,seed", [(A2, 149), (D4, 151)])
+def test_coset_reductions_invert_each_completion_token_once(form, seed, monkeypatch):
+    # a completion inverts each token it applies once, for its own word; the
+    # right-coset transformer and the double coset's left cleanings take the
+    # applied tokens reversed and invert none again
+    rng = random.Random(seed)
+    inverted = helpers.record_calls(monkeypatch, "_parts_inverse", owner=evenlat.ogroup)
+    applied = []
+    complete = ExtendedForm._complete
+
+    def recording(self, h):
+        out = complete(self, h)
+        applied.extend(out[1])
+        return out
+
+    monkeypatch.setattr(ExtendedForm, "_complete", recording)
+    for _ in range(3):
+        x = random_scaled(form, rng)
+        del inverted[:], applied[:]
+        reduce_double_coset(x)  # starts from the right-coset form
+        assert len(inverted) == len(applied) > 0
+        # the right-coset transformer is the completion's inverse, word and all
+        rc = reduce_right_coset(x)
+        h = tuple(v // rc.alpha for v in x.matrix.col(0))
+        assert rc.transformer.word == form.complete_isotropic(h).inverse().word
 
 
 @pytest.mark.parametrize("form,seed", [(A2, 131), (D4, 137)])
@@ -472,7 +502,7 @@ def test_reductions_are_cached_and_reused(monkeypatch):
     # starts from the cached right-coset form, one completion fewer than a
     # double on a freshly built equal object, and the certificate reads the
     # cached double; each form is computed once and passes the oracles
-    completed = helpers.count_calls(monkeypatch, "complete_isotropic")
+    completed = helpers.count_calls(monkeypatch, "_complete")
     rng = random.Random(139)
     # the first raw-power invariants collide, so its certificate falls back
     # to the double coset (test_certificate_diagonal_fallback)
@@ -534,7 +564,7 @@ def test_certificate_invariants_match_verified_powers(form, seed):
 @pytest.mark.parametrize("form,seed", [(A2, 113), (D4, 127)])
 def test_reductions_classify_once_per_completion(form, seed, monkeypatch):
     classified = helpers.count_calls(monkeypatch, "classify_witness")
-    completed = helpers.count_calls(monkeypatch, "complete_isotropic")
+    completed = helpers.count_calls(monkeypatch, "_complete")
     rng = random.Random(seed)
     for _ in range(6):
         x = random_scaled(form, rng)

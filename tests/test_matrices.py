@@ -15,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SingularMatrixError, dense_smith_normal_form, inverse, signature
-from evenlat import (Matrix, det, direct_sum, is_positive_definite, root_lattice,
-                     smith_normal_form)
-from evenlat.matrices import (_bareiss, _congruence_mismatch, _congruent, _det_mod,
-                              _eliminate, _nonzeros, _packed_rows, vec_gcd)
+import helpers
+from helpers import (SingularMatrixError, _det_mod, dense_rank_mod, dense_smith_normal_form,
+                     inverse, signature)
+from evenlat import (ExtendedForm, Matrix, det, direct_sum, is_positive_definite,
+                     root_lattice, smith_normal_form)
+from evenlat.matrices import (_bareiss, _congruence_mismatch, _congruent, _eliminate,
+                              _entry_bound, _nonzeros, _packed_rows, _rank_mod, vec_gcd)
 
 A2 = Matrix([[2, -1], [-1, 2]])
 
@@ -76,6 +78,24 @@ def test_det_mod_matches_exact_determinant_sweep():
             rows[-1] = list(rows[0])
         for p in (3, 5, 7, 11):
             assert _det_mod(rows, p) == _bareiss(rows)[0] % p, (rows, p)
+
+
+def test_rank_mod_matches_dense_rank_sweep():
+    # num - s I for s = 1 and s = 2, with rows equal to s e_i (skipped), rows
+    # that are zero only mod p, repeated rows and singular inputs
+    rng = random.Random(127)
+    for _ in range(120):
+        n = rng.randint(0, 7)
+        s = rng.choice((1, 2))
+        rows = [[s * (i == j) for j in range(n)] for i in range(n)]
+        for i in rng.sample(range(n), rng.randint(0, n)):
+            rows[i] = [rng.choice((0, 0, 0, 1, -1, 2, 3, -5)) for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            rows[-1] = list(rows[0])
+        for p in (3, 5, 7):
+            shifted = [[x - s * (i == j) for j, x in enumerate(r)] for i, r in enumerate(rows)]
+            assert _rank_mod(tuple(map(tuple, rows)), s, p) == dense_rank_mod(shifted, p), (
+                rows, s, p)
 
 
 # -------------------------------------------------------------------- inverse
@@ -594,6 +614,25 @@ def test_congruence_mismatch_slots_hold_what_is_packed():
     assert _congruence_mismatch(big, zero, e1, 1, _packed_rows(zero, e1)) == (0, 1, 0)
     s, e = _nonzeros([[2]]), [[2**70]]
     assert _congruence_mismatch([[1]], s, e, 0, _packed_rows(s, e)) == (0, 0, 2)
+
+
+def test_congruence_mismatch_packs_only_the_rows_read(monkeypatch):
+    # the A30 involution with entry (0, 0) raised by one differs in row 0 of
+    # M^t S1 M, which reads rows 0 and last of S1 M, the nonzeros of column 0
+    # of M; they read rows last and 0 of M: two rows are packed, not 34
+    form = ExtendedForm(root_lattice("A30"))
+    rows = [list(r) for r in form.involution().matrix.num]
+    rows[0][0] += 1
+    packs = helpers.record_calls(monkeypatch, "_pack")
+    assert form.classify_witness(rows)[1]["check"] == "form-congruence"
+    assert [c[0] for c in packs] == [tuple(rows[-1]), tuple(rows[0])]
+
+
+def test_entry_bound_is_16_bits_or_the_largest_entry():
+    assert _entry_bound([[32767, -32768], [0, 5]]) == 2**15
+    assert _entry_bound([[32768, 0], [0, 5]]) == 32768
+    assert _entry_bound([[1, -32769]]) == 32769
+    assert _entry_bound([[3, -2**70]]) == 2**70
 
 
 # -------------------------------------------------------------------- helpers

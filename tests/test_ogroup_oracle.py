@@ -13,6 +13,7 @@ gate, and rescaled on the outer hyperbolic plane so that it is rational.
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +25,8 @@ from evenlat import (
     direct_sum, root_lattice,
 )
 from evenlat.cosets import make_scaled, normalizer_certificate
-from evenlat.ogroup import _act
+from evenlat.matrices import _bareiss, _rank_mod
+from evenlat.ogroup import _act, _identity_corners, _sign_modulus, base_reflection
 
 FORMS = {name: ExtendedForm(root_lattice(name))
          for name in ("A1", "A2", "D4", "E8", "A15", "2D4")}
@@ -145,19 +147,20 @@ def test_scaled_at_ratio_one_refuses_where_classify_stops(name):
 
 
 def test_determinant_sign_read_modulo_an_odd_prime(monkeypatch):
-    # the least odd prime not dividing the denominator: 3, then 5, then 7
+    # the rank of num - t I modulo the least odd prime dividing neither the
+    # ratio t^2 nor det S1 = 3 of A2: 5, until 5 divides t, then 7
     form = FORMS["A2"]
-    calls = helpers.record_calls(monkeypatch, "_det_mod")
+    calls = helpers.record_calls(monkeypatch, "_rank_mod")
     m = helpers.random_element(form, random.Random(11)).matrix
     swapped = perturb("A2", m, "determinant", None)
-    for t, p in ((1, 3), (2, 3), (3, 5), (15, 7)):
+    for t, p in ((1, 5), (2, 5), (3, 5), (15, 7)):
         x, y = rescale(m, t), rescale(swapped, t)
         assert x.den == y.den == t
         calls.clear()
         assert form.classify(x) >= Membership.SPECIAL
         assert form.classify_witness(y) == (Membership.ORTHOGONAL,
                                             {"check": "determinant", "value": -1})
-        assert [c[1] for c in calls] == [p, p]
+        assert [c[1:] for c in calls] == [(t, p), (t, p)]
 
 
 def test_rational_matrix_failing_the_congruence():
@@ -395,3 +398,93 @@ def test_outside_word_must_multiply_to_the_matrix():
     word = helpers.random_word(random.Random(7), form.n, 5)
     g = GroupElement(form, form.element_from_word(word).matrix, word=word)
     assert g.word == word and g.inverse().inverse().word == word
+
+
+# odd and even d, with 3 | det S1 for A2, E6 and A8, so that the determinant's
+# prime is never 3 there; 2A1 also carries similitudes of ratio 2
+SIGN_FORMS = {name: ExtendedForm(root_lattice(name))
+              for name in ("A1", "A2", "A3", "2A1", "D4", "E6", "E7", "A8")}
+
+
+def _similitude_2a1(d):
+    """diag(2, 2, B, 1, 1) with B = [[1, 1], [-1, 1]]: BᵀSB = 2S on 2A1 and
+    the outer pairs pair to 2, so it scales S1 by 2 with determinant 8."""
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    rows[0][0] = rows[1][1] = 2
+    rows[2][2:4], rows[3][2:4] = [1, 1], [-1, 1]
+    return Matrix(rows)
+
+
+def _oracle_prime(ratio):
+    """The least odd prime not dividing the ratio: ±isqrt(ratio^d) differ there."""
+    return next(p for p in range(3, 4 * ratio + 5, 2)
+                if ratio % p and all(p % t for t in range(3, p, 2)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(SIGN_FORMS)), st.data())
+def test_determinant_sign_by_rank_matches_det_mod_and_bareiss(name, data):
+    # a member from a word, times a det -1 isometry or not, scaled by t (ratio
+    # t^2) or, on 2A1, by a similitude of ratio 2: the gate's determinant
+    # verdict agrees with det num mod an odd prime and with its exact sign
+    form = SIGN_FORMS[name]
+    d, n = form.dim, form.n
+    kinds = st.sampled_from(("J", "T", "T*"))
+    word = data.draw(st.lists(st.tuples(kinds, st.lists(st.integers(-2, 2), min_size=n + 2,
+                                                        max_size=n + 2)), max_size=4))
+    word = tuple((k,) if k == "J" else (k, tuple(lam)) for k, lam in word)
+    m = form.element_from_word(word).matrix
+    flip = data.draw(st.sampled_from(("", "swap", "reflection")))
+    if flip == "swap":  # the inner hyperbolic pair: det -1
+        m = Matrix([[*r[:1], r[d - 2], *r[2:d - 2], r[1], r[d - 1]] for r in m.num])
+    elif flip == "reflection":  # a simple root of the base: det -1
+        m = m @ _identity_corners(base_reflection(form.base, [1] + [0] * (n - 1)))
+    ratio = 1
+    if name == "2A1" and data.draw(st.booleans()):
+        m, ratio = m @ _similitude_2a1(d), 2
+    t = data.draw(st.sampled_from((1, 2, 3, 5, 6, 15)))
+    num, ratio = tuple(tuple(t * x for x in r) for r in m.num), ratio * t * t
+    failed = form._gate(Matrix._over(num), ratio)
+    assert failed is None or failed[1]["check"] in ("determinant", "orientation")
+    positive = failed is None or failed[1]["check"] == "orientation"
+    p = _oracle_prime(ratio)
+    assert positive == (helpers._det_mod(num, p) == isqrt(ratio**d) % p)
+    assert positive == (_bareiss(num)[0] > 0) == (flip == "")
+    # the gate's prime keeps S1 nondegenerate and the ratio a square
+    p, s = _sign_modulus(ratio, form.s1_det)
+    assert ratio * form.s1_det % p and (s * s - ratio) % p == 0
+    assert p != 3 or form.s1_det % 3
+
+
+def test_determinant_sign_at_a_non_square_ratio():
+    # ratio 2 is a square mod neither 3 nor 5, so 2A1 (det S1 = 4) reads the
+    # sign mod 7, with the root 3 of 2; swapping the inner pair flips it
+    form = SIGN_FORMS["2A1"]
+    d = form.dim
+    assert _sign_modulus(2, form.s1_det) == (7, 3)
+    m = _similitude_2a1(d)
+    swapped = Matrix([[*r[:1], r[d - 2], *r[2:d - 2], r[1], r[d - 1]] for r in m.num])
+    assert form._gate(m, 2) is None
+    assert form._gate(swapped, 2) == (Membership.ORTHOGONAL,
+                                      {"check": "determinant", "value": -1})
+    assert (_bareiss(m.num)[0], _bareiss(swapped.num)[0]) == (8, -8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SIGN_FORMS)), st.data())
+def test_rank_kernel_pivots_at_most_twice_the_word_length(name, data):
+    # num - I of a word of length l has rank at most 2l: J - I has rank 2, and
+    # each transvection is I plus two rank-one terms
+    form = SIGN_FORMS[name]
+    n = form.n
+    length = data.draw(st.integers(0, 5))
+    word = tuple(data.draw(st.sampled_from((("J",),))
+                           | st.tuples(st.sampled_from(("T", "T*")),
+                                       st.tuples(*[st.integers(-3, 3)] * (n + 2))))
+                 for _ in range(length))
+    num = form.element_from_word(word).matrix.num
+    p, s = _sign_modulus(1, form.s1_det)
+    shifted = [[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(num)]
+    rank = _rank_mod(num, s, p)
+    assert rank == helpers.dense_rank_mod(shifted, p) <= 2 * length
+    assert rank % 2 == 0
