@@ -7,8 +7,9 @@ whose diagonal is even. Everything downstream is exact:
   determinant (the divisors' product with the tracked sign of det U * det V),
   the discriminant form on dual/lattice in integers, and U as the log of its
   row operations, applied where U is read (``_adjugate_times``,
-  ``element_from_dual``); definiteness is one Bareiss
-  pass on first use, derived for direct sums and glue overlattices;
+  ``element_from_dual``); definiteness is one sparse elimination on first
+  use (``matrices._positive_definite``), derived for direct sums and glue
+  overlattices;
 * an overlattice is rebuilt from a totally isotropic glue group H, with no
   Smith elimination: its basis is the Hermite normal form of the rows
   [d I; d lifts], d = exponent, computed modulo d (``matrices._hnf_mod``),
@@ -28,8 +29,8 @@ from math import isqrt, prod
 from typing import NamedTuple
 
 from .matrices import (
-    Matrix, _apply_log, _bareiss, _congruent, _dense, _eliminate, _hnf_mod, _nonzeros,
-    _product_rows, _scaled_inverse, _slots, _unpack,
+    Matrix, _apply_log, _congruent, _dense, _eliminate, _hnf_mod, _nonzeros,
+    _positive_definite, _product_rows, _scaled_inverse, _slots, _unpack,
 )
 from .quadmod import FiniteQuadraticModule, GlueGroup
 
@@ -109,12 +110,12 @@ class EvenLattice:
 
     @cached_property
     def is_positive_definite(self) -> bool:
-        """Sylvester's test, one Bareiss pass on first use. Derived for a
-        direct sum from its summands, and for a glue overlattice from its
+        """Sylvester's test on the Gram's nonzeros, on first use. Derived for
+        a direct sum from its summands, and for a glue overlattice from its
         parent: it spans the parent's rational space, so shares its signature."""
         if self._sources:
             return all(lat.is_positive_definite for lat in self._sources)
-        return _bareiss(self.gram.num)[1]
+        return _positive_definite(self.gram.num)
 
     def _adjugate_times(self, y) -> list:
         """adj(S) y = V diag(|det S|/d_i) U y for a list y of ints or of packed

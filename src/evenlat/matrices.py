@@ -5,25 +5,25 @@ exact by construction. A matrix is an immutable integer matrix ``num`` over
 one positive denominator ``den``, reduced so that den and the entries of num
 have no common factor; an integral matrix is the case den == 1. Every
 operation computes on num, multiplies the denominators and reduces once by a
-gcd, so there is one integer path whatever the entries are. The determinant
-and the definiteness test share one fraction-free Bareiss pass on dense
-rows, which keeps intermediate entries polynomial in size. An isometry
-num/s of a form nondegenerate mod an odd prime p has determinant (-1)^k
-mod p, k = rank_p(num - s I) (Cartan-Dieudonne with Scherk's count; P.
-Scherk, Proc. AMS 1 (1950) 481-491), found on sparse rows (``_rank_mod``)
-in O(d^2 k). One Smith elimination (``_eliminate``) runs on sparse rows
-and returns the diagonal, the columns of V, the sign of det U * det V and, in
-place of U, the log of its row operations, applied where U is read
-(``_apply_log``). The Hermite normal form of a lattice that contains d Z^n is
-computed modulo d on sparse rows (``_hnf_mod``), and d times its inverse by
-back-substitution over those rows with exact divisions
-(``_scaled_inverse``). One kernel per kind of operand: ``_congruent`` forms
-B S B^t on the nonzeros of B and S (``_product_rows``) for the sparse
-lattice-side rows (Hermite, lift, embedding, reflection); group matrices
-pack each row as one int (``_pack``), so that a row operation is one
-big-integer operation, and ``_congruence_mismatch`` compares M^t S M with
-scale * E a packed row at a time, up to the first row that differs,
-packing a row only when that row reads it.
+gcd, so there is one integer path whatever the entries are. Fraction-free
+(Bareiss) elimination gives the determinant on dense rows, and definiteness
+on sparse rows, fewest nonzeros first (``_positive_definite``). An isometry
+num/s of a form nondegenerate mod an odd prime p has determinant (-1)^k mod
+p, k = rank_p(num - s I) (Cartan-Dieudonne with Scherk's count; P. Scherk,
+Proc. AMS 1 (1950) 481-491), found on sparse rows (``_rank_mod``) in
+O(d^2 k). One Smith elimination (``_eliminate``) runs on sparse rows, swaps
+columns by a permutation of their keys, and returns the diagonal, the
+columns of V, the sign of det U * det V and, in place of U, the log of its
+row operations, applied where U is read (``_apply_log``). The Hermite normal
+form of a lattice that contains d Z^n is computed modulo d on sparse rows
+(``_hnf_mod``), and d times its inverse by back-substitution over those rows
+with exact divisions (``_scaled_inverse``). One kernel per kind of operand:
+``_congruent`` forms B S B^t on the nonzeros of B and S, for the sparse
+lattice-side rows (Hermite, lift, embedding, reflection), by an index of B's
+rows by column; group matrices pack each row as one int (``_pack``), so that
+a row operation is one big-integer operation, and ``_congruence_mismatch``
+compares M^t S M with scale * E a packed row at a time, up to the first row
+that differs, packing a row only when that row reads it.
 Nothing here inverts over the rationals: callers invert through an integral
 adjugate, or the Smith record it comes from, and one exact division.
 """
@@ -204,7 +204,7 @@ def _fill(m: Matrix, num: tuple, den: int) -> None:
 
 def _split(xs: tuple) -> tuple:
     """(integer numerators, their one positive denominator) of int/Fraction values."""
-    if all(type(x) is int for x in xs):
+    if {int}.issuperset(map(type, xs)):
         return xs, 1
     for x in xs:
         # bool is an int subclass, but a truth value is no entry
@@ -247,38 +247,54 @@ def _int_vec(v, what: str = "vector entries") -> tuple:
     return tuple(out)
 
 
-def _bareiss(rows) -> tuple:
-    """(determinant, positive definite) of a square integer matrix, in one pass.
-
-    Fraction-free elimination: every division is exact and entries stay
-    integers of bit size linear in n. Until the first row swap the pivot at
-    step k is the leading principal minor of order k+1, so a non-positive
-    pivot or a swap (a zero minor) means "not positive definite"; that answer
-    is Sylvester's test when the matrix is symmetric.
-    """
-    if not rows:
-        return 1, True
+def _bareiss(rows) -> int:
+    """The determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, entries of bit size linear in n."""
     # m is the active block: the rows and columns after the pivots so far
     m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    pd = True
+    sign = prev = 1
     while len(m) > 1:
-        if m[0][0] <= 0:
-            pd = False
-            if m[0][0] == 0:
-                i = next((i for i, r in enumerate(m) if r[0]), None)
-                if i is None:
-                    return 0, False
-                m[0], m[i] = m[i], m[0]
-                sign = -sign
+        if m[0][0] == 0:
+            i = next((i for i, r in enumerate(m) if r[0]), None)
+            if i is None:
+                return 0
+            m[0], m[i] = m[i], m[0]
+            sign = -sign
         piv = m[0][0]
         tail = m[0][1:]
         m = [[(x * piv - r[0] * y) // prev for x, y in zip(r[1:], tail)] if r[0]
              else [x * piv // prev for x in r[1:]] for r in m[1:]]
         prev = piv
-    d = sign * m[0][0]
-    return d, pd and d > 0
+    return sign * m[0][0] if m else 1
+
+
+def _positive_definite(rows) -> bool:
+    """Sylvester's test for a symmetric integer S, on rows of nonzeros: each
+    step pivots on the row of fewest nonzeros and stops at a pivot <= 0, the
+    leading minors of P^t S P for the order P of the steps. Each row becomes
+    (x piv - r_c y) / prev, exactly, so entries stay minors; for r_c = 0 the
+    scalings piv / prev telescope, so such a row is left as at its last update,
+    at pivot e, and read as x prev / e. On a forest a step updates one row."""
+    left = {i: {j: x for j, x in enumerate(r) if x} for i, r in enumerate(rows)}
+    last, prev = dict.fromkeys(left, 1), 1  # the pivot of each row's last update
+    while left:
+        c = min(left, key=lambda i: len(left[i]))
+        rc, e = left.pop(c), last[c]
+        rc = {j: x * prev // e for j, x in rc.items()} if e != prev else rc
+        piv = rc.pop(c, 0)
+        if piv <= 0:
+            return False
+        nz = list(rc.items())
+        for i, y in nz:  # y is entry c of row i, as S is symmetric
+            r, e = left[i], last[i]
+            del r[c]
+            r = {j: x * piv for j, x in r.items()} if e == prev else \
+                {j: x * prev // e * piv for j, x in r.items()}
+            for j, z in nz:
+                r[j] = r.get(j, 0) - y * z
+            left[i], last[i] = {j: x // prev for j, x in r.items() if x}, piv
+        prev = piv
+    return True
 
 
 def _rank_mod(rows, s: int, p: int) -> int:
@@ -322,16 +338,16 @@ def det(a: Matrix):
     """
     if not a.is_square:
         raise ValueError("determinant needs a square matrix")
-    return _entry(_bareiss(a.num)[0], a.den ** a.nrows)
+    return _entry(_bareiss(a.num), a.den ** a.nrows)
 
 
 def is_positive_definite(a: Matrix) -> bool:
-    """Sylvester test for a symmetric integral matrix: all leading minors > 0."""
+    """Sylvester's test for a symmetric integral matrix (``_positive_definite``)."""
     if not a.is_symmetric:
         raise ValueError("definiteness test needs a symmetric matrix")
     if not a.is_integral:
         raise ValueError("matrix has non-integer entries")
-    return _bareiss(a.num)[1]
+    return _positive_definite(a.num)
 
 
 def _axpy(r: dict, q: int, nz) -> None:
@@ -364,13 +380,15 @@ def _eliminate(a: Matrix):
     order: (i, t) swaps rows i and t, (i, q, t) adds q row t to row i, and
     (i,) negates row i.
 
-    Each row of A is a {column: value} dict of its nonzeros, and V is held
-    by its columns. Rows >= t hold no entry in a column < t, so at step t a
-    row's least |x| in the block of rows and columns >= t is the least of
-    its values. Step t moves a pivot to (t, t): the entry of least |x| in
-    the block, the first in row-major order; the scan stops at the first
-    row holding a unit. The pivot clears its column and then its row by
-    integer division; a nonzero remainder is a smaller pivot and the step
+    Each row of A is a dict of its nonzeros, keyed by the column that held
+    them at the start; key and pos map a column to its key and back, so a
+    column swap exchanges two keys and two columns of V, which is held by
+    its columns, and touches no row. Rows from t on hold no entry in a
+    column before t, so at step t a row's least |x| in the block is the
+    least of its values. Step t moves a pivot to (t, t): the entry of least
+    |x| in the block, the first in row-major order; the scan stops at the
+    first row holding a unit. The pivot clears its column and then its row
+    by integer division; a nonzero remainder is a smaller pivot and the step
     repeats. Once both are clear, a pivot p that does not divide the whole
     block gets the first row holding such an entry added to row t, and the
     step repeats; after a unit pivot no such row is sought. Adding a
@@ -382,6 +400,7 @@ def _eliminate(a: Matrix):
     m, n = a.nrows, a.ncols
     A = [{j: x for j, x in enumerate(r) if x} for r in a.num]
     V = [{j: 1} for j in range(n)]
+    key, pos = list(range(n)), list(range(n))  # logical column <-> row key
     sign = 1
     log = []
 
@@ -396,45 +415,41 @@ def _eliminate(a: Matrix):
                         break
             if not best:
                 break
-            bj = min(j for j, x in A[bi].items() if x in (best, -best))
+            bj = min(pos[k] for k, x in A[bi].items() if x in (best, -best))
             if bi != t:
                 A[t], A[bi] = A[bi], A[t]
                 log.append((t, bi))
                 sign = -sign
             if bj != t:
-                # the rows above t are zero in both columns
-                for r in A[t:]:
-                    x, y = r.pop(t, 0), r.pop(bj, 0)
-                    if y:
-                        r[t] = y
-                    if x:
-                        r[bj] = x
+                # the rows keep their keys: only the map and V's columns move
+                key[t], key[bj] = key[bj], key[t]
+                pos[key[t]], pos[key[bj]] = t, bj
                 V[t], V[bj] = V[bj], V[t]
                 sign = -sign
-            pa = A[t]
-            p = pa[t]
+            kt, pa = key[t], A[t]
+            p = pa[kt]
             # |p| is least in the block, so every quotient below is nonzero
             nza = list(pa.items())
             ra = [pa]  # the rows still nonzero in column t once it is cleared
             for i in range(t + 1, m):
                 ri = A[i]
-                x = ri.get(t)
+                x = ri.get(kt)
                 if x:
                     q = -(x // p)
                     _axpy(ri, q, nza)
                     log.append((i, q, t))
-                    if t in ri:
+                    if kt in ri:
                         ra.append(ri)  # remainder becomes a smaller pivot
             dirty = len(ra) > 1
             vt = list(V[t].items())
             for j, x in nza:
-                if j != t:
+                if j != kt:
                     # column t stays fixed while column j changes, so only
                     # the rows in ra take part
                     q = -(x // p)
                     for r in ra:
-                        _axpy(r, q, ((j, r[t]),))
-                    _axpy(V[j], q, vt)
+                        _axpy(r, q, ((j, r[kt]),))
+                    _axpy(V[pos[j]], q, vt)
                     if j in pa:
                         dirty = True
             if dirty:
@@ -448,11 +463,11 @@ def _eliminate(a: Matrix):
                 break
             _axpy(pa, 1, A[wi].items())
             log.append((t, 1, wi))
-        if t not in A[t]:
+        if key[t] not in A[t]:
             break  # submatrix exhausted, zeros from here on
 
     # A is diagonal now: every row holds its pivot alone, or nothing
-    diag = [A[i].get(i, 0) for i in range(min(m, n))]
+    diag = [A[i].get(key[i], 0) for i in range(min(m, n))]
     for i, x in enumerate(diag):
         if x < 0:
             diag[i] = -x
@@ -608,19 +623,33 @@ def _product_rows(b, s):
 def _congruent(b, s, den: int = 1):
     """B S B^t / den as integer rows, or None where den does not divide it.
 
-    B and the symmetric S are given by the nonzeros of their rows, so only
-    the upper triangle is formed: entry (i, l) reads row i of B S
-    (``_product_rows``) at the nonzeros of row l of B. Its B are the sparse
-    Hermite, lift, embedding (M^t) and reflection rows, whose zeros it
-    skips; packing them (``_congruence_mismatch``) is slower.
+    B and the symmetric S are given by the nonzeros of their rows. The rows
+    of B are indexed by column, and each nonzero a at column k of row i of
+    B S (``_product_rows``) adds a z to (i, l) for each l >= i whose row of
+    B holds z at k: only the upper triangle, and no pair of disjoint rows.
+    Its B are the sparse Hermite, lift, embedding (M^t) and reflection rows,
+    for which packing (``_congruence_mismatch``) is slower.
     """
-    out = [[0] * len(b) for _ in b]
+    n = len(b)
+    bycol = [[] for _ in s]  # (l, z) for each z of column k, latest row first
+    for l in reversed(range(n)):
+        for k, z in b[l]:
+            bycol[k].append((l, z))
+    out, cols = [[0] * n for _ in b], range(len(s))
     for i, acc in enumerate(_product_rows(b, s)):
-        for l in range(i, len(b)):
-            t = sum([acc[k] * z for k, z in b[l]])
-            if t % den:
-                return None
-            out[i][l] = out[l][i] = t // den
+        row = out[i]
+        for k in compress(cols, acc):
+            a = acc[k]
+            for l, z in bycol[k]:
+                row[l] += a * z
+        for k, _ in b[i]:
+            bycol[k].pop()  # row i, the earliest left: later rows read l > i
+        for l in range(i, n):
+            t = row[l]
+            if t:
+                if t % den:
+                    return None
+                row[l] = out[l][i] = t // den
     return tuple(map(tuple, out))
 
 

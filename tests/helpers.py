@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import evenlat
 from evenlat import ExtendedForm, Matrix
+from evenlat.matrices import _axpy
 
 
 def random_token(rng, n, spread=2):
@@ -420,3 +421,95 @@ def dense_smith_normal_form(a: Matrix, *, _signed: bool = False):
             sign = -sign
     out = tuple(Matrix._over(tuple(map(tuple, x))) for x in (U, A, V))
     return out + (sign,) if _signed else out
+
+
+# -- the sparse Smith elimination with row keys moved on every column swap --
+
+
+def rowkey_eliminate(a: Matrix):
+    """``matrices._eliminate`` as it was with each row keyed by its logical
+    column: a column swap moves the two entries of every row of the block.
+    The oracle of the permuted-key elimination, which must return the same
+    (diagonal, columns of V, sign, log)."""
+    if not a.is_integral:
+        raise ValueError("matrix has non-integer entries")
+    m, n = a.nrows, a.ncols
+    A = [{j: x for j, x in enumerate(r) if x} for r in a.num]
+    V = [{j: 1} for j in range(n)]
+    sign = 1
+    log = []
+
+    for t in range(min(m, n)):
+        while True:
+            best, bi = 0, t
+            for i in range(t, m):
+                x = min(map(abs, A[i].values()), default=0)
+                if x and (not best or x < best):
+                    best, bi = x, i
+                    if x == 1:
+                        break
+            if not best:
+                break
+            bj = min(j for j, x in A[bi].items() if x in (best, -best))
+            if bi != t:
+                A[t], A[bi] = A[bi], A[t]
+                log.append((t, bi))
+                sign = -sign
+            if bj != t:
+                # the rows above t are zero in both columns
+                for r in A[t:]:
+                    x, y = r.pop(t, 0), r.pop(bj, 0)
+                    if y:
+                        r[t] = y
+                    if x:
+                        r[bj] = x
+                V[t], V[bj] = V[bj], V[t]
+                sign = -sign
+            pa = A[t]
+            p = pa[t]
+            # |p| is least in the block, so every quotient below is nonzero
+            nza = list(pa.items())
+            ra = [pa]  # the rows still nonzero in column t once it is cleared
+            for i in range(t + 1, m):
+                ri = A[i]
+                x = ri.get(t)
+                if x:
+                    q = -(x // p)
+                    _axpy(ri, q, nza)
+                    log.append((i, q, t))
+                    if t in ri:
+                        ra.append(ri)  # remainder becomes a smaller pivot
+            dirty = len(ra) > 1
+            vt = list(V[t].items())
+            for j, x in nza:
+                if j != t:
+                    # column t stays fixed while column j changes, so only
+                    # the rows in ra take part
+                    q = -(x // p)
+                    for r in ra:
+                        _axpy(r, q, ((j, r[t]),))
+                    _axpy(V[j], q, vt)
+                    if j in pa:
+                        dirty = True
+            if dirty:
+                continue
+            if best == 1:
+                break
+            # pivot must divide the whole remaining block for the chain d_i | d_{i+1}
+            wi = next((i for i in range(t + 1, m) if any(map(p.__rmod__, A[i].values()))),
+                      None)
+            if wi is None:
+                break
+            _axpy(pa, 1, A[wi].items())
+            log.append((t, 1, wi))
+        if t not in A[t]:
+            break  # submatrix exhausted, zeros from here on
+
+    # A is diagonal now: every row holds its pivot alone, or nothing
+    diag = [A[i].get(i, 0) for i in range(min(m, n))]
+    for i, x in enumerate(diag):
+        if x < 0:
+            diag[i] = -x
+            log.append((i,))
+            sign = -sign
+    return tuple(diag), V, sign, log

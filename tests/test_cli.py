@@ -591,7 +591,7 @@ def test_caps_below_one_are_refused_before_any_matrix_is_built(capsys, monkeypat
 
 
 def test_definiteness_is_one_bareiss_pass_where_it_is_read(capsys, monkeypatch):
-    passes = helpers.record_calls(monkeypatch, "_bareiss")
+    passes = helpers.record_calls(monkeypatch, "_positive_definite")
     code, out, _ = run(capsys, "overlattices", "--name", "A8", "--format", "json")
     assert code == 0 and json.loads(out)["count"] == 1
     assert passes == []

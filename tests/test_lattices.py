@@ -426,9 +426,9 @@ def test_positive_definite_once_and_from_summands(monkeypatch):
     indefinite = direct_sum(root_lattice("A2"), EvenLattice(Matrix([[2, 1], [1, -2]])))
     assert not indefinite.is_positive_definite
     assert not is_positive_definite(indefinite.gram)
-    # building runs no Bareiss pass; reading a direct sum's definiteness
+    # building runs no definiteness pass; reading a direct sum's definiteness
     # runs one per summand, none on the block Gram, and none is repeated
-    passes = helpers.record_calls(monkeypatch, "_bareiss")
+    passes = helpers.record_calls(monkeypatch, "_positive_definite")
     a, b = root_lattice("A3"), root_lattice("D4")
     lat = direct_sum(a, b)
     assert lat.determinant == a.determinant * b.determinant == 16
@@ -447,8 +447,8 @@ def test_positive_definite_once_and_from_summands(monkeypatch):
 
 def test_glue_overlattice_takes_its_parents_definiteness(monkeypatch):
     # an overlattice spans its parent's rational space, so it has its
-    # parent's signature: reading it runs the parent's Bareiss pass only
-    passes = helpers.record_calls(monkeypatch, "_bareiss")
+    # parent's signature: reading it runs the parent's definiteness pass only
+    passes = helpers.record_calls(monkeypatch, "_positive_definite")
     u2 = EvenLattice(Matrix([[0, 2], [2, 0]]))
     hyp, _ = overlattice_from_glue(u2, GlueGroup(u2.discriminant_group(), [(1, 0)]))
     overs = [root_lattice(name) for name in ("D8+", "D16+", "D24+")] + [hyp]

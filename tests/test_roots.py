@@ -127,24 +127,24 @@ def test_multiplicity_prefix():
 @pytest.mark.parametrize("single,multiple", [("A1", "4A1"), ("D8+", "2D8+")])
 def test_multiplicity_builds_one_summand(monkeypatch, single, multiple):
     # kX sums k copies of one built X: the same Smith forms and overlattices
-    # as X alone, no Bareiss pass while building, and reading definiteness
+    # as X alone, no definiteness pass while building, and reading definiteness
     # runs the one pass of X
     def calls(name):
-        bareiss = helpers.record_calls(monkeypatch, "_bareiss")
+        passes = helpers.record_calls(monkeypatch, "_positive_definite")
         smith = helpers.record_calls(monkeypatch, "_eliminate")
         glued = helpers.record_calls(monkeypatch, "overlattice_from_glue",
                                      owner=evenlat.lattices)
         lat = root_lattice(name)
-        built = len(bareiss)
+        built = len(passes)
         assert lat.is_positive_definite
         monkeypatch.undo()
-        return built, bareiss, smith, len(glued)
+        return built, passes, smith, len(glued)
 
     want = calls(single)
     assert calls(multiple) == want
-    built, bareiss, smith, glued = want
+    built, passes, smith, glued = want
     # one elimination: the D8+ glue class replays the log of D8's
-    assert built == 0 and len(bareiss) == 1 and len(smith) == 1
+    assert built == 0 and len(passes) == 1 and len(smith) == 1
     assert glued == (single != "A1")
 
 
