@@ -97,9 +97,6 @@ class ScaledOrthogonal:
         """gcd of all matrix entries."""
         return vec_gcd(chain.from_iterable(self.matrix.num))
 
-    def is_canonical(self) -> bool:
-        return self.content == 1
-
     def canonical(self) -> "ScaledOrthogonal":
         """Divide the matrix by its content s and the ratio by s^2.
 
@@ -170,10 +167,6 @@ class RightCosetForm:
     alpha: int  # reduced first column = alpha * e0
     delta: int  # reduced last row = delta * e_last; alpha * delta = ratio
 
-    @property
-    def ratio(self) -> int:
-        return self.source.ratio
-
 
 def _primitive_part(form: ExtendedForm, g, what: str):
     """(alpha, g/alpha) with alpha the gcd of the form-gram times g."""
@@ -242,10 +235,6 @@ class DoubleCosetForm:
     core: Matrix  # scales the middle form by the same ratio
     alpha: int  # gcd of all entries of the source matrix
     delta: int  # alpha * delta = ratio, alpha divides delta
-
-    @property
-    def ratio(self) -> int:
-        return self.source.ratio
 
 
 def _pairing_gcd(c0, z) -> int:
@@ -429,23 +418,6 @@ class NormalizerCertificate:
     corner_gcds: tuple = field(default=())
     invariants: tuple = field(default=())  # Fractions alpha_m^2 / ratio^m
     witness_matrix: Matrix | None = None  # element whose powers were measured
-
-    def describe(self) -> str:
-        if self.in_normalizer:
-            return (
-                "canonical representative has ratio 1 and is an element of "
-                "the integral special-plus group; it normalizes the group"
-            )
-        pairs = ", ".join(
-            f"m={m}: alpha={a}, alpha^2/ratio^m={v}"
-            for m, a, v in zip(self.exponents, self.corner_gcds, self.invariants)
-        )
-        return (
-            "right-coset invariants of the witness powers are pairwise "
-            f"distinct and differ from 1 ({pairs}); a normalizing element "
-            "would keep them constant, so no rational rescaling normalizes "
-            "the group"
-        )
 
 
 def normalizer_certificate(x: ScaledOrthogonal,

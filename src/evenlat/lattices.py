@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .matrices import (
     Matrix, _apply_log, _congruent, _dense, _eliminate, _hnf_mod, _nonzeros,
-    _positive_definite, _product_rows, _scaled_inverse, _slots, _unpack,
+    _positive_definite, _scaled_inverse,
 )
 from .quadmod import FiniteQuadraticModule, GlueGroup
 
@@ -129,23 +129,6 @@ class EvenLattice:
                 for r, x in vi.items():
                     out[r] += x * yi
         return out
-
-    @cached_property
-    def adjugate(self) -> Matrix:
-        """|det S| S^{-1} as an integer matrix: ``_adjugate_times`` of the
-        packed rows of I, in slots that hold Hadamard's bound on a cofactor,
-        prod_k |S_k| / min_k |S_k| over the rows S_k; checked by
-        S adj = |det S| I."""
-        n, dabs = self.rank, abs(self.determinant)
-        norms = [sum(x * x for x in r) for r in self.gram.num]
-        width, top = _slots(n, isqrt(prod(norms) // min(norms, default=1)) + 1)
-        adj = tuple(tuple(_unpack(r, n, width, top)) for r in
-                    self._adjugate_times([1 << 8 * width * j for j in range(n)]))
-        for i, acc in enumerate(_product_rows(self._gram_nonzeros, _nonzeros(adj))):
-            acc[i] -= dabs
-            if any(acc):
-                raise AssertionError("adjugate is not |det S| S^-1")
-        return Matrix._over(adj)
 
     @cached_property
     def _discriminant_group(self) -> FiniteQuadraticModule:

@@ -24,8 +24,8 @@ rows by column; group matrices pack each row as one int (``_pack``), so that
 a row operation is one big-integer operation, and ``_congruence_mismatch``
 compares M^t S M with scale * E a packed row at a time, up to the first row
 that differs, packing a row only when that row reads it.
-Nothing here inverts over the rationals: callers invert through an integral
-adjugate, or the Smith record it comes from, and one exact division.
+Nothing here inverts over the rationals: callers apply an integral adjugate
+through the Smith record it comes from, and one exact division.
 """
 
 from __future__ import annotations

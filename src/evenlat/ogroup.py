@@ -100,9 +100,6 @@ class GroupElement:
     def classify(self) -> Membership:
         return self.form.classify(self.matrix)
 
-    def in_discriminant_kernel(self) -> bool:
-        return self.classify() >= Membership.DISCRIMINANT_KERNEL
-
     def inverse(self) -> "GroupElement":
         word = None if self._tokens is None else tuple(map(_parts_inverse,
                                                             reversed(self._tokens)))
@@ -285,21 +282,6 @@ class ExtendedForm:
         for i, row in enumerate(inner.num):
             rows[1 + i][1:size - 1] = row
         return Matrix._over(tuple(map(tuple, rows)))
-
-    # -- basic form arithmetic -------------------------------------------------
-
-    def quad(self, h) -> int:
-        """Value of the extended quadratic form, h^t S1 h."""
-        w = self.s1 @ tuple(h)
-        return sum(a * b for a, b in zip(h, w))
-
-    def mid_quad_half(self, lam):
-        """Half the middle-form value of a base-extension vector (an integer)."""
-        w = self.s0 @ tuple(lam)
-        t = sum(a * b for a, b in zip(lam, w))
-        if t % 2:
-            raise AssertionError("middle form is even; half-value must be integral")
-        return t // 2
 
     # -- generators ---------------------------------------------------------------
     # Tokens ("J",), ("T", lam), ("T*", lam), lam integral of length n+2, with
@@ -557,9 +539,6 @@ class ExtendedForm:
         return self._adjoint(m, self)
 
     # -- isotropic vectors -----------------------------------------------------------
-
-    def is_isotropic(self, h) -> bool:
-        return self.quad(h) == 0
 
     def is_primitive_isotropic(self, h) -> bool:
         """Isotropic, and the linear form pairing against h is onto the integers.

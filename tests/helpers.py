@@ -254,6 +254,14 @@ def inverse(a: Matrix) -> Matrix:
     return Matrix([row[n:] for row in m])
 
 
+def adjugate(lat) -> Matrix:
+    """|det S| S^{-1} for the Gram S of a lattice, read column by column off
+    its Smith record: column j is ``EvenLattice._adjugate_times`` of e_j."""
+    n = lat.rank
+    cols = [lat._adjugate_times([int(i == j) for i in range(n)]) for j in range(n)]
+    return Matrix(list(zip(*cols)))
+
+
 def signature(a: Matrix) -> tuple:
     """(positive, negative, zero) inertia of a symmetric rational matrix.
 

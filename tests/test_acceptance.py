@@ -254,7 +254,7 @@ def test_ac10_normalizer_certificates():
                     form,
                     w.matrix @ helpers.corner_scaling(form.dim, s) @ v.matrix,
                 )
-                assert x.is_canonical() and x.ratio == s * s > 1
+                assert x.content == 1 and x.ratio == s * s > 1
                 cert = normalizer_certificate(x)
                 assert not cert.in_normalizer
                 assert cert.kind == "scale-invariant-growth"

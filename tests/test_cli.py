@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import evenlat
 import helpers
-from evenlat import ExtendedForm, Matrix, __version__, root_lattice
+from evenlat import MAX_GLUE_ORDER, MAX_ORDER, ExtendedForm, Matrix, __version__, root_lattice
 from evenlat.cli import _dumps, _encode, build_parser, main
 from evenlat.roots import MAX_RANK
 
@@ -565,6 +565,10 @@ def test_max_order_only_where_a_group_is_scanned(capsys, tmp_path):
     parser = build_parser()
     for argv in (["analyze", "--name", "A1"], ["atlas", "--family", "A", "--max", "2"]):
         assert parser.parse_args(argv + ["--max-order", "5"]).max_order == 5
+        # unset, each cap is the library's
+        assert parser.parse_args(argv).max_order == MAX_ORDER
+    glue = parser.parse_args(["overlattices", "--name", "A1"])
+    assert glue.max_glue_order == MAX_GLUE_ORDER
 
 
 def test_rank_is_bounded_before_anything_is_built(capsys, monkeypatch):

@@ -53,7 +53,6 @@ def test_make_scaled_infers_ratio():
     x = make_scaled(A2, X)
     assert x.ratio == 4
     assert x.content == 1
-    assert x.is_canonical()
     assert x.canonical() is x
     assert make_scaled(A2, Matrix.identity(6)).ratio == 1
 
@@ -125,7 +124,7 @@ def test_content_squared_divides_ratio():
         raw = make_scaled(A2, r, canonicalize=False)
         assert raw.ratio % raw.content**2 == 0
         canon = raw.canonical()
-        assert canon.is_canonical() and canon.content == 1
+        assert canon.content == 1
         assert canon.ratio == raw.ratio // raw.content**2
         assert helpers.scale_matrix(canon.matrix, raw.content) == raw.matrix
 
@@ -148,7 +147,6 @@ def test_canonicalization_divides_out_content():
     raw = make_scaled(A2, doubled, canonicalize=False)
     assert raw.ratio == 4
     assert raw.content == 2
-    assert not raw.is_canonical()
     canon = raw.canonical()
     assert canon.ratio == 1
     assert canon.matrix == w.matrix
@@ -233,7 +231,7 @@ def test_scaled_checks_match_dense_oracle(name):
 def test_right_coset_frozen_corner_scaling():
     # first column 4 e0 is already clean: alpha = 4, delta = 1, W = identity
     rc = reduce_right_coset(make_scaled(A2, X))
-    assert (rc.alpha, rc.delta, rc.ratio) == (4, 1, 4)
+    assert (rc.alpha, rc.delta, rc.source.ratio) == (4, 1, 4)
     assert rc.transformer.word == ()
     assert rc.reduced == X
     assert rc.source.matrix == X
@@ -277,7 +275,7 @@ def test_right_coset_ratio_one_reduces_to_identity_column():
 def test_double_coset_frozen_corner_scaling():
     dc = reduce_double_coset(make_scaled(A2, X))
     # the entry gcd of X is 1, so the reduction must descend from 4 to 1
-    assert (dc.alpha, dc.delta, dc.ratio) == (1, 4, 4)
+    assert (dc.alpha, dc.delta, dc.source.ratio) == (1, 4, 4)
     assert dc.reduced[0, 0] == 1
     assert dc.reduced[5, 5] == 4
     assert dc.core.T @ A2.s0 @ dc.core == 4 * A2.s0
@@ -856,7 +854,6 @@ def test_certificate_growth_frozen():
     assert cert.exponents == (1, 2, 3)
     assert cert.corner_gcds == (4, 16, 64)
     assert cert.invariants == (Fraction(4), Fraction(16), Fraction(64))
-    assert "pairwise distinct" in cert.describe()
     assert cert.canonical_ratio == 4
 
 
@@ -939,7 +936,6 @@ def test_certificate_integral_member():
     assert cert.kind == "integral-member"
     assert cert.canonical_ratio == 1
     assert cert.canonical_matrix == w.matrix
-    assert "normalizes the group" in cert.describe()
 
 
 def test_certificate_requires_maximal_base():

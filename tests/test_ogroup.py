@@ -9,6 +9,7 @@ comments.
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -28,6 +29,11 @@ from evenlat.ogroup import base_reflection
 
 A1 = ExtendedForm(root_lattice("A1"))
 A2 = ExtendedForm(root_lattice("A2"))
+
+
+def quad(form, h) -> int:
+    # h^t S1 h, read off the form's Gram
+    return sum(map(mul, h, form.s1 @ tuple(h)))
 
 
 # ----------------------------------------------------------------- form shape
@@ -58,7 +64,7 @@ def test_extended_gram_a2_and_signature():
         assert form.s1.submatrix(range(2, 2 + n), range(2, 2 + n)) == -(
             form.base.gram
         )
-        assert form.quad(tuple(int(i == 0) for i in range(form.dim))) == 0
+        assert quad(form, tuple(int(i == 0) for i in range(form.dim))) == 0
 
 
 def test_constructor_type_check():
@@ -75,11 +81,12 @@ def test_constructor_rejects_indefinite_base():
 
 def test_quad_values():
     # by hand over A1: 2 h0 h4 + 2 h1 h3 - 2 h2^2
-    assert A1.quad((1, 0, 0, 0, 1)) == 2
-    assert A1.quad((1, 9, 3, 1, 0)) == 0
-    assert A1.quad((0, 0, 1, 0, 0)) == -2
-    assert A1.mid_quad_half((0, 1, 0)) == -1
-    assert A1.mid_quad_half((1, 0, 3)) == 3
+    assert quad(A1, (1, 0, 0, 0, 1)) == 2
+    assert quad(A1, (1, 9, 3, 1, 0)) == 0
+    assert quad(A1, (0, 0, 1, 0, 0)) == -2
+    # a token's q = lam^t S0 lam / 2, with S0 = [[0, 0, 1], [0, -2, 0], [1, 0, 0]]
+    assert A1._parts("T", (0, 1, 0))[2] == -1
+    assert A1._parts("T", (1, 0, 3))[2] == 3
 
 
 # ----------------------------------------------------------------- generators
@@ -96,7 +103,7 @@ def test_involution_frozen():
     ])
     assert (j @ j).matrix == Matrix.identity(5)
     assert j.word == (("J",),)
-    assert j.in_discriminant_kernel()
+    assert j.classify() == Membership.DISCRIMINANT_KERNEL
 
 
 def test_transvection_frozen():
@@ -109,7 +116,7 @@ def test_transvection_frozen():
         [0, 0, 0, 1, 0],
         [0, 0, 0, 0, 1],
     ])
-    assert t.in_discriminant_kernel()
+    assert t.classify() == Membership.DISCRIMINANT_KERNEL
     t2 = A1.dual_transvection((0, 1, 0))
     assert t2.matrix == Matrix([
         [1, 0, 0, 0, 0],
@@ -118,7 +125,7 @@ def test_transvection_frozen():
         [0, 0, 0, 1, 0],
         [1, 0, 2, 0, 1],
     ])
-    assert t2.in_discriminant_kernel()
+    assert t2.classify() == Membership.DISCRIMINANT_KERNEL
 
 
 def test_transvection_additive():
@@ -257,10 +264,11 @@ def test_classify_witness_all_levels():
     assert Fraction(delta[2], A2.s1_det) == Fraction(4, 3)
 
 
-def test_form_and_member_path_form_no_adjugate():
+def test_form_and_member_path_form_no_adjugate(monkeypatch):
     # S1^{-1} is applied through the base's Smith record: building a form,
     # classifying a kernel member, inverting it, completing its first column
-    # and naming a kernel-congruence witness leave the base adjugate unformed
+    # and naming a kernel-congruence witness run the base's one elimination
+    eliminations = helpers.record_calls(monkeypatch, "_eliminate")
     for name in ("A2", "A30", "E8"):
         base = root_lattice(name)
         form = ExtendedForm(base)
@@ -271,7 +279,8 @@ def test_form_and_member_path_form_no_adjugate():
         level, wit = form.classify_witness(-Matrix.identity(form.dim))
         # E8 is unimodular: every integral member acts trivially on L*/L
         assert wit.get("check") == (None if name == "E8" else "kernel-congruence"), name
-        assert "adjugate" not in vars(base), name
+        assert eliminations == [(base.gram,)], name
+        eliminations.clear()
 
 
 def test_congruence_witness_in_row_zero_forms_one_row(monkeypatch):
@@ -346,7 +355,6 @@ def test_classify_membership_is_monotone_data():
     for _ in range(20):
         g = helpers.random_element(A2, rng)
         assert g.classify() == Membership.DISCRIMINANT_KERNEL
-        assert g.in_discriminant_kernel()
 
 
 def test_embed_rotation(monkeypatch):
@@ -360,7 +368,6 @@ def test_embed_rotation(monkeypatch):
     neg = -Matrix.identity(2)
     g = A2.embed_rotation(neg)
     assert g.classify() == Membership.INTEGRAL_SPECIAL_PLUS
-    assert not g.in_discriminant_kernel()
     g3 = A2.embed_rotation(rot)
     assert (g3 @ g3 @ g3).matrix == Matrix.identity(A2.dim)
     with pytest.raises(ValueError, match="rotation must have determinant one"):
@@ -479,7 +486,7 @@ def test_unimodular_vector_need_not_be_primitive():
     # the vector cannot start a group element; quad = 2*(0+4) - 8 = 0
     form = ExtendedForm(root_lattice("4A1"))
     h = (0, 2, 1, 1, 1, 1, 2, 0)
-    assert form.quad(h) == 0
+    assert quad(form, h) == 0
     from evenlat.matrices import vec_gcd
 
     assert vec_gcd(h) == 1
@@ -492,7 +499,7 @@ def test_unimodular_vector_need_not_be_primitive():
 def test_complete_isotropic_frozen_vector():
     g = A1.complete_isotropic((1, 9, 3, 1, 0))
     assert g.matrix.col(0) == (1, 9, 3, 1, 0)
-    assert g.in_discriminant_kernel()
+    assert g.classify() == Membership.DISCRIMINANT_KERNEL
     assert g.word is not None
     assert A1.element_from_word(g.word).matrix == g.matrix
 
@@ -522,7 +529,7 @@ def test_completion_roundtrip_sweep():
         done = form.complete_isotropic(h)
         assert done.matrix.col(0) == h
         assert len(done.word) <= 15
-        assert done.in_discriminant_kernel()
+        assert done.classify() == Membership.DISCRIMINANT_KERNEL
 
 
 def test_completion_checks_only_its_input(monkeypatch):
@@ -558,7 +565,7 @@ def test_completion_covers_sign_and_bootstrap_branches():
     two = ExtendedForm(root_lattice("2A1"))
     for h in [(0, 0, a, b, 0, 0) for a in range(-2, 3) for b in range(-2, 3)]:
         if any(h):
-            assert not two.is_isotropic(h)
+            assert quad(two, h) != 0
 
 
 def test_orbit_transporter():
@@ -569,7 +576,7 @@ def test_orbit_transporter():
         h1, h2 = a.matrix.col(0), b.matrix.col(0)
         t = A2.orbit_transporter(h1, h2)
         assert t.matrix @ h1 == h2
-        assert t.in_discriminant_kernel()
+        assert t.classify() == Membership.DISCRIMINANT_KERNEL
 
 
 def test_single_cusp_frozen_cases():

@@ -7,7 +7,8 @@ search:
 * lift Gram: lifts V[:, i]/d_i reduced into [0, 1), and their Gram matrix
   summed entry by entry over ``Fraction``; ``EvenLattice.lift`` of each
   generator must give those lifts;
-* adjugate: ``helpers.inverse`` (Gauss-Jordan over ``Fraction``) times |det S|;
+* adjugate: ``helpers.adjugate``, read off the Smith record, against
+  ``helpers.inverse`` (Gauss-Jordan over ``Fraction``) times |det S|;
 * anisotropy: a scan over every element of the module;
 * glue search: the depth-first search that builds the closure of each
   candidate, tests every new element for isotropy, and rescans all
@@ -221,7 +222,7 @@ def check_against_oracles(lat):
     assert tuple(lat.lift(e) for e in units) == lifts
     assert mod.lift_gram == gram
     # the Smith-form adjugate against the Gauss-Jordan inverse
-    assert lat.adjugate == helpers.inverse(lat.gram) * abs(lat.determinant)
+    assert helpers.adjugate(lat) == helpers.inverse(lat.gram) * abs(lat.determinant)
     assert mod.is_anisotropic() == oracle_anisotropic(mod)
     glues = mod.maximal_isotropic_subgroups()
     assert [(g.generators, g.elements()) for g in glues] == oracle_glue(mod)
